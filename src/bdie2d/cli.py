@@ -11,6 +11,7 @@ geometry error, 3 compatibility (mean-zero) rejection, 4 singular system.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -404,12 +405,11 @@ def _selftest_checks(flip_normals):
              (0.0, 0.0), (4.0, 0.0))):
         g = boundary_grid(curve, 64)
         ones = np.ones(g.n)
-        val_in = laplace._offboundary_values(
-            g.points, sign * g.normals, g.weights, ones, "double",
-            np.asarray(inner))
-        val_out = laplace._offboundary_values(
-            g.points, sign * g.normals, g.weights, ones, "double",
-            np.asarray(outer))
+        g_sign = dataclasses.replace(g, normals=sign * g.normals)
+        val_in = laplace._layer_weights(g_sign, "double",
+                                        np.asarray(inner)) @ ones
+        val_out = laplace._layer_weights(g_sign, "double",
+                                         np.asarray(outer)) @ ones
         val_on = laplace.double_layer_matrix(g) @ ones
         checks.append((f"constant-density-interior-{name}",
                        abs(float(val_in) - 1.0), 1e-10))
@@ -431,9 +431,9 @@ def _selftest_checks(flip_normals):
     # Negative control: flipping the normal must break the constant-
     # density identity, demonstrating orientation sensitivity.
     g = boundary_grid(make_curve("circle"), 64)
-    flipped = laplace._offboundary_values(
-        g.points, -g.normals, g.weights, np.ones(g.n), "double",
-        np.zeros(2))
+    flipped = laplace._layer_weights(
+        dataclasses.replace(g, normals=-g.normals), "double",
+        np.zeros(2)) @ np.ones(g.n)
     deviation = abs(float(flipped) - 1.0)
     checks.append(("negative-control-normal-flip",
                    0.0 if deviation > 1e-3 else 1.0, 0.5))

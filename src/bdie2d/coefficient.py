@@ -25,18 +25,6 @@ def weight(x) -> np.ndarray:
     return np.sqrt(1.0 + r2) * np.log(2.0 + r2)
 
 
-class WeightFunction:
-    """Formula object for the exterior weight; pure and stateless."""
-
-    def __call__(self, x):
-        return weight(x)
-
-    @staticmethod
-    def of_radius(r):
-        r = np.asarray(r, dtype=float)
-        return np.sqrt(1.0 + r * r) * np.log(2.0 + r * r)
-
-
 class CoefficientField:
     """Scalar coefficient with analytic gradient and Laplacian.
 

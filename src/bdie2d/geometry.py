@@ -271,13 +271,6 @@ class DomainMesh:
         radii = np.hypot(self.points[:, 0], self.points[:, 1])
         self.support_mask = radii <= self.support_radius
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
-    def node_index(self, i_r, j_theta):
-        return np.asarray(i_r) * self.m_theta + np.asarray(j_theta) % self.m_theta
-
     def mesh_coords(self, points):
         """Map physical points to (rho, theta); rho < 0 means inside Omega^-."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -17,18 +17,31 @@ these choices, on the unit circle
     V(cos n t) = cos(n t) / (2 n),   W(cos n t) = 0 (n >= 1),
     W(1) = 1/2,                      L(cos n t) = (n/2) cos(n t).
 
-Volume potentials over a DomainMesh use a smooth near/far partition of
-unity around each target: the far part is plain tensor quadrature of the
-(smoothly windowed) integrand, the near part is integrated on a local
-dyadic Gauss grid refined toward the singular point, with the density
-either evaluated analytically or interpolated from nodal values.
+Every volume potential over a DomainMesh uses one near/far rule per
+target (``_volume_rule``): a smooth window in the polar angle around the
+target splits the integral into a far part, the mesh's tensor rule
+weighted by (1 - window), and a near part, a local dyadic Gauss grid
+refined toward the singular point and weighted by the window.  One apply
+(``_volume_apply``) runs that rule for every target: either it samples an
+analytic integrand at the far nodes and fine points
+(``newtonian_potential``, ``parametrix.remainder_apply``), or it builds
+matrix rows on nodal densities, the fine points reaching the nodes through
+mesh interpolation (``domain_rows``).
+
+Every off-boundary layer potential uses one upsampling ladder
+(``_ladder_apply``): each target gets the trapezoid rule on the boundary
+grid doubled until it resolves the target's distance to the curve.  The
+ladder applies that rule to the resampled density (values) or to the
+trigonometric interpolation matrix (rows).
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .errors import SingularEvaluationError
+from .errors import GeometryError, SingularEvaluationError
 from .geometry import BoundaryGrid, CurveParametrization, DomainMesh, boundary_grid
 
 _TWO_PI = 2.0 * np.pi
@@ -73,26 +86,21 @@ def _kernel_grad_y(x, y):
 # periodic spectral helpers
 
 def trig_resample(values: np.ndarray, n_up: int) -> np.ndarray:
-    """Trigonometric interpolation of periodic nodal data onto n_up nodes."""
+    """Trigonometric interpolation of periodic nodal data (along axis 0)
+    onto n_up nodes."""
     n = values.shape[0]
     if n_up == n:
         return values.copy()
-    spec = np.fft.rfft(values)
-    out = np.zeros(n_up // 2 + 1, dtype=complex)
-    out[: n // 2 + 1] = spec
-    out[n // 2] *= 0.5  # old Nyquist mode is now an interior mode
-    return np.fft.irfft(out, n_up) * (n_up / n)
+    spec = np.fft.rfft(values, axis=0)
+    spec[n // 2] *= 0.5  # old Nyquist mode is now an interior mode
+    out = np.fft.irfft(spec, n_up, axis=0)  # zero-pads the spectrum
+    out *= n_up / n
+    return out
 
 
 def trig_interp_matrix(n: int, n_up: int) -> np.ndarray:
     """Dense matrix form of trig_resample (n_up x n)."""
-    mat = np.empty((n_up, n))
-    basis = np.zeros(n)
-    for j in range(n):
-        basis[:] = 0.0
-        basis[j] = 1.0
-        mat[:, j] = trig_resample(basis, n_up)
-    return mat
+    return trig_resample(np.eye(n), n_up)
 
 
 def fourier_diff(values: np.ndarray) -> np.ndarray:
@@ -164,16 +172,8 @@ def double_layer_matrix(grid: BoundaryGrid) -> np.ndarray:
 
 def adjoint_double_layer_matrix(grid: BoundaryGrid) -> np.ndarray:
     """Direct value of the adjoint double layer (transpose kernel, same diagonal)."""
-    x = grid.points
-    zx = x[:, None, 0] - x[None, :, 0]
-    zy = x[:, None, 1] - x[None, :, 1]
-    r2 = zx ** 2 + zy ** 2
-    num = grid.normals[:, None, 0] * zx + grid.normals[:, None, 1] * zy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ker = -num / (_TWO_PI * r2) * grid.speeds[None, :]
-    kappa_term = grid.curve.curvature_term(grid.t)
-    np.fill_diagonal(ker, kappa_term / (2.0 * _TWO_PI))
-    return ker * (_TWO_PI / grid.n)
+    return (double_layer_matrix(grid).T
+            * grid.speeds[None, :] / grid.speeds[:, None])
 
 
 def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
@@ -183,25 +183,10 @@ def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
     return -d_s @ single_layer_matrix(grid) @ d_s
 
 
-def apply_boundary_operator(matrix: np.ndarray, density: np.ndarray) -> np.ndarray:
-    return matrix @ density
-
-
 # ---------------------------------------------------------------------------
 # off-boundary layer potentials
 
 _LADDER_CAP = 1 << 15
-
-
-def _upsample_count(grid: BoundaryGrid, dist: float) -> int:
-    """Grid size needed for accurate trapezoid evaluation at distance dist."""
-    if dist <= 0.0:
-        return _LADDER_CAP
-    need = 8.0 * grid.length / dist
-    n_up = grid.n
-    while n_up < min(need, _LADDER_CAP):
-        n_up *= 2
-    return n_up
 
 
 def distance_to_curve(curve: CurveParametrization, targets, n_sample=4096):
@@ -214,15 +199,49 @@ def distance_to_curve(curve: CurveParametrization, targets, n_sample=4096):
     return d
 
 
-def _offboundary_values(points, normals, weights, density, kind, y):
+def _layer_weights(grid: BoundaryGrid, kind: str, y) -> np.ndarray:
+    """Trapezoid weights of the single or double layer at target y: the
+    layer potential of nodal density rho on ``grid`` is weights @ rho."""
     if kind == "single":
-        return -np.sum(weights * _kernel_value(points, y) * density)
-    if kind == "double":
-        z = points - y
+        ker = _kernel_value(grid.points, y)
+    elif kind == "double":
+        z = grid.points - y
         r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-        ker = (normals[:, 0] * z[:, 0] + normals[:, 1] * z[:, 1]) / (_TWO_PI * r2)
-        return -np.sum(weights * ker * density)
-    raise ValueError(f"unknown layer kind {kind!r}")
+        ker = (grid.normals[:, 0] * z[:, 0]
+               + grid.normals[:, 1] * z[:, 1]) / (_TWO_PI * r2)
+    else:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    return -grid.weights * ker
+
+
+def _ladder_apply(grid: BoundaryGrid, kind: str, targets, base, upsample):
+    """The upsampling ladder behind every off-boundary layer potential.
+
+    Each target at distance d from the curve gets the trapezoid rule on
+    the grid doubled until it has 8 L / d nodes (L the curve length, at
+    most _LADDER_CAP), and the result is that rule's _layer_weights
+    applied to ``base`` on the given grid, or to ``upsample(g_up)`` on an
+    upsampled grid g_up (computed once per grid size).  Targets on the
+    curve or not finite are rejected.
+    """
+    pts = np.atleast_2d(np.asarray(targets, dtype=float))
+    if not np.isfinite(pts).all():
+        raise GeometryError("off-boundary evaluation target is not finite")
+    dists = distance_to_curve(grid.curve, pts)
+    if np.any(dists == 0.0):
+        raise SingularEvaluationError("off-boundary evaluation target lies on S")
+    out = np.empty((pts.shape[0],) + np.shape(base)[1:])
+    levels = {grid.n: (grid, base)}
+    for i, (y, d) in enumerate(zip(pts, dists)):
+        n_up = grid.n
+        while n_up < min(8.0 * grid.length / d, _LADDER_CAP):
+            n_up *= 2
+        if n_up not in levels:
+            g_up = boundary_grid(grid.curve, n_up)
+            levels[n_up] = (g_up, upsample(g_up))
+        g_up, data = levels[n_up]
+        out[i] = _layer_weights(g_up, kind, y) @ data
+    return out
 
 
 def layer_potential_offboundary(grid: BoundaryGrid, density, kind: str, targets,
@@ -233,54 +252,30 @@ def layer_potential_offboundary(grid: BoundaryGrid, density, kind: str, targets,
     upsampled grid with the density either resampled trigonometrically or,
     if ``density_fn(t)`` is given, evaluated analytically.
     """
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
     density = np.asarray(density, dtype=float)
-    dists = distance_to_curve(grid.curve, pts)
-    out = np.empty(pts.shape[0])
-    cache = {grid.n: (grid, density)}
-    for i, (y, d) in enumerate(zip(pts, dists)):
-        if d == 0.0:
-            raise SingularEvaluationError("off-boundary evaluation target lies on S")
-        n_up = _upsample_count(grid, d)
-        if n_up not in cache:
-            g_up = boundary_grid(grid.curve, n_up)
-            rho_up = (density_fn(g_up.t) if density_fn is not None
-                      else trig_resample(density, n_up))
-            cache[n_up] = (g_up, rho_up)
-        g_up, rho_up = cache[n_up]
-        out[i] = _offboundary_values(g_up.points, g_up.normals, g_up.weights,
-                                     rho_up, kind, y)
-    return out if pts.shape[0] > 1 else out
+    if density_fn is None:
+        upsample = lambda g_up: trig_resample(density, g_up.n)
+    else:
+        upsample = lambda g_up: density_fn(g_up.t)
+    return _ladder_apply(grid, kind, targets, density, upsample)
 
 
 def layer_rows_offboundary(grid: BoundaryGrid, kind: str, targets) -> np.ndarray:
     """Matrix rows mapping nodal density values to off-boundary potentials."""
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    dists = distance_to_curve(grid.curve, pts)
-    rows = np.empty((pts.shape[0], grid.n))
-    grids = {grid.n: (grid, np.eye(grid.n))}
-    for i, (y, d) in enumerate(zip(pts, dists)):
-        n_up = _upsample_count(grid, d)
-        if n_up not in grids:
-            grids[n_up] = (boundary_grid(grid.curve, n_up),
-                           trig_interp_matrix(grid.n, n_up))
-        g_up, interp = grids[n_up]
-        if kind == "single":
-            base = -g_up.weights * _kernel_value(g_up.points, y)
-        elif kind == "double":
-            z = g_up.points - y
-            r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-            ker = (g_up.normals[:, 0] * z[:, 0]
-                   + g_up.normals[:, 1] * z[:, 1]) / (_TWO_PI * r2)
-            base = -g_up.weights * ker
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-        rows[i] = base @ interp
-    return rows
+    return _ladder_apply(grid, kind, targets, np.eye(grid.n),
+                         lambda g_up: trig_interp_matrix(grid.n, g_up.n))
 
 
 # ---------------------------------------------------------------------------
 # volume potentials on the domain mesh
+
+# The near-field window spans at least _WIDTH_COLS mesh columns, 0.7 rad
+# and an arc of _WIDTH_PHYS on each side of the target; the dyadic grid
+# is refined _LEVELS times toward it.
+_WIDTH_COLS = 5
+_WIDTH_PHYS = 1.2
+_LEVELS = 26
+
 
 def _bump(u: np.ndarray) -> np.ndarray:
     """C^4 plateau bump: 1 for |u| <= 1/2, 0 for |u| >= 1."""
@@ -334,11 +329,11 @@ def _rect_cells(rect, cell_size, origins, sizes, v_cap=np.inf):
     sizes.append(np.broadcast_to(np.array([hx, hy]), (nx * ny, 2)))
 
 
-def _singular_rect_quadrature(rect, center, levels=24, v_cap=np.inf):
+def _singular_rect_quadrature(rect, center, v_cap=np.inf):
     """Gauss quadrature on a rectangle, dyadically refined toward ``center``.
 
     ``center`` may lie on or outside the rectangle (clipped targets); the
-    innermost 2^-levels neighbourhood of the singular point is dropped.
+    innermost 2^-_LEVELS neighbourhood of the singular point is dropped.
     ``v_cap`` limits the cell size along the second coordinate so that a
     window profile living there stays resolved.
     """
@@ -348,7 +343,7 @@ def _singular_rect_quadrature(rect, center, levels=24, v_cap=np.inf):
     origins, sizes = [], []
     cur = rect
     s = scale
-    for _ in range(levels):
+    for _ in range(_LEVELS):
         s_in = 0.5 * s
         inner = (max(cur[0], cx - s_in), min(cur[1], cx + s_in),
                  max(cur[2], cy - s_in), min(cur[3], cy + s_in))
@@ -368,149 +363,127 @@ def _singular_rect_quadrature(rect, center, levels=24, v_cap=np.inf):
     return pts, wts.ravel()
 
 
-class _NearField:
-    """Geometry of the smooth near-field window around one target."""
+class _VolumeRule(NamedTuple):
+    """Near/far quadrature rule of one target (see _volume_rule)."""
 
-    def __init__(self, mesh: DomainMesh, y, rho_y, theta_y, width_cols=5,
-                 width_phys=1.2, levels=26):
-        self.mesh = mesh
-        self.y = np.asarray(y, dtype=float)
-        dtheta = _TWO_PI / mesh.m_theta
+    far_idx: np.ndarray     # mesh nodes below the window's plateau
+    far_w: np.ndarray       # their weights times (1 - window)
+    fine_rho: np.ndarray    # near-field points in scaled coordinates
+    fine_theta: np.ndarray
+    fine_x: np.ndarray      # the same points, physical
+    fine_w: np.ndarray      # their weights times window and Jacobian
+
+
+def _volume_rule(mesh: DomainMesh, y, near=True) -> _VolumeRule:
+    """The near/far quadrature rule of a volume integral at target y.
+
+    A C^4 plateau window in the polar angle around the target splits the
+    integral: the far part is the mesh's tensor rule weighted by
+    (1 - window), the near part a Gauss grid over the window's full radial
+    extent, dyadically refined toward y and weighted by the window.  With
+    ``near`` false, or for a target more than 0.5 outside the meshed
+    region, the near part is empty and the far part is the whole mesh
+    rule.  Fine points of zero weight or coincident with y are dropped.
+    """
+    y = np.asarray(y, dtype=float)
+    if near:
+        rho, theta = mesh.mesh_coords(y)
+        rho_y, theta_y = float(rho[0]), float(theta[0])
         r_s = float(mesh.curve.radial_profile(np.atleast_1d(theta_y))[0])
         span = mesh.r_trunc - r_s
-        r_y = r_s + span * max(rho_y, 0.0)
-        # the window varies in theta only; the near rectangle covers the
-        # full radial extent so the far field never sees a radial edge
-        self.theta_half = min(0.9 * np.pi,
-                              max(width_cols * dtheta, 0.7,
-                                  width_phys / max(r_y, 1e-3)))
-        self.rho_y = rho_y
-        self.theta_y = theta_y
-        self.r_y = r_y
-        self.span = span
-        rect = (0.0, 1.0, theta_y - self.theta_half, theta_y + self.theta_half)
-        # build the dyadic grid in physically isotropic coordinates
-        su, sv = span, max(r_y, 1e-3)
-        urect = (rect[0] * su, rect[1] * su, rect[2] * sv, rect[3] * sv)
-        ucenter = (np.clip(rho_y, 0.0, 1.0) * su, theta_y * sv)
-        upts, uwts = _singular_rect_quadrature(
-            urect, ucenter, levels=levels, v_cap=0.125 * self.theta_half * sv)
-        self.fine_rho = upts[:, 0] / su
-        self.fine_theta = upts[:, 1] / sv
-        self.fine_w = uwts / (su * sv)
-        bump = _bump((self.fine_theta - theta_y) / self.theta_half)
-        jac = mesh.jacobian(self.fine_rho, self.fine_theta)
-        self.fine_w = self.fine_w * bump * jac
-        keep = self.fine_w != 0.0
-        self.fine_rho = self.fine_rho[keep]
-        self.fine_theta = self.fine_theta[keep]
-        self.fine_w = self.fine_w[keep]
-        self.fine_x = mesh.physical_points(self.fine_rho, self.fine_theta)
-
-    def node_window(self):
-        """Values of the near-field window at the mesh nodes."""
-        mesh = self.mesh
-        dth = (mesh.theta[None, :] - self.theta_y + np.pi) % _TWO_PI - np.pi
-        b = np.broadcast_to(_bump(dth / self.theta_half),
-                            (mesh.n_r, mesh.m_theta))
-        return b.ravel()
+        # radial clearance of the target from the meshed region
+        near = not span * max(-rho_y, rho_y - 1.0, 0.0) > 0.5
+    if not near:
+        return _VolumeRule(np.arange(mesh.n_nodes), mesh.weights, np.zeros(0),
+                           np.zeros(0), np.zeros((0, 2)), np.zeros(0))
+    dtheta = _TWO_PI / mesh.m_theta
+    r_y = r_s + span * max(rho_y, 0.0)
+    theta_half = min(0.9 * np.pi, max(_WIDTH_COLS * dtheta, 0.7,
+                                      _WIDTH_PHYS / max(r_y, 1e-3)))
+    # the window varies in theta only; the near rectangle covers the full
+    # radial extent so the far field never sees a radial edge
+    dth = (mesh.theta - theta_y + np.pi) % _TWO_PI - np.pi
+    win = np.tile(_bump(dth / theta_half), mesh.n_r)
+    far_idx = np.nonzero(win < 1.0)[0]
+    far_w = mesh.weights[far_idx] * (1.0 - win[far_idx])
+    # build the dyadic grid in physically isotropic coordinates
+    su, sv = span, max(r_y, 1e-3)
+    upts, uwts = _singular_rect_quadrature(
+        (0.0, su, (theta_y - theta_half) * sv, (theta_y + theta_half) * sv),
+        (np.clip(rho_y, 0.0, 1.0) * su, theta_y * sv),
+        v_cap=0.125 * theta_half * sv)
+    fine_rho = upts[:, 0] / su
+    fine_theta = upts[:, 1] / sv
+    fine_w = (uwts / (su * sv) * _bump((fine_theta - theta_y) / theta_half)
+              * mesh.jacobian(fine_rho, fine_theta))
+    fine_x = mesh.physical_points(fine_rho, fine_theta)
+    z = fine_x - y
+    keep = (fine_w != 0.0) & (z[:, 0] ** 2 + z[:, 1] ** 2 > 0.0)
+    return _VolumeRule(far_idx, far_w, fine_rho[keep], fine_theta[keep],
+                       fine_x[keep], fine_w[keep])
 
 
-def _near_field_for(mesh: DomainMesh, y, width_cols=5, width_phys=1.2,
-                    levels=26):
-    """Return a _NearField when the target is close to mesh nodes, else None."""
-    rho, theta = mesh.mesh_coords(y)
-    rho_y, theta_y = float(rho[0]), float(theta[0])
-    r_s = float(mesh.curve.radial_profile(np.atleast_1d(theta_y))[0])
-    span = mesh.r_trunc - r_s
-    # radial clearance of the target from the meshed region
-    d_phys = 0.0
-    if rho_y < 0.0:
-        d_phys = -rho_y * span
-    elif rho_y > 1.0:
-        d_phys = (rho_y - 1.0) * span
-    if d_phys > 0.5:
-        return None
-    return _NearField(mesh, y, rho_y, theta_y, width_cols=width_cols,
-                      width_phys=width_phys, levels=levels)
+def _volume_apply(mesh: DomainMesh, targets, fn, *, near_targets=None,
+                  rows=False):
+    """Run each target's _volume_rule on ``fn(x_points, y)``.
 
-
-def newtonian_potential(mesh: DomainMesh, g_nodes, targets, *, g_fn=None,
-                        want_gradient=False, width_cols=5, width_phys=1.2,
-                        levels=26):
-    """Newtonian potential int P(x - y) g(x) dx over the mesh, with gradient.
-
-    ``g_nodes`` are nodal density values; near the target the density is
-    interpolated from them unless ``g_fn(points)`` is supplied.
-    Returns values (m,), or (values, gradients (m, 2)) if requested.
+    By default ``fn`` is an analytic integrand, sampled at the far nodes
+    and the fine points, and the result holds one integral per target
+    (shape (m,) or (m, k) as fn returns (p,) or (p, k) values).  With
+    ``rows`` the result is the (m, n_nodes) matrix acting on nodal
+    densities: the far part lands on its nodes and the near part reaches
+    the nodes through mesh interpolation.  ``near_targets`` (one bool per
+    target) marks the targets that need near-field quadrature; by default
+    every target does.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    g_nodes = None if g_nodes is None else np.asarray(g_nodes, dtype=float)
-    vals = np.empty(pts.shape[0])
-    grads = np.empty((pts.shape[0], 2)) if want_gradient else None
+    out = np.zeros((pts.shape[0], mesh.n_nodes)) if rows else []
     for i, y in enumerate(pts):
-        nf = _near_field_for(mesh, y, width_cols=width_cols,
-                             width_phys=width_phys, levels=levels)
-        if nf is None:
-            win = np.zeros(mesh.n_nodes)
+        rule = _volume_rule(mesh, y, near_targets is None or near_targets[i])
+        far = fn(mesh.points[rule.far_idx], y)
+        fine = fn(rule.fine_x, y) if rule.fine_w.size else None
+        if rows:
+            out[i, rule.far_idx] = rule.far_w * far
+            if fine is not None:
+                idx, wts = mesh.interpolation(rule.fine_rho, rule.fine_theta)
+                np.add.at(out[i], idx.ravel(),
+                          ((rule.fine_w * fine)[:, None] * wts).ravel())
         else:
-            win = nf.node_window()
-        far_mask = win < 1.0
-        xf = mesh.points[far_mask]
-        wf = mesh.weights[far_mask] * (1.0 - win[far_mask])
-        gf = (g_fn(xf) if g_fn is not None else g_nodes[far_mask])
-        if g_fn is None:
-            gf = g_nodes[far_mask]
-        vals[i] = np.sum(wf * _kernel_value(xf, y) * gf)
-        if want_gradient:
-            grads[i] = (wf * gf) @ _kernel_grad_y(xf, y)
-        if nf is not None and nf.fine_x.shape[0]:
-            if g_fn is not None:
-                g_fine = g_fn(nf.fine_x)
-            else:
-                idx, wts = mesh.interpolation(nf.fine_rho, nf.fine_theta)
-                g_fine = np.sum(g_nodes[idx] * wts, axis=1)
-            z = nf.fine_x - y
-            r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-            ok = r2 > 0.0
-            vals[i] += np.sum(nf.fine_w[ok] * g_fine[ok]
-                              * np.log(r2[ok]) / (2.0 * _TWO_PI))
-            if want_gradient:
-                gk = -z[ok] / (_TWO_PI * r2[ok, None])
-                grads[i] += (nf.fine_w[ok] * g_fine[ok]) @ gk
+            out.append(rule.far_w @ far
+                       + (0.0 if fine is None else rule.fine_w @ fine))
+    return np.asarray(out)
+
+
+def newtonian_potential(mesh: DomainMesh, targets, *, g_fn,
+                        want_gradient=False):
+    """Newtonian potential int P(x - y) g(x) dx over the mesh, with gradient.
+
+    The density ``g_fn(points)`` is evaluated analytically at the
+    quadrature points of each target's near/far rule.
+    Returns values (m,), or (values, gradients (m, 2)) if requested.
+    """
+    def integrand(x, y):
+        if not want_gradient:
+            return g_fn(x) * _kernel_value(x, y)
+        return g_fn(x)[:, None] * np.column_stack(
+            [_kernel_value(x, y), _kernel_grad_y(x, y)])
+
+    vals = _volume_apply(mesh, targets, integrand)
     if want_gradient:
-        return vals, grads
+        vals = vals.reshape(-1, 3)
+        return vals[:, 0], vals[:, 1:]
     return vals
 
 
-def domain_rows(mesh: DomainMesh, targets, kernel_fn, *, width_cols=5,
-                width_phys=1.2, levels=26, near_targets=None):
+def domain_rows(mesh: DomainMesh, targets, kernel_fn, *, near_targets=None):
     """Assemble matrix rows of a volume operator acting on nodal densities.
 
     ``kernel_fn(x_points, y)`` returns the full integrand factor (kernel
     times any analytic source-point factors) at source points ``x_points``
-    for target ``y``; it must tolerate coincident points only when masked
-    out by the near-field window (they never reach it).
+    for target ``y``.  Fine points coincident with y never reach it; a
+    mesh node coincident with y does only when the near field of y is
+    skipped.  ``near_targets`` (one bool per target) limits near-field
+    quadrature to the marked targets.
     """
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    rows = np.zeros((pts.shape[0], mesh.n_nodes))
-    for i, y in enumerate(pts):
-        if near_targets is not None and not near_targets[i]:
-            nf = None
-        else:
-            nf = _near_field_for(mesh, y, width_cols=width_cols,
-                                 width_phys=width_phys, levels=levels)
-        if nf is None:
-            rows[i] = mesh.weights * kernel_fn(mesh.points, y)
-            continue
-        win = nf.node_window()
-        far_mask = win < 1.0
-        rows[i, far_mask] = (mesh.weights[far_mask] * (1.0 - win[far_mask])
-                             * kernel_fn(mesh.points[far_mask], y))
-        if nf.fine_x.shape[0]:
-            z = nf.fine_x - y
-            ok = (z[:, 0] ** 2 + z[:, 1] ** 2) > 0.0
-            kv = nf.fine_w[ok] * kernel_fn(nf.fine_x[ok], y)
-            idx, wts = mesh.interpolation(nf.fine_rho[ok], nf.fine_theta[ok])
-            np.add.at(rows[i], idx.ravel(), (kv[:, None] * wts).ravel())
-    return rows
+    return _volume_apply(mesh, targets, kernel_fn, near_targets=near_targets,
+                         rows=True)

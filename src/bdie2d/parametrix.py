@@ -56,26 +56,12 @@ def _boundary_data(field: CoefficientField, grid: BoundaryGrid):
 # volume potential and remainder
 
 def volume_potential(mesh: DomainMesh, field: CoefficientField, targets, *,
-                     rho_nodes=None, rho_fn=None, want_gradient=False,
-                     **quad_opts):
-    """Parametrix volume potential (and target gradient) at given points."""
-    if rho_fn is not None:
-        a_fn = lambda p: rho_fn(p) / field.eval(p)[0]
-        return laplace.newtonian_potential(mesh, None, targets, g_fn=a_fn,
-                                           want_gradient=want_gradient,
-                                           **quad_opts)
-    a_nodes, _, _ = field.eval(mesh.points)
-    g = np.asarray(rho_nodes, dtype=float) / a_nodes
-    return laplace.newtonian_potential(mesh, g, targets,
-                                       want_gradient=want_gradient, **quad_opts)
-
-
-def volume_rows(mesh: DomainMesh, field: CoefficientField, targets,
-                **quad_opts):
-    """Matrix rows of the volume potential acting on nodal densities."""
-    a_nodes, _, _ = field.eval(mesh.points)
-    rows = laplace.domain_rows(mesh, targets, laplace._kernel_value, **quad_opts)
-    return rows / a_nodes[None, :]
+                     rho_fn, want_gradient=False):
+    """Parametrix volume potential (and target gradient) of the analytic
+    density ``rho_fn(points)`` at given points."""
+    return laplace.newtonian_potential(
+        mesh, targets, g_fn=lambda p: rho_fn(p) / field.eval(p)[0],
+        want_gradient=want_gradient)
 
 
 def remainder_kernel(field: CoefficientField, x, y):
@@ -115,8 +101,7 @@ def _near_mask_for_support(field: CoefficientField, targets, clearance=1.0):
     return r <= field.support_radius + clearance
 
 
-def remainder_rows(mesh: DomainMesh, field: CoefficientField, targets,
-                   **quad_opts):
+def remainder_rows(mesh: DomainMesh, field: CoefficientField, targets):
     """Matrix rows of the remainder operator acting on nodal densities."""
     if field.is_constant:
         pts = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -124,37 +109,19 @@ def remainder_rows(mesh: DomainMesh, field: CoefficientField, targets,
     near = _near_mask_for_support(field, targets)
     return laplace.domain_rows(
         mesh, targets, lambda x, y: remainder_kernel(field, x, y),
-        near_targets=near, **quad_opts)
+        near_targets=near)
 
 
 def remainder_apply(mesh: DomainMesh, field: CoefficientField, targets, *,
-                    rho_nodes=None, rho_fn=None, **quad_opts):
-    """Remainder potential of an analytic or nodal density at given targets."""
+                    rho_fn):
+    """Remainder potential of the analytic density ``rho_fn(points)`` at
+    given targets."""
     if field.is_constant:
         pts = np.atleast_2d(np.asarray(targets, dtype=float))
         return np.zeros(pts.shape[0])
-    if rho_fn is None:
-        return remainder_rows(mesh, field, targets, **quad_opts) \
-            @ np.asarray(rho_nodes, dtype=float)
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.empty(pts.shape[0])
-    near = _near_mask_for_support(field, targets)
-    for i, y in enumerate(pts):
-        g_fn = lambda p: remainder_kernel(field, p, y) * rho_fn(p)
-        if near is not None and not near[i]:
-            out[i] = np.sum(mesh.weights * g_fn(mesh.points))
-            continue
-        nf = laplace._near_field_for(mesh, y, **quad_opts)
-        if nf is None:
-            out[i] = np.sum(mesh.weights * g_fn(mesh.points))
-            continue
-        win = nf.node_window()
-        far = win < 1.0
-        out[i] = np.sum(mesh.weights[far] * (1.0 - win[far])
-                        * g_fn(mesh.points[far]))
-        if nf.fine_x.shape[0]:
-            out[i] += np.sum(nf.fine_w * g_fn(nf.fine_x))
-    return out
+    return laplace._volume_apply(
+        mesh, targets, lambda x, y: remainder_kernel(field, x, y) * rho_fn(x),
+        near_targets=_near_mask_for_support(field, targets))
 
 
 def remainder_split(mesh: DomainMesh, rows: np.ndarray, r_split: float):

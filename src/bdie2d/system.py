@@ -18,7 +18,7 @@ compatibility condition; its computed size is reported as a diagnostic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +26,8 @@ import scipy.sparse.linalg
 
 from . import laplace, parametrix
 from .coefficient import CoefficientField
-from .errors import AssemblyError, CompatibilityError, SolverSingularError
+from .errors import (AssemblyError, CompatibilityError, GeometryError,
+                     SolverSingularError)
 from .geometry import BoundaryGrid, DomainMesh
 
 
@@ -69,7 +70,6 @@ class BdieSystem:
     f0_dom: np.ndarray
     f0_trace: np.ndarray
     v_matrix: np.ndarray           # boundary single layer (direct value)
-    quad_opts: dict = dc_field(default_factory=dict)
 
     @property
     def n_dom(self):
@@ -101,20 +101,24 @@ class BdieSolution:
     residual: float
 
     def evaluate(self, targets):
-        """u(y) = F0(y) - (R u)(y) + (V psi)(y) at off-boundary targets."""
+        """u(y) = F0(y) - (R u)(y) + (V psi)(y) at targets in the exterior
+        domain; non-finite targets and targets on or inside the curve
+        raise GeometryError."""
         sys_ = self.system
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        f0 = assemble_f0(sys_.problem, sys_.grid, sys_.mesh, targets,
-                         **sys_.quad_opts)
+        curve = sys_.grid.curve
+        if not np.isfinite(targets).all():
+            raise GeometryError("evaluation target is not finite")
+        if np.any(curve.is_inside_bounded(targets)
+                  | (laplace.distance_to_curve(curve, targets) == 0.0)):
+            raise GeometryError(
+                "evaluation target lies on or inside the curve")
+        f0 = assemble_f0(sys_.problem, sys_.grid, sys_.mesh, targets)
         r_rows = parametrix.remainder_rows(sys_.mesh, sys_.problem.field,
-                                           targets, **sys_.quad_opts)
+                                           targets)
         v_rows = parametrix.single_layer_rows_offboundary(
             sys_.grid, sys_.problem.field, targets)
         return f0 - r_rows[:, sys_.dom_idx] @ self.u_dom + v_rows @ self.psi
-
-    def boundary_trace(self):
-        """gamma+ u at the boundary nodes (the imposed Dirichlet data)."""
-        return self.system.problem.dirichlet(self.system.grid.t)
 
     def u_mesh(self):
         """u at every mesh node: solved values inside the coefficient
@@ -129,10 +133,10 @@ class BdieSolution:
 
 
 def assemble_f0(problem: DirichletProblem, grid: BoundaryGrid,
-                mesh: DomainMesh, targets, **quad_opts):
+                mesh: DomainMesh, targets):
     """F0(y) = volume potential of f minus double layer of phi0."""
     pf = parametrix.volume_potential(mesh, problem.field, targets,
-                                     rho_fn=problem.source, **quad_opts)
+                                     rho_fn=problem.source)
     w = parametrix.double_layer_offboundary(
         grid, problem.field, problem.dirichlet(grid.t), targets,
         density_fn=problem.dirichlet)
@@ -140,10 +144,10 @@ def assemble_f0(problem: DirichletProblem, grid: BoundaryGrid,
 
 
 def assemble_f0_trace(problem: DirichletProblem, grid: BoundaryGrid,
-                      mesh: DomainMesh, **quad_opts):
+                      mesh: DomainMesh):
     """gamma+ F0 at the boundary nodes, via the double-layer jump relation."""
     pf = parametrix.volume_potential(mesh, problem.field, grid.points,
-                                     rho_fn=problem.source, **quad_opts)
+                                     rho_fn=problem.source)
     phi = problem.dirichlet(grid.t)
     w_direct = parametrix.double_layer_boundary(grid, problem.field) @ phi
     return pf - (-0.5 * phi + w_direct)
@@ -163,7 +167,7 @@ def _domain_indices(mesh: DomainMesh, field: CoefficientField,
 
 def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
                     mesh: DomainMesh, *, force_domain_rows=False,
-                    compatibility_tol=1e-6, **quad_opts) -> BdieSystem:
+                    compatibility_tol=1e-6) -> BdieSystem:
     """Build the dense block system for the given discretization."""
     if grid.curve is not mesh.curve:
         raise AssemblyError("boundary grid and domain mesh use different curves")
@@ -177,27 +181,27 @@ def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
 
     dom_pts = mesh.points[dom_idx]
     if nd:
-        r_dd = parametrix.remainder_rows(mesh, field, dom_pts, **quad_opts)
+        r_dd = parametrix.remainder_rows(mesh, field, dom_pts)
         mat[:nd, :nd] = np.eye(nd) + r_dd[:, dom_idx]
         mat[:nd, nd:nd + nb] = -parametrix.single_layer_rows_offboundary(
             grid, field, dom_pts)
-        r_bd = parametrix.remainder_rows(mesh, field, grid.points, **quad_opts)
+        r_bd = parametrix.remainder_rows(mesh, field, grid.points)
         mat[nd:nd + nb, :nd] = r_bd[:, dom_idx]
     v_mat = parametrix.single_layer_boundary(grid, field)
     mat[nd:nd + nb, nd:nd + nb] = -v_mat
     mat[nd:nd + nb, nd + nb] = 1.0
     mat[nd + nb, nd:nd + nb] = grid.weights
 
-    f0_trace = assemble_f0_trace(problem, grid, mesh, **quad_opts)
+    f0_trace = assemble_f0_trace(problem, grid, mesh)
     phi = problem.dirichlet(grid.t)
     rhs[nd:nd + nb] = f0_trace - phi
     f0_dom = np.zeros(0)
     if nd:
-        f0_dom = assemble_f0(problem, grid, mesh, dom_pts, **quad_opts)
+        f0_dom = assemble_f0(problem, grid, mesh, dom_pts)
         rhs[:nd] = f0_dom
     return BdieSystem(problem=problem, grid=grid, mesh=mesh, dom_idx=dom_idx,
                       matrix=mat, rhs=rhs, f0_dom=f0_dom, f0_trace=f0_trace,
-                      v_matrix=v_mat, quad_opts=dict(quad_opts))
+                      v_matrix=v_mat)
 
 
 def solve(system: BdieSystem, *, method="lu", gmres_tol=1e-12,

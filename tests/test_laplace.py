@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from bdie2d import laplace
+from bdie2d.errors import GeometryError, SingularEvaluationError
 from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
 
 
@@ -123,6 +124,21 @@ def test_layer_rows_match_applied_potential(circle64):
         assert_allclose(rows @ dens, direct, atol=1e-10)
 
 
+@pytest.mark.parametrize("target,error", [
+    ((1.0, 0.0), SingularEvaluationError),
+    ((np.nan, 0.5), GeometryError),
+], ids=["on-curve", "nan"])
+def test_offboundary_rejects_on_curve_and_non_finite_targets(circle64, target,
+                                                             error):
+    y = np.array([[2.0, 0.5], target])
+    for kind in ("single", "double"):
+        with pytest.raises(error):
+            laplace.layer_rows_offboundary(circle64, kind, y)
+        with pytest.raises(error):
+            laplace.layer_potential_offboundary(
+                circle64, np.cos(circle64.t), kind, y, density_fn=np.cos)
+
+
 @pytest.fixture(scope="module")
 def annulus_mesh():
     return domain_mesh(make_curve("circle"), 4.0, 4 * np.pi / 64, m_theta=64)
@@ -140,8 +156,7 @@ def test_newtonian_potential_radial_oracle(annulus_mesh):
     g = lambda r: np.exp(-r ** 2)
     g_fn = lambda p: np.exp(-(p[:, 0] ** 2 + p[:, 1] ** 2))
     targets = np.array([[1.7, 0.9], [0.5, -3.1], [3.9, 0.0], [1.05, 0.0]])
-    vals = laplace.newtonian_potential(mesh, g_fn(mesh.points), targets,
-                                       g_fn=g_fn)
+    vals = laplace.newtonian_potential(mesh, targets, g_fn=g_fn)
     for k, y in enumerate(targets):
         exact = _radial_newtonian(np.hypot(*y), g, 4.0)
         assert abs(vals[k] - exact) <= 1e-5
@@ -151,12 +166,11 @@ def test_newtonian_potential_gradient(annulus_mesh):
     mesh = annulus_mesh
     g_fn = lambda p: np.exp(-(p[:, 0] ** 2 + p[:, 1] ** 2))
     y = np.array([[1.8, 0.6]])
-    _, grad = laplace.newtonian_potential(mesh, g_fn(mesh.points), y,
+    _, grad = laplace.newtonian_potential(mesh, y,
                                           g_fn=g_fn, want_gradient=True)
     h = 1e-4
     stencil = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    vals = laplace.newtonian_potential(mesh, g_fn(mesh.points), y + stencil,
-                                       g_fn=g_fn)
+    vals = laplace.newtonian_potential(mesh, y + stencil, g_fn=g_fn)
     assert_allclose(grad[0, 0], (vals[0] - vals[1]) / (2 * h), atol=5e-5)
     assert_allclose(grad[0, 1], (vals[2] - vals[3]) / (2 * h), atol=5e-5)
 
@@ -166,8 +180,7 @@ def test_domain_rows_consistent_with_direct_quadrature(annulus_mesh):
     g_fn = lambda p: np.exp(-(p[:, 0] ** 2 + p[:, 1] ** 2)) \
         * (1.0 + 0.2 * p[:, 0])
     targets = np.array([[1.6, 0.4], [2.5, -1.0]])
-    direct = laplace.newtonian_potential(mesh, g_fn(mesh.points), targets,
-                                         g_fn=g_fn)
+    direct = laplace.newtonian_potential(mesh, targets, g_fn=g_fn)
     rows = laplace.domain_rows(mesh, targets,
                                lambda x, y: laplace._kernel_value(x, y))
     assert_allclose(rows @ g_fn(mesh.points), direct, atol=2e-5)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bdie2d.coefficient import make_coefficient
-from bdie2d.errors import (AssemblyError, CompatibilityError,
+from bdie2d.errors import (AssemblyError, CompatibilityError, GeometryError,
                            SolverSingularError)
 from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
 from bdie2d.system import DirichletProblem, assemble_system, solve
@@ -41,6 +41,15 @@ def test_solution_evaluation_matches_exact_field(laplace_solution,
     probes = np.array([[2.0, 0.0], [0.7, 1.6], [-3.0, 0.5]])
     assert_allclose(sol.evaluate(probes), laplace_case.exact_u(probes),
                     atol=1e-12)
+
+
+@pytest.mark.parametrize("target", [(0.3, 0.1), (1.0, 0.0), (np.nan, 2.0)],
+                         ids=["inside", "on-curve", "nan"])
+def test_evaluation_rejects_targets_outside_the_exterior_domain(
+        laplace_solution, target):
+    _, sol = laplace_solution
+    with pytest.raises(GeometryError):
+        sol.evaluate(np.array([[2.0, 0.0], target]))
 
 
 def test_forced_domain_rows_keep_remainder_blocks_zero(laplace_case):
