@@ -224,9 +224,10 @@ def boundary_grid(curve: CurveParametrization, n: int) -> BoundaryGrid:
                         normals=normals, speeds=speeds, weights=weights)
 
 
-def _gauss_legendre_01(q: int):
-    x, w = np.polynomial.legendre.leggauss(q)
-    return 0.5 * (x + 1.0), 0.5 * w
+# the _Q-point Gauss-Legendre rule on [0, 1] of every radial panel
+_Q = 4
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_Q)
+_GX, _GW = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
 
 @dataclass
@@ -243,24 +244,19 @@ class DomainMesh:
     r_trunc: float
     h: float
     m_theta: int
-    q: int
     breakpoints: np.ndarray     # (n_panels + 1,) in [0, 1]
     rho: np.ndarray             # (n_r,) scaled radial nodes
     rho_weights: np.ndarray     # (n_r,)
-    panel_of_node: np.ndarray   # (n_r,) panel index of each radial node
     theta: np.ndarray           # (m_theta,)
     r_curve: np.ndarray         # (m_theta,) curve radius at each angle
     points: np.ndarray = field(default=None)    # (n_nodes, 2)
     weights: np.ndarray = field(default=None)   # (n_nodes,)
-    support_radius: float = np.inf
-    support_mask: np.ndarray = field(default=None)  # (n_nodes,) bool
 
     def __post_init__(self):
         n_r = self.rho.shape[0]
         rr = self.r_curve[None, :] + (self.r_trunc - self.r_curve[None, :]) * self.rho[:, None]
         xx = rr * np.cos(self.theta)[None, :]
         yy = rr * np.sin(self.theta)[None, :]
-        self.r_grid = rr
         self.points = np.stack([xx.ravel(), yy.ravel()], axis=1)
         dtheta = _TWO_PI / self.m_theta
         w = (self.rho_weights[:, None]
@@ -268,8 +264,6 @@ class DomainMesh:
         self.weights = w.ravel()
         self.n_r = n_r
         self.n_nodes = n_r * self.m_theta
-        radii = np.hypot(self.points[:, 0], self.points[:, 1])
-        self.support_mask = radii <= self.support_radius
 
     def mesh_coords(self, points):
         """Map physical points to (rho, theta); rho < 0 means inside Omega^-."""
@@ -299,13 +293,12 @@ class DomainMesh:
     def interpolation(self, rho, theta):
         """Nodal interpolation weights at scaled coordinates.
 
-        Returns (indices, weights) of shape (m, q) and (m, 4) combined into
-        (m, 4*q): Lagrange on the radial panel's Gauss nodes times 4-point
+        Returns (indices, weights) of shape (m, _Q) and (m, 4) combined into
+        (m, 4 * _Q): Lagrange on the radial panel's Gauss nodes times 4-point
         Lagrange across neighbouring theta columns.
         """
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         theta = np.atleast_1d(np.asarray(theta, dtype=float)) % _TWO_PI
-        m = rho.shape[0]
         panel = np.clip(np.searchsorted(self.breakpoints, rho, side="right") - 1,
                         0, len(self.breakpoints) - 2)
         dtheta = _TWO_PI / self.m_theta
@@ -313,19 +306,12 @@ class DomainMesh:
         cols = (j0[:, None] + np.arange(-1, 3)[None, :]) % self.m_theta
         th_nodes = (j0[:, None] + np.arange(-1, 3)[None, :]) * dtheta
         w_th = _lagrange_weights(theta, th_nodes)
-        idx = np.empty((m, 4 * self.q), dtype=int)
-        wts = np.empty((m, 4 * self.q), dtype=float)
-        for p in np.unique(panel):
-            sel = panel == p
-            nodes_p = self.rho[self.panel_of_node == p]
-            i_r0 = int(np.nonzero(self.panel_of_node == p)[0][0])
-            w_r = _lagrange_weights(rho[sel], np.broadcast_to(nodes_p,
-                                                              (sel.sum(), self.q)))
-            comb = w_r[:, :, None] * w_th[sel][:, None, :]
-            rows = (i_r0 + np.arange(self.q))[:, None] * self.m_theta + cols[sel][:, None, :]
-            idx[sel] = rows.reshape(sel.sum(), -1)
-            wts[sel] = comb.reshape(sel.sum(), -1)
-        return idx, wts
+        # radial node indices of each point's panel
+        i_r = panel[:, None] * _Q + np.arange(_Q)[None, :]
+        w_r = _lagrange_weights(rho, self.rho[i_r])
+        comb = w_r[:, :, None] * w_th[:, None, :]
+        rows = i_r[:, :, None] * self.m_theta + cols[:, None, :]
+        return rows.reshape(rho.shape[0], -1), comb.reshape(rho.shape[0], -1)
 
 
 def _lagrange_weights(x, nodes):
@@ -342,10 +328,8 @@ def _lagrange_weights(x, nodes):
 
 
 def domain_mesh(curve: CurveParametrization, r_trunc: float, h: float, *,
-                q: int = 4, m_theta: Optional[int] = None,
-                n_panels: Optional[int] = None,
-                support_radius: float = np.inf,
-                support_margin: float = 0.0) -> DomainMesh:
+                m_theta: Optional[int] = None,
+                n_panels: Optional[int] = None) -> DomainMesh:
     """Build the truncated-exterior quadrature mesh."""
     if h <= 0:
         raise DiscretizationError("mesh spacing h must be positive")
@@ -362,21 +346,16 @@ def domain_mesh(curve: CurveParametrization, r_trunc: float, h: float, *,
     r_curve = np.asarray(curve.radial_profile(theta), dtype=float)
     span_min = float((r_trunc - r_curve).min())
     if n_panels is None:
-        n_panels = max(1, int(np.ceil((r_trunc - r_curve.min()) / (q * h))))
+        n_panels = max(1, int(np.ceil((r_trunc - r_curve.min()) / (_Q * h))))
         # keep the innermost Gauss node clear of the boundary (> h/10)
-        gx0 = float(_gauss_legendre_01(q)[0][0])
-        cap = int(np.floor(10.0 * gx0 * span_min / h))
+        cap = int(np.floor(10.0 * float(_GX[0]) * span_min / h))
         n_panels = max(1, min(n_panels, cap))
     breakpoints = np.linspace(0.0, 1.0, n_panels + 1)
-    gx, gw = _gauss_legendre_01(q)
-    rho = (breakpoints[:-1, None] + np.diff(breakpoints)[:, None] * gx[None, :]).ravel()
-    rho_w = (np.diff(breakpoints)[:, None] * gw[None, :]).ravel()
-    panel_of_node = np.repeat(np.arange(n_panels), q)
-    mesh = DomainMesh(curve=curve, r_trunc=r_trunc, h=h, m_theta=m_theta, q=q,
+    rho = (breakpoints[:-1, None] + np.diff(breakpoints)[:, None] * _GX[None, :]).ravel()
+    rho_w = (np.diff(breakpoints)[:, None] * _GW[None, :]).ravel()
+    mesh = DomainMesh(curve=curve, r_trunc=r_trunc, h=h, m_theta=m_theta,
                       breakpoints=breakpoints, rho=rho, rho_weights=rho_w,
-                      panel_of_node=panel_of_node, theta=theta, r_curve=r_curve,
-                      support_radius=(support_radius + support_margin
-                                      if np.isfinite(support_radius) else np.inf))
+                      theta=theta, r_curve=r_curve)
     d_first = rho[0] * span_min
     if d_first <= h / 10.0:
         raise DiscretizationError(

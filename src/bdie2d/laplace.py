@@ -22,11 +22,14 @@ target (``_volume_rule``): a smooth window in the polar angle around the
 target splits the integral into a far part, the mesh's tensor rule
 weighted by (1 - window), and a near part, a local dyadic Gauss grid
 refined toward the singular point and weighted by the window.  One apply
-(``_volume_apply``) runs that rule for every target: either it samples an
-analytic integrand at the far nodes and fine points
-(``newtonian_potential``, ``parametrix.remainder_apply``), or it builds
-matrix rows on nodal densities, the fine points reaching the nodes through
-mesh interpolation (``domain_rows``).
+(``_volume_apply``) builds that rule once per target and runs it for a row
+kernel, an analytic value integrand, or both: the kernel gives matrix rows
+on nodal densities, the fine points reaching the nodes through mesh
+interpolation (``domain_rows``), and the integrand is sampled at the far
+nodes and fine points (``newtonian_potential``,
+``parametrix.remainder_apply``).  ``domain_rows`` with a ``value_fn`` does
+both from the same rule, which is how ``parametrix.volume_terms`` yields
+the remainder rows and the volume potential of a source together.
 
 Every off-boundary layer potential uses one upsampling ladder
 (``_ladder_apply``): each target gets the trapezoid rule on the boundary
@@ -423,35 +426,44 @@ def _volume_rule(mesh: DomainMesh, y, near=True) -> _VolumeRule:
                        fine_x[keep], fine_w[keep])
 
 
-def _volume_apply(mesh: DomainMesh, targets, fn, *, near_targets=None,
-                  rows=False):
-    """Run each target's _volume_rule on ``fn(x_points, y)``.
+def _volume_apply(mesh: DomainMesh, targets, *, kernel_fn=None,
+                  value_fn=None, near_targets=None):
+    """Run each target's _volume_rule once for a row kernel and an analytic
+    value integrand; returns (rows, values), None for a missing function.
 
-    By default ``fn`` is an analytic integrand, sampled at the far nodes
-    and the fine points, and the result holds one integral per target
-    (shape (m,) or (m, k) as fn returns (p,) or (p, k) values).  With
-    ``rows`` the result is the (m, n_nodes) matrix acting on nodal
-    densities: the far part lands on its nodes and the near part reaches
-    the nodes through mesh interpolation.  ``near_targets`` (one bool per
-    target) marks the targets that need near-field quadrature; by default
-    every target does.
+    ``kernel_fn(x_points, y)`` gives the (m, n_nodes) matrix acting on
+    nodal densities: the far part lands on its nodes and the near part
+    reaches the nodes through mesh interpolation.  ``value_fn(x_points, y)``
+    is an analytic integrand, sampled at the far nodes and the fine points;
+    the values hold one integral per target (shape (m,) or (m, k) as
+    value_fn returns (p,) or (p, k) values).  ``near_targets`` (one bool
+    per target) limits the rows' near-field quadrature to the marked
+    targets; by default every target gets it, and values always do.  One
+    rule is alive at a time.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.zeros((pts.shape[0], mesh.n_nodes)) if rows else []
+    rows = None if kernel_fn is None else np.zeros((pts.shape[0],
+                                                    mesh.n_nodes))
+    values = []
     for i, y in enumerate(pts):
-        rule = _volume_rule(mesh, y, near_targets is None or near_targets[i])
-        far = fn(mesh.points[rule.far_idx], y)
-        fine = fn(rule.fine_x, y) if rule.fine_w.size else None
-        if rows:
-            out[i, rule.far_idx] = rule.far_w * far
-            if fine is not None:
-                idx, wts = mesh.interpolation(rule.fine_rho, rule.fine_theta)
-                np.add.at(out[i], idx.ravel(),
-                          ((rule.fine_w * fine)[:, None] * wts).ravel())
-        else:
-            out.append(rule.far_w @ far
-                       + (0.0 if fine is None else rule.fine_w @ fine))
-    return np.asarray(out)
+        rows_near = near_targets is None or near_targets[i]
+        rule = _volume_rule(mesh, y, rows_near or value_fn is not None)
+        if value_fn is not None:
+            fine = value_fn(rule.fine_x, y) if rule.fine_w.size else None
+            values.append(rule.far_w @ value_fn(mesh.points[rule.far_idx], y)
+                          + (0.0 if fine is None else rule.fine_w @ fine))
+        if kernel_fn is None:
+            continue
+        if not rows_near:
+            rule = _volume_rule(mesh, y, False)
+        rows[i, rule.far_idx] = rule.far_w * kernel_fn(
+            mesh.points[rule.far_idx], y)
+        if rule.fine_w.size:
+            idx, wts = mesh.interpolation(rule.fine_rho, rule.fine_theta)
+            np.add.at(rows[i], idx.ravel(),
+                      ((rule.fine_w * kernel_fn(rule.fine_x, y))[:, None]
+                       * wts).ravel())
+    return rows, None if value_fn is None else np.asarray(values)
 
 
 def newtonian_potential(mesh: DomainMesh, targets, *, g_fn,
@@ -462,20 +474,22 @@ def newtonian_potential(mesh: DomainMesh, targets, *, g_fn,
     quadrature points of each target's near/far rule.
     Returns values (m,), or (values, gradients (m, 2)) if requested.
     """
-    def integrand(x, y):
-        if not want_gradient:
-            return g_fn(x) * _kernel_value(x, y)
-        return g_fn(x)[:, None] * np.column_stack(
-            [_kernel_value(x, y), _kernel_grad_y(x, y)])
-
-    vals = _volume_apply(mesh, targets, integrand)
-    if want_gradient:
-        vals = vals.reshape(-1, 3)
-        return vals[:, 0], vals[:, 1:]
-    return vals
+    if not want_gradient:
+        return _volume_apply(mesh, targets,
+                             value_fn=_newtonian_integrand(g_fn))[1]
+    vals = _volume_apply(mesh, targets, value_fn=lambda x, y: g_fn(x)[:, None]
+                         * np.column_stack([_kernel_value(x, y),
+                                            _kernel_grad_y(x, y)]))[1]
+    return vals[:, 0], vals[:, 1:]
 
 
-def domain_rows(mesh: DomainMesh, targets, kernel_fn, *, near_targets=None):
+def _newtonian_integrand(g_fn):
+    """The integrand g(x) P(x - y) of the Newtonian potential of g_fn."""
+    return lambda x, y: g_fn(x) * _kernel_value(x, y)
+
+
+def domain_rows(mesh: DomainMesh, targets, kernel_fn, *, near_targets=None,
+                value_fn=None):
     """Assemble matrix rows of a volume operator acting on nodal densities.
 
     ``kernel_fn(x_points, y)`` returns the full integrand factor (kernel
@@ -483,7 +497,11 @@ def domain_rows(mesh: DomainMesh, targets, kernel_fn, *, near_targets=None):
     for target ``y``.  Fine points coincident with y never reach it; a
     mesh node coincident with y does only when the near field of y is
     skipped.  ``near_targets`` (one bool per target) limits near-field
-    quadrature to the marked targets.
+    quadrature to the marked targets.  With ``value_fn(x_points, y)``, an
+    analytic integrand, the result is (rows, integrals of value_fn), both
+    from the same rule of each target; the integrals always get the near
+    field.
     """
-    return _volume_apply(mesh, targets, kernel_fn, near_targets=near_targets,
-                         rows=True)
+    rows, values = _volume_apply(mesh, targets, kernel_fn=kernel_fn,
+                                 value_fn=value_fn, near_targets=near_targets)
+    return rows if value_fn is None else (rows, values)

@@ -55,13 +55,16 @@ def _boundary_data(field: CoefficientField, grid: BoundaryGrid):
 # ---------------------------------------------------------------------------
 # volume potential and remainder
 
+def _scaled_density(field: CoefficientField, rho_fn):
+    return lambda p: rho_fn(p) / field.eval(p)[0]
+
+
 def volume_potential(mesh: DomainMesh, field: CoefficientField, targets, *,
-                     rho_fn, want_gradient=False):
-    """Parametrix volume potential (and target gradient) of the analytic
-    density ``rho_fn(points)`` at given points."""
-    return laplace.newtonian_potential(
-        mesh, targets, g_fn=lambda p: rho_fn(p) / field.eval(p)[0],
-        want_gradient=want_gradient)
+                     rho_fn):
+    """Parametrix volume potential of the analytic density
+    ``rho_fn(points)`` at given points."""
+    return laplace.newtonian_potential(mesh, targets,
+                                       g_fn=_scaled_density(field, rho_fn))
 
 
 def remainder_kernel(field: CoefficientField, x, y):
@@ -92,13 +95,14 @@ def remainder_kernel(field: CoefficientField, x, y):
     return out
 
 
-def _near_mask_for_support(field: CoefficientField, targets, clearance=1.0):
-    """Targets needing local quadrature: those near the coefficient support."""
+def _near_mask_for_support(field: CoefficientField, targets):
+    """Targets whose remainder rows need local quadrature: those within 1
+    of the coefficient support."""
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.isfinite(field.support_radius):
         return None
     r = np.hypot(pts[:, 0], pts[:, 1])
-    return r <= field.support_radius + clearance
+    return r <= field.support_radius + 1.0
 
 
 def remainder_rows(mesh: DomainMesh, field: CoefficientField, targets):
@@ -112,6 +116,25 @@ def remainder_rows(mesh: DomainMesh, field: CoefficientField, targets):
         near_targets=near)
 
 
+def volume_terms(mesh: DomainMesh, field: CoefficientField, targets,
+                 columns, *, rho_fn):
+    """Remainder rows on the mesh nodes ``columns`` and the volume
+    potential of the analytic density ``rho_fn(points)``, at given points.
+
+    Both come from one near/far rule per target: the rows are those of
+    remainder_rows, the values those of volume_potential.
+    """
+    if field.is_constant:
+        pts = np.atleast_2d(np.asarray(targets, dtype=float))
+        return (np.zeros((pts.shape[0], len(columns))),
+                volume_potential(mesh, field, targets, rho_fn=rho_fn))
+    rows, values = laplace.domain_rows(
+        mesh, targets, lambda x, y: remainder_kernel(field, x, y),
+        near_targets=_near_mask_for_support(field, targets),
+        value_fn=laplace._newtonian_integrand(_scaled_density(field, rho_fn)))
+    return rows[:, columns], values
+
+
 def remainder_apply(mesh: DomainMesh, field: CoefficientField, targets, *,
                     rho_fn):
     """Remainder potential of the analytic density ``rho_fn(points)`` at
@@ -120,8 +143,8 @@ def remainder_apply(mesh: DomainMesh, field: CoefficientField, targets, *,
         pts = np.atleast_2d(np.asarray(targets, dtype=float))
         return np.zeros(pts.shape[0])
     return laplace._volume_apply(
-        mesh, targets, lambda x, y: remainder_kernel(field, x, y) * rho_fn(x),
-        near_targets=_near_mask_for_support(field, targets))
+        mesh, targets,
+        value_fn=lambda x, y: remainder_kernel(field, x, y) * rho_fn(x))[1]
 
 
 def remainder_split(mesh: DomainMesh, rows: np.ndarray, r_split: float):
@@ -176,32 +199,26 @@ def hypersingular_trace(grid: BoundaryGrid, field: CoefficientField, side=+1):
 def single_layer_offboundary(grid: BoundaryGrid, field: CoefficientField,
                              density, targets, density_fn=None):
     a, _ = _boundary_data(field, grid)
+    fn = None
     if density_fn is not None:
         fn = lambda t: density_fn(t) / field.eval(grid.curve.position(t))[0]
-        return laplace.layer_potential_offboundary(grid, density / a, "single",
-                                                   targets, density_fn=fn)
     return laplace.layer_potential_offboundary(grid, np.asarray(density) / a,
-                                               "single", targets)
+                                               "single", targets, density_fn=fn)
 
 
 def double_layer_offboundary(grid: BoundaryGrid, field: CoefficientField,
                              density, targets, density_fn=None):
     a, dln = _boundary_data(field, grid)
     density = np.asarray(density, dtype=float)
+    corr_fn = None
     if density_fn is not None:
         def corr_fn(t):
-            pts = grid.curve.position(t)
-            _, tang, nrm, _ = grid.curve.evaluate(t)
+            pts, _, nrm, _ = grid.curve.evaluate(t)
             return density_fn(t) * field.normal_log_derivative(pts, nrm)
-        w_part = laplace.layer_potential_offboundary(
-            grid, density, "double", targets, density_fn=density_fn)
-        v_part = laplace.layer_potential_offboundary(
-            grid, density * dln, "single", targets, density_fn=corr_fn)
-    else:
-        w_part = laplace.layer_potential_offboundary(grid, density, "double",
-                                                     targets)
-        v_part = laplace.layer_potential_offboundary(grid, density * dln,
-                                                     "single", targets)
+    w_part = laplace.layer_potential_offboundary(
+        grid, density, "double", targets, density_fn=density_fn)
+    v_part = laplace.layer_potential_offboundary(
+        grid, density * dln, "single", targets, density_fn=corr_fn)
     return w_part - v_part
 
 

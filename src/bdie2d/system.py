@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from . import laplace, parametrix
+from . import parametrix
 from .coefficient import CoefficientField
 from .errors import (AssemblyError, CompatibilityError, GeometryError,
                      SolverSingularError)
@@ -67,8 +67,6 @@ class BdieSystem:
     dom_idx: np.ndarray            # mesh node indices carrying u unknowns
     matrix: np.ndarray
     rhs: np.ndarray
-    f0_dom: np.ndarray
-    f0_trace: np.ndarray
     v_matrix: np.ndarray           # boundary single layer (direct value)
 
     @property
@@ -106,19 +104,14 @@ class BdieSolution:
         raise GeometryError."""
         sys_ = self.system
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        curve = sys_.grid.curve
         if not np.isfinite(targets).all():
             raise GeometryError("evaluation target is not finite")
-        if np.any(curve.is_inside_bounded(targets)
-                  | (laplace.distance_to_curve(curve, targets) == 0.0)):
+        if np.any(sys_.mesh.mesh_coords(targets)[0] <= 0.0):
             raise GeometryError(
                 "evaluation target lies on or inside the curve")
-        f0 = assemble_f0(sys_.problem, sys_.grid, sys_.mesh, targets)
-        r_rows = parametrix.remainder_rows(sys_.mesh, sys_.problem.field,
-                                           targets)
-        v_rows = parametrix.single_layer_rows_offboundary(
-            sys_.grid, sys_.problem.field, targets)
-        return f0 - r_rows[:, sys_.dom_idx] @ self.u_dom + v_rows @ self.psi
+        r_rows, v_rows, f0 = _representation(sys_.problem, sys_.grid,
+                                             sys_.mesh, targets, sys_.dom_idx)
+        return f0 - r_rows @ self.u_dom + v_rows @ self.psi
 
     def u_mesh(self):
         """u at every mesh node: solved values inside the coefficient
@@ -132,25 +125,19 @@ class BdieSolution:
         return out
 
 
-def assemble_f0(problem: DirichletProblem, grid: BoundaryGrid,
-                mesh: DomainMesh, targets):
-    """F0(y) = volume potential of f minus double layer of phi0."""
-    pf = parametrix.volume_potential(mesh, problem.field, targets,
-                                     rho_fn=problem.source)
+def _representation(problem: DirichletProblem, grid: BoundaryGrid,
+                    mesh: DomainMesh, targets, dom_idx):
+    """The terms of u(y) = F0(y) - (R u)(y) + (V psi)(y) at off-boundary
+    targets: remainder rows on the dom_idx nodes, single-layer rows, and
+    F0 = (volume potential of f) - (double layer of phi0)."""
+    field = problem.field
+    r_rows, pf = parametrix.volume_terms(mesh, field, targets, dom_idx,
+                                         rho_fn=problem.source)
+    v_rows = parametrix.single_layer_rows_offboundary(grid, field, targets)
     w = parametrix.double_layer_offboundary(
-        grid, problem.field, problem.dirichlet(grid.t), targets,
+        grid, field, problem.dirichlet(grid.t), targets,
         density_fn=problem.dirichlet)
-    return pf - w
-
-
-def assemble_f0_trace(problem: DirichletProblem, grid: BoundaryGrid,
-                      mesh: DomainMesh):
-    """gamma+ F0 at the boundary nodes, via the double-layer jump relation."""
-    pf = parametrix.volume_potential(mesh, problem.field, grid.points,
-                                     rho_fn=problem.source)
-    phi = problem.dirichlet(grid.t)
-    w_direct = parametrix.double_layer_boundary(grid, problem.field) @ phi
-    return pf - (-0.5 * phi + w_direct)
+    return r_rows, v_rows, pf - w
 
 
 def _domain_indices(mesh: DomainMesh, field: CoefficientField,
@@ -179,29 +166,26 @@ def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
     mat = np.zeros((n_tot, n_tot))
     rhs = np.zeros(n_tot)
 
-    dom_pts = mesh.points[dom_idx]
     if nd:
-        r_dd = parametrix.remainder_rows(mesh, field, dom_pts)
-        mat[:nd, :nd] = np.eye(nd) + r_dd[:, dom_idx]
-        mat[:nd, nd:nd + nb] = -parametrix.single_layer_rows_offboundary(
-            grid, field, dom_pts)
-        r_bd = parametrix.remainder_rows(mesh, field, grid.points)
-        mat[nd:nd + nb, :nd] = r_bd[:, dom_idx]
+        r_dd, v_db, f0_dom = _representation(problem, grid, mesh,
+                                             mesh.points[dom_idx], dom_idx)
+        mat[:nd, :nd] = np.eye(nd) + r_dd
+        mat[:nd, nd:nd + nb] = -v_db
+        rhs[:nd] = f0_dom
+    # the boundary block: the same volume pass at the boundary nodes, and
+    # gamma+ F0 through the double-layer jump relation
+    r_bd, pf = parametrix.volume_terms(mesh, field, grid.points, dom_idx,
+                                       rho_fn=problem.source)
+    mat[nd:nd + nb, :nd] = r_bd
     v_mat = parametrix.single_layer_boundary(grid, field)
     mat[nd:nd + nb, nd:nd + nb] = -v_mat
     mat[nd:nd + nb, nd + nb] = 1.0
     mat[nd + nb, nd:nd + nb] = grid.weights
-
-    f0_trace = assemble_f0_trace(problem, grid, mesh)
     phi = problem.dirichlet(grid.t)
-    rhs[nd:nd + nb] = f0_trace - phi
-    f0_dom = np.zeros(0)
-    if nd:
-        f0_dom = assemble_f0(problem, grid, mesh, dom_pts)
-        rhs[:nd] = f0_dom
+    w_direct = parametrix.double_layer_boundary(grid, field) @ phi
+    rhs[nd:nd + nb] = pf - (-0.5 * phi + w_direct) - phi
     return BdieSystem(problem=problem, grid=grid, mesh=mesh, dom_idx=dom_idx,
-                      matrix=mat, rhs=rhs, f0_dom=f0_dom, f0_trace=f0_trace,
-                      v_matrix=v_mat)
+                      matrix=mat, rhs=rhs, v_matrix=v_mat)
 
 
 def solve(system: BdieSystem, *, method="lu", gmres_tol=1e-12,

@@ -112,6 +112,36 @@ def test_mesh_interpolation_reproduces_nodal_field():
     assert np.abs(approx - f(pts)).max() <= 5e-4
 
 
+def _lagrange_row(x, nodes):
+    return [np.prod([(x - b) / (a - b) for b in nodes if b != a])
+            for a in nodes]
+
+
+def test_mesh_interpolation_matches_per_point_stencils():
+    mesh = domain_mesh(make_curve("star", alpha=0.2, k=5), 3.0, 0.2)
+    rng = np.random.default_rng(4)
+    # breakpoints, and rho outside [0, 1] (clamped to the end panels)
+    rho = np.concatenate([mesh.breakpoints, [-0.1, 1.1],
+                          rng.uniform(0.0, 1.0, 40)])
+    theta = rng.uniform(-1.0, 7.0, rho.size)
+    idx, wts = mesh.interpolation(rho, theta)
+    n_panels = len(mesh.breakpoints) - 1
+    q = mesh.rho.size // n_panels
+    dtheta = 2 * np.pi / mesh.m_theta
+    for i, (r, t) in enumerate(zip(rho, theta % (2 * np.pi))):
+        p = min(max(np.searchsorted(mesh.breakpoints, r, "right") - 1, 0),
+                n_panels - 1)
+        j0 = int(np.floor(t / dtheta))
+        ir = p * q + np.arange(q)
+        cols = (j0 + np.arange(-1, 3)) % mesh.m_theta
+        w_r = _lagrange_row(r, mesh.rho[ir])
+        w_t = _lagrange_row(t, (j0 + np.arange(-1, 3)) * dtheta)
+        np.testing.assert_array_equal(
+            idx[i], (ir[:, None] * mesh.m_theta + cols[None, :]).ravel())
+        assert_allclose(wts[i], np.outer(w_r, w_t).ravel(), rtol=1e-13,
+                        atol=1e-13)
+
+
 def test_truncation_radius_must_exceed_circumradius():
     with pytest.raises(GeometryError):
         domain_mesh(make_curve("circle"), 0.5, 0.1)

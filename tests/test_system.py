@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bdie2d import laplace, parametrix
 from bdie2d.coefficient import make_coefficient
 from bdie2d.errors import (AssemblyError, CompatibilityError, GeometryError,
                            SolverSingularError)
@@ -43,8 +44,10 @@ def test_solution_evaluation_matches_exact_field(laplace_solution,
                     atol=1e-12)
 
 
-@pytest.mark.parametrize("target", [(0.3, 0.1), (1.0, 0.0), (np.nan, 2.0)],
-                         ids=["inside", "on-curve", "nan"])
+@pytest.mark.parametrize("target", [(0.3, 0.1), (1.0, 0.0), (np.nan, 2.0),
+                                    (np.cos(0.00314), np.sin(0.00314))],
+                         ids=["inside", "on-curve", "nan",
+                              "on-curve-between-samples"])
 def test_evaluation_rejects_targets_outside_the_exterior_domain(
         laplace_solution, target):
     _, sol = laplace_solution
@@ -144,3 +147,44 @@ def test_gmres_matches_direct_solver(bump_solution):
     assert sol_gm.iterations > 0
     assert_allclose(sol_gm.psi, sol_lu.psi, atol=1e-9)
     assert_allclose(sol_gm.u_dom, sol_lu.u_dom, atol=1e-9)
+
+
+def test_evaluation_is_the_representation_formula(bump_solution):
+    case, sysm, sol = bump_solution
+    # the support radius plus one (about 5.54) splits these radii: rows of
+    # the outer targets have no near part
+    r = np.array([1.3, 3.0, 5.0, 5.8, 6.3, 9.0])
+    th = np.linspace(0.4, 5.9, r.size)
+    targets = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    prob, field = sysm.problem, case.field
+    f0 = (parametrix.volume_potential(sysm.mesh, field, targets,
+                                      rho_fn=prob.source)
+          - parametrix.double_layer_offboundary(
+              sysm.grid, field, prob.dirichlet(sysm.grid.t), targets,
+              density_fn=prob.dirichlet))
+    r_rows = parametrix.remainder_rows(sysm.mesh, field, targets)
+    v_rows = parametrix.single_layer_rows_offboundary(sysm.grid, field,
+                                                      targets)
+    expected = (f0 - r_rows[:, sysm.dom_idx] @ sol.u_dom
+                + v_rows @ sol.psi)
+    assert_allclose(sol.evaluate(targets), expected, rtol=1e-14, atol=0.0)
+
+
+def test_each_target_builds_its_near_field_once(monkeypatch):
+    case = manufactured_case("bump-dipole")
+    grid = boundary_grid(case.curve, 8)
+    mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 8, m_theta=8)
+    builds = []
+    build = laplace._singular_rect_quadrature
+
+    def counted(*args, **kwargs):
+        builds.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(laplace, "_singular_rect_quadrature", counted)
+    sysm = assemble_system(case.problem(), grid, mesh)
+    assert sysm.n_dom > 0
+    assert len(builds) == sysm.n_dom + sysm.n_bnd
+    del builds[:]
+    solve(sysm).evaluate(np.array([[1.5, 0.2], [-3.0, 1.0], [0.5, 6.0]]))
+    assert len(builds) == 3
