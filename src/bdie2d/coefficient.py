@@ -17,6 +17,14 @@ import numpy as np
 from .errors import CoefficientError, UnknownCatalogError
 from .geometry import DomainMesh
 
+# the gaussian bump's support radius is where |grad a| drops below this
+_TAIL_TOL = 1e-8
+# limits of check_conditions on sup w |grad a| (also on the outer ring),
+# sup w^2 |Delta a| and, for decay, the outer ring's w |grad a|
+_GRADIENT_BOUND = 1e3
+_LAPLACIAN_BOUND = 1e3
+_DECAY_TOL = 1e-3
+
 
 def weight(x) -> np.ndarray:
     """Radial weight (1 + |x|^2)^(1/2) * ln(2 + |x|^2) used for exterior spaces."""
@@ -74,7 +82,7 @@ class CoefficientField:
         return self.support_radius == 0.0
 
 
-def make_coefficient(name: str, *, tail_tol: float = 1e-8, **params) -> CoefficientField:
+def make_coefficient(name: str, **params) -> CoefficientField:
     """Catalog: constant(value), gaussian_bump(beta, center, sigma),
     compact_bump(beta, center, sigma)."""
     if name == "constant":
@@ -116,7 +124,7 @@ def make_coefficient(name: str, *, tail_tol: float = 1e-8, **params) -> Coeffici
         # scan outward from the peak for the tail radius
         s = np.linspace(sigma / np.sqrt(2.0), 60.0 * sigma, 200001)
         mag = 2.0 * abs(beta) * s / sigma ** 2 * np.exp(-s ** 2 / sigma ** 2)
-        below = np.nonzero(mag < tail_tol)[0]
+        below = np.nonzero(mag < _TAIL_TOL)[0]
         r_a = float(np.hypot(*center) + (s[below[0]] if below.size else np.inf))
         return CoefficientField(val, grad, lap,
                                 c1=1.0 + min(beta, 0.0) if beta < 0 else 1.0,
@@ -197,10 +205,7 @@ class ConditionReport:
         }
 
 
-def check_conditions(field: CoefficientField, mesh: DomainMesh, *,
-                     gradient_bound: float = 1e3,
-                     laplacian_bound: float = 1e3,
-                     decay_tol: float = 1e-3) -> ConditionReport:
+def check_conditions(field: CoefficientField, mesh: DomainMesh) -> ConditionReport:
     """Sample the boundedness/decay requirements on mesh nodes + outer ring."""
     if mesh.n_nodes == 0:
         raise CoefficientError("condition check needs a nonempty mesh")
@@ -220,7 +225,7 @@ def check_conditions(field: CoefficientField, mesh: DomainMesh, *,
         sup_weighted_laplacian=sup_wl,
         outer_ring_weighted_gradient=ring_val,
         bounds_ok=bounds_ok,
-        gradient_ok=sup_wg <= gradient_bound and ring_val <= gradient_bound,
-        laplacian_ok=sup_wl <= laplacian_bound,
-        decay_ok=ring_val <= decay_tol,
+        gradient_ok=sup_wg <= _GRADIENT_BOUND and ring_val <= _GRADIENT_BOUND,
+        laplacian_ok=sup_wl <= _LAPLACIAN_BOUND,
+        decay_ok=ring_val <= _DECAY_TOL,
     )

@@ -23,6 +23,9 @@ import numpy as np
 from .errors import DiscretizationError, GeometryError, UnknownCatalogError
 
 _TWO_PI = 2.0 * np.pi
+# curve samples taken by circumradius and winding_number
+_N_CIRCUMRADIUS = 1024
+_N_WINDING = 2048
 
 
 class CurveParametrization:
@@ -99,14 +102,14 @@ class CurveParametrization:
         ddx = self.second_derivative(t)
         return np.sum(normal * ddx, axis=1) / speed
 
-    def circumradius(self, n_sample: int = 1024) -> float:
-        t = np.linspace(0.0, _TWO_PI, n_sample, endpoint=False)
+    def circumradius(self) -> float:
+        t = np.linspace(0.0, _TWO_PI, _N_CIRCUMRADIUS, endpoint=False)
         x = self.position(t)
         return float(np.hypot(x[:, 0], x[:, 1]).max())
 
-    def winding_number(self, point, n_sample: int = 2048) -> float:
+    def winding_number(self, point) -> float:
         """Winding of the sampled curve about ``point`` (1 inside, 0 outside)."""
-        t = np.linspace(0.0, _TWO_PI, n_sample, endpoint=False)
+        t = np.linspace(0.0, _TWO_PI, _N_WINDING, endpoint=False)
         z = self.position(t) - np.asarray(point, dtype=float)
         ang = np.arctan2(z[:, 1], z[:, 0])
         dang = np.diff(np.concatenate([ang, ang[:1]]))
@@ -205,13 +208,6 @@ class BoundaryGrid:
     @property
     def length(self) -> float:
         return float(self.weights.sum())
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Discrete arc-length L2 inner product on S."""
-        return float(np.sum(self.weights * f * g))
-
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(f, f), 0.0)))
 
 
 def boundary_grid(curve: CurveParametrization, n: int) -> BoundaryGrid:

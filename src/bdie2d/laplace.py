@@ -21,7 +21,12 @@ Every volume potential over a DomainMesh uses one near/far rule per
 target (``_volume_rule``): a smooth window in the polar angle around the
 target splits the integral into a far part, the mesh's tensor rule
 weighted by (1 - window), and a near part, a local dyadic Gauss grid
-refined toward the singular point and weighted by the window.  One apply
+refined toward the singular point and weighted by the window.  That grid
+(``_singular_rect_quadrature``) is built in one array pass over _LEVELS
+rings: ring l is the near rectangle cut to the square of half-side
+scale * 2^-l about the target, minus the next such box, and splits into
+up to four strips of 4x4 Gauss cells; the target lies on the closed
+rectangle and the innermost box is dropped.  One apply
 (``_volume_apply``) builds that rule once per target and runs it for a row
 kernel, an analytic value integrand, or both: the kernel gives matrix rows
 on nodal densities, the fine points reaching the nodes through mesh
@@ -106,16 +111,6 @@ def trig_interp_matrix(n: int, n_up: int) -> np.ndarray:
     return trig_resample(np.eye(n), n_up)
 
 
-def fourier_diff(values: np.ndarray) -> np.ndarray:
-    """Spectral derivative d/dt of periodic nodal data on [0, 2 pi)."""
-    n = values.shape[0]
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    spec = np.fft.rfft(values) * (1j * k)
-    if n % 2 == 0:
-        spec[-1] = 0.0  # derivative of the Nyquist cosine mode at the nodes
-    return np.fft.irfft(spec, n)
-
-
 def fourier_diff_matrix(n: int) -> np.ndarray:
     """Spectral differentiation matrix for even n on equispaced [0, 2 pi)."""
     j = np.arange(n)
@@ -190,10 +185,12 @@ def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
 # off-boundary layer potentials
 
 _LADDER_CAP = 1 << 15
+# curve samples of distance_to_curve
+_N_DISTANCE = 4096
 
 
-def distance_to_curve(curve: CurveParametrization, targets, n_sample=4096):
-    t = _TWO_PI * np.arange(n_sample) / n_sample
+def distance_to_curve(curve: CurveParametrization, targets):
+    t = _TWO_PI * np.arange(_N_DISTANCE) / _N_DISTANCE
     x = curve.position(t)
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     d = np.empty(pts.shape[0])
@@ -291,22 +288,6 @@ def _bump(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_rect(outer, inner):
-    """Decompose outer \\ inner (inner inside outer) into <= 4 rectangles."""
-    (ox0, ox1, oy0, oy1) = outer
-    (ix0, ix1, iy0, iy1) = inner
-    rects = []
-    if ix0 > ox0:
-        rects.append((ox0, ix0, oy0, oy1))
-    if ix1 < ox1:
-        rects.append((ix1, ox1, oy0, oy1))
-    if iy0 > oy0:
-        rects.append((max(ix0, ox0), min(ix1, ox1), oy0, iy0))
-    if iy1 < oy1:
-        rects.append((max(ix0, ox0), min(ix1, ox1), iy1, oy1))
-    return [r for r in rects if r[1] > r[0] + 1e-300 and r[3] > r[2] + 1e-300]
-
-
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
 _GL_X01 = 0.5 * (_GL_X + 1.0)
 _GL_W01 = 0.5 * _GL_W
@@ -318,49 +299,48 @@ _U_PTS = np.stack(
 _U_WTS = np.outer(_GL_W01, _GL_W01).ravel()
 
 
-def _rect_cells(rect, cell_size, origins, sizes, v_cap=np.inf):
-    """Append near-square cell specs covering a rectangle; the second
-    coordinate additionally honours the v_cap cell-size limit."""
-    x0, x1, y0, y1 = rect
-    nx = max(1, int(np.ceil((x1 - x0) / cell_size)))
-    ny = max(1, int(np.ceil((y1 - y0) / min(cell_size, v_cap))))
-    hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
-    ox = x0 + hx * np.arange(nx)
-    oy = y0 + hy * np.arange(ny)
-    xx, yy = np.meshgrid(ox, oy, indexing="ij")
-    origins.append(np.stack([xx.ravel(), yy.ravel()], axis=1))
-    sizes.append(np.broadcast_to(np.array([hx, hy]), (nx * ny, 2)))
-
-
 def _singular_rect_quadrature(rect, center, v_cap=np.inf):
-    """Gauss quadrature on a rectangle, dyadically refined toward ``center``.
+    """4x4 Gauss cells on a rectangle, dyadically refined toward ``center``.
 
-    ``center`` may lie on or outside the rectangle (clipped targets); the
-    innermost 2^-_LEVELS neighbourhood of the singular point is dropped.
-    ``v_cap`` limits the cell size along the second coordinate so that a
-    window profile living there stays resolved.
+    ``center`` must lie on the closed rectangle.  With s_l = scale * 2^-l
+    (scale the largest distance from the center to an edge), box l is the
+    rectangle cut to the square of half-side s_l about the center, box 0
+    the rectangle itself.  Ring l, box l minus box l + 1 for l = 0 ..
+    _LEVELS - 1, splits into up to four strips (left, right, bottom, top;
+    the bottom and top ones as wide as box l + 1), each gridded with cells
+    of side about 0.75 s_{l+1}; ``v_cap`` further limits the cell size
+    along the second coordinate so that a window profile living there
+    stays resolved.  Box _LEVELS, around the singular point, is dropped.
+    Cells are ordered level-major, then by strip, then x-major.
     """
     cx, cy = center
     x0, x1, y0, y1 = rect
     scale = max(abs(x0 - cx), abs(x1 - cx), abs(y0 - cy), abs(y1 - cy))
-    origins, sizes = [], []
-    cur = rect
-    s = scale
-    for _ in range(_LEVELS):
-        s_in = 0.5 * s
-        inner = (max(cur[0], cx - s_in), min(cur[1], cx + s_in),
-                 max(cur[2], cy - s_in), min(cur[3], cy + s_in))
-        if inner[1] <= inner[0] or inner[3] <= inner[2]:
-            _rect_cells(cur, 0.75 * s, origins, sizes, v_cap=v_cap)
-            break
-        for strip in _split_rect(cur, inner):
-            _rect_cells(strip, 0.75 * s_in, origins, sizes, v_cap=v_cap)
-        cur = inner
-        s = s_in
-    if not origins:
-        return np.zeros((0, 2)), np.zeros(0)
-    orig = np.concatenate(origins)
-    size = np.concatenate(sizes)
+    s = scale * 0.5 ** np.arange(_LEVELS + 1)
+    box = np.stack([np.maximum(x0, cx - s), np.minimum(x1, cx + s),
+                    np.maximum(y0, cy - s), np.minimum(y1, cy + s)], axis=1)
+    box[0] = rect
+    (o0, o1, o2, o3), (i0, i1, i2, i3) = box[:-1].T, box[1:].T
+    # (level, strip, coordinate): left, right, bottom and top strips
+    strips = np.stack([np.stack(side, axis=1) for side in (
+        (o0, i0, o2, o3), (i1, o1, o2, o3), (i0, i1, o2, i2),
+        (i0, i1, i3, o3))], axis=1).reshape(-1, 4)
+    cell = np.repeat(0.75 * s[1:], 4)
+    # an absent strip (box l + 1 reaching a side of box l) has no extent
+    keep = ((strips[:, 1] > strips[:, 0] + 1e-300)
+            & (strips[:, 3] > strips[:, 2] + 1e-300))
+    (sx0, sx1, sy0, sy1), cell = strips[keep].T, cell[keep]
+    nx = np.maximum(1, np.ceil((sx1 - sx0) / cell)).astype(int)
+    ny = np.maximum(1, np.ceil((sy1 - sy0) / np.minimum(cell, v_cap))).astype(int)
+    # cell (ix, iy) of each strip, x-major
+    n_cells = nx * ny
+    first = np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
+    ix, iy = np.divmod(np.arange(n_cells.sum()) - first,
+                       np.repeat(ny, n_cells))
+    size = np.repeat(np.stack([(sx1 - sx0) / nx, (sy1 - sy0) / ny], axis=1),
+                     n_cells, axis=0)
+    orig = (np.repeat(np.stack([sx0, sy0], axis=1), n_cells, axis=0)
+            + size * np.stack([ix, iy], axis=1))
     pts = (orig[:, None, :] + size[:, None, :] * _U_PTS[None, :, :]).reshape(-1, 2)
     wts = (size[:, 0] * size[:, 1])[:, None] * _U_WTS[None, :]
     return pts, wts.ravel()

@@ -19,6 +19,16 @@ from .geometry import boundary_grid, domain_mesh, make_curve
 from .system import DirichletProblem, assemble_system, solve
 
 _TWO_PI = 2.0 * np.pi
+# second_green_identity: trapezoid nodes on the outer ring
+_N_RING = 720
+# jump_relation_check: offsets _JUMP_EPS0 * 2^-k, k < _JUMP_LEVELS
+_JUMP_EPS0 = 0.08
+_JUMP_LEVELS = 6
+# equivalence_check: PDE check points (finite-difference step half the mesh h)
+_N_EQUIV_CHECK = 5
+# gaussian_tail_factor: radial samples on [r, _TAIL_R_MAX]
+_TAIL_SAMPLES = 20001
+_TAIL_R_MAX = 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +209,7 @@ def green_identity_residuals(case: ManufacturedCase, points, *, n=64,
 
 
 def second_green_identity(case: ManufacturedCase, *, field=None, n=64,
-                          r_trunc=None, n_ring=720):
+                          r_trunc=None):
     """Second Green identity for the pair (u, quadrupole) on the truncated
     domain; the outer-ring boundary term is reported, not assumed zero.
 
@@ -244,11 +254,11 @@ def second_green_identity(case: ManufacturedCase, *, field=None, n=64,
                                          grad_v(grid.points))
     s_term = float(np.sum(grid.weights * (v_fn(grid.points) * t_u
                                           - u(grid.points) * t_v)))
-    th = _TWO_PI * np.arange(n_ring) / n_ring
+    th = _TWO_PI * np.arange(_N_RING) / _N_RING
     ring = r_t * np.stack([np.cos(th), np.sin(th)], axis=1)
     nu = ring / r_t  # outward
     a_r, _, _ = field.eval(ring)
-    ring_term = float(np.sum((_TWO_PI * r_t / n_ring) * a_r
+    ring_term = float(np.sum((_TWO_PI * r_t / _N_RING) * a_r
                              * (v_fn(ring) * np.sum(nu * case.exact_grad(ring), axis=1)
                                 - u(ring) * np.sum(nu * grad_v(ring), axis=1))))
     return {
@@ -267,15 +277,14 @@ def _is_radial(field):
 # ---------------------------------------------------------------------------
 # jump relations
 
-def _extrapolate_to_boundary(grid, field, density_fn, kind, side, *,
-                             eps0=0.08, n_levels=6):
+def _extrapolate_to_boundary(grid, field, density_fn, kind, side):
     """Richardson-extrapolated one-sided limit of a layer potential.
 
     side=+1 approaches from the unbounded side (against the normal, which
     points into the bounded complement), side=-1 from the bounded side.
     """
-    eps = eps0 * 0.5 ** np.arange(n_levels)
-    vals = np.empty((n_levels, grid.n))
+    eps = _JUMP_EPS0 * 0.5 ** np.arange(_JUMP_LEVELS)
+    vals = np.empty((_JUMP_LEVELS, grid.n))
     for k, e in enumerate(eps):
         targets = grid.points - side * e * grid.normals
         if kind == "single":
@@ -288,12 +297,12 @@ def _extrapolate_to_boundary(grid, field, density_fn, kind, side, *,
                 density_fn=density_fn)
         else:
             raise VerificationError(f"unknown layer kind {kind!r}")
-    vander = np.vander(eps, n_levels)
+    vander = np.vander(eps, _JUMP_LEVELS)
     coeffs = np.linalg.solve(vander, vals)
     return coeffs[-1]
 
 
-def jump_relation_check(grid, field, density_fn, *, eps0=0.08, n_levels=6):
+def jump_relation_check(grid, field, density_fn):
     """Max deviation of the extrapolated one-sided traces from the direct
     boundary operators, for the single and double layer on both sides."""
     rho = density_fn(grid.t)
@@ -302,9 +311,9 @@ def jump_relation_check(grid, field, density_fn, *, eps0=0.08, n_levels=6):
     out = {}
     for side, tag in ((+1, "exterior"), (-1, "interior")):
         v_lim = _extrapolate_to_boundary(grid, field, density_fn, "single",
-                                         side, eps0=eps0, n_levels=n_levels)
+                                         side)
         w_lim = _extrapolate_to_boundary(grid, field, density_fn, "double",
-                                         side, eps0=eps0, n_levels=n_levels)
+                                         side)
         out[f"single_{tag}"] = float(np.abs(v_lim - v_direct).max())
         expected = -side * 0.5 * rho + w_direct
         out[f"double_{tag}"] = float(np.abs(w_lim - expected).max())
@@ -314,8 +323,7 @@ def jump_relation_check(grid, field, density_fn, *, eps0=0.08, n_levels=6):
 # ---------------------------------------------------------------------------
 # equivalence of the solved system with the exact solution
 
-def equivalence_check(case: ManufacturedCase, solution, *, n_check=5,
-                      fd_step=None):
+def equivalence_check(case: ManufacturedCase, solution):
     """Compare solved densities with the exact ones and probe the PDE.
 
     Reports the discrete L2(S) error of psi, the weighted L2 mesh error of
@@ -342,13 +350,13 @@ def equivalence_check(case: ManufacturedCase, solution, *, n_check=5,
         ue = case.exact_u(probes)
         err_u = float(np.abs(solution.evaluate(probes) - ue).max()
                       / max(np.abs(ue).max(), 1e-300))
-    h_fd = (0.5 * mesh.h) if fd_step is None else fd_step
-    checks = default_probes(n_check, r_min=1.5, r_max=3.0, seed=11)
+    h_fd = 0.5 * mesh.h
+    checks = default_probes(_N_EQUIV_CHECK, r_min=1.5, r_max=3.0, seed=11)
     e1 = np.array([h_fd, 0.0])
     e2 = np.array([0.0, h_fd])
     stack = np.concatenate([checks, checks + e1, checks - e1,
                             checks + e2, checks - e2])
-    vals = solution.evaluate(stack).reshape(5, n_check)
+    vals = solution.evaluate(stack).reshape(5, _N_EQUIV_CHECK)
     lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4 * vals[0]) / h_fd ** 2
     gx = (vals[1] - vals[2]) / (2 * h_fd)
     gy = (vals[3] - vals[4]) / (2 * h_fd)
@@ -412,10 +420,9 @@ def _weighted_operator_norm(rows, mesh, idx, seed=0, iterations=20):
     return float(est)
 
 
-def gaussian_tail_factor(field: CoefficientField, r, n_samples=20001,
-                         r_max=50.0):
+def gaussian_tail_factor(field: CoefficientField, r):
     """sup over |x| >= r of omega2(x) |grad a(x)|, sampled radially."""
-    s = np.linspace(r, r_max, n_samples)
+    s = np.linspace(r, _TAIL_R_MAX, _TAIL_SAMPLES)
     pts = np.stack([s, np.zeros_like(s)], axis=1)
     if not _is_radial(field):
         # fall back to a dense angular scan
@@ -509,12 +516,6 @@ def single_layer_sigma_min(v_matrix, weights):
     return float(sv.min())
 
 
-def restricted_single_layer_sigma_min(system):
-    """Smallest singular value of the system's rescaled single-layer block
-    restricted to discretely mean-zero densities."""
-    return single_layer_sigma_min(system.v_matrix, system.grid.weights)
-
-
 def conditioning_study(problem_factory, n_values, *, mesh_factory=None):
     """Assemble the system across boundary resolutions and record the
     rescaled condition number and single-layer sigma_min (CSV columns
@@ -526,7 +527,8 @@ def conditioning_study(problem_factory, n_values, *, mesh_factory=None):
         rows.append({
             "N": n,
             "cond_M": weighted_system_condition(sysm),
-            "sigma_min_V": restricted_single_layer_sigma_min(sysm),
+            "sigma_min_V": single_layer_sigma_min(sysm.v_matrix,
+                                                  sysm.grid.weights),
         })
     for prev, cur in zip(rows, rows[1:]):
         cur["cond_ratio"] = cur["cond_M"] / prev["cond_M"]

@@ -110,7 +110,7 @@ def test_fourier_diff_exactness():
     n = 32
     t = 2 * np.pi * np.arange(n) / n
     f = np.sin(4 * t) + 0.5 * np.cos(7 * t)
-    df = laplace.fourier_diff(f)
+    df = laplace.fourier_diff_matrix(n) @ f
     assert_allclose(df, 4 * np.cos(4 * t) - 3.5 * np.sin(7 * t), atol=1e-12)
 
 
@@ -137,6 +137,33 @@ def test_offboundary_rejects_on_curve_and_non_finite_targets(circle64, target,
         with pytest.raises(error):
             laplace.layer_potential_offboundary(
                 circle64, np.cos(circle64.t), kind, y, density_fn=np.cos)
+
+
+@pytest.mark.parametrize("v_cap", [np.inf, 0.05], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("center", [(0.37, 0.12), (0.0, 0.41), (1.0, -0.3)],
+                         ids=["inside", "edge", "corner"])
+def test_dyadic_rule_integrates_linear_functions(center, v_cap):
+    rect = (0.0, 1.0, -0.3, 0.7)
+    pts, wts = laplace._singular_rect_quadrature(rect, center, v_cap)
+    x0, x1, y0, y1 = rect
+    assert np.all((pts[:, 0] > x0) & (pts[:, 0] < x1)
+                  & (pts[:, 1] > y0) & (pts[:, 1] < y1))
+    # cells no taller than v_cap leave no larger gap between nodes along v
+    assert np.diff(np.unique(pts[:, 1])).max() < v_cap
+    # the rule covers rect minus its part in the innermost dyadic square
+    cx, cy = center
+    s = max(abs(x0 - cx), abs(x1 - cx), abs(y0 - cy), abs(y1 - cy)) \
+        * 2.0 ** -laplace._LEVELS
+    hx0, hx1 = max(x0, cx - s), min(x1, cx + s)
+    hy0, hy1 = max(y0, cy - s), min(y1, cy + s)
+
+    def moments(a0, a1, b0, b1):
+        area = (a1 - a0) * (b1 - b0)
+        return np.array([area, area * (a0 + a1) / 2, area * (b0 + b1) / 2])
+
+    exact = moments(x0, x1, y0, y1) - moments(hx0, hx1, hy0, hy1)
+    got = np.array([wts.sum(), wts @ pts[:, 0], wts @ pts[:, 1]])
+    assert_allclose(got, exact, rtol=1e-13, atol=0.0)
 
 
 @pytest.fixture(scope="module")
