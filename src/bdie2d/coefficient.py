@@ -62,15 +62,19 @@ class CoefficientField:
         return a, np.asarray(self.gradient(pts), dtype=float), \
             np.asarray(self.laplacian(pts), dtype=float)
 
+    def log_derivatives(self, x):
+        """(grad(ln a), Delta(ln a)) at the given points from one
+        evaluation, Delta(ln a) = Delta a / a - |grad a|^2 / a^2."""
+        a, g, lap = self.eval(x)
+        return g / a[:, None], lap / a - np.sum(g * g, axis=1) / a ** 2
+
     def grad_log(self, x):
         """grad(ln a) at the given points."""
-        a, g, _ = self.eval(x)
-        return g / a[:, None]
+        return self.log_derivatives(x)[0]
 
     def laplacian_log(self, x):
-        """Delta(ln a) = Delta a / a - |grad a|^2 / a^2."""
-        a, g, lap = self.eval(x)
-        return lap / a - np.sum(g * g, axis=1) / a ** 2
+        """Delta(ln a) at the given points."""
+        return self.log_derivatives(x)[1]
 
     def normal_log_derivative(self, points, normals):
         """d(ln a)/dn = n . grad a / a at boundary points."""

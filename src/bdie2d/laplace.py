@@ -37,10 +37,11 @@ both from the same rule, which is how ``parametrix.volume_terms`` yields
 the remainder rows and the volume potential of a source together.
 
 Every off-boundary layer potential uses one upsampling ladder
-(``_ladder_apply``): each target gets the trapezoid rule on the boundary
-grid doubled until it resolves the target's distance to the curve.  The
-ladder applies that rule to the resampled density (values) or to the
-trigonometric interpolation matrix (rows).
+(``_ladder``): each target gets the trapezoid rule on the boundary grid
+doubled until it resolves the target's distance to the curve.  That rule
+is applied to the resampled density (values), or folded back onto the
+boundary nodes through the FFT adjoint of trigonometric interpolation
+(rows).
 """
 
 from __future__ import annotations
@@ -106,11 +107,6 @@ def trig_resample(values: np.ndarray, n_up: int) -> np.ndarray:
     return out
 
 
-def trig_interp_matrix(n: int, n_up: int) -> np.ndarray:
-    """Dense matrix form of trig_resample (n_up x n)."""
-    return trig_resample(np.eye(n), n_up)
-
-
 def fourier_diff_matrix(n: int) -> np.ndarray:
     """Spectral differentiation matrix for even n on equispaced [0, 2 pi)."""
     j = np.arange(n)
@@ -125,14 +121,20 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
 # boundary operators (direct values)
 
 def kress_log_weights(grid: BoundaryGrid) -> np.ndarray:
-    """Quadrature weights R[i, j] for int_0^{2pi} ln(4 sin^2((t_i - s)/2)) f(s) ds."""
-    n_half = grid.n // 2
-    dt = grid.t[:, None] - grid.t[None, :]
-    m = np.arange(1, n_half)
-    acc = np.zeros((grid.n, grid.n))
-    for mm in m:
-        acc += np.cos(mm * dt) / mm
-    return -(_TWO_PI / n_half) * acc - (np.pi / n_half ** 2) * np.cos(n_half * dt)
+    """Quadrature weights R[i, j] for int_0^{2pi} ln(4 sin^2((t_i - s)/2)) f(s) ds.
+
+    R[i, j] = c[(i - j) mod n] is circulant (Kress, Linear Integral
+    Equations, 3rd ed., section 12.3), generated by
+    c_k = -(2 pi / n_half) sum_{0<m<n_half} cos(m t_k) / m
+    - (pi / n_half^2) cos(n_half t_k), one inverse real FFT.
+    """
+    n, n_half = grid.n, grid.n // 2
+    spec = np.zeros(n_half + 1)
+    spec[1:n_half] = -(np.pi * n / n_half) / np.arange(1, n_half)
+    spec[n_half] = -np.pi * n / n_half ** 2
+    c = np.fft.irfft(spec, n)
+    k = np.arange(n)
+    return c[(k[:, None] - k[None, :]) % n]
 
 
 def single_layer_matrix(grid: BoundaryGrid) -> np.ndarray:
@@ -185,18 +187,23 @@ def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
 # off-boundary layer potentials
 
 _LADDER_CAP = 1 << 15
-# curve samples of distance_to_curve
+# curve samples of distance_to_curve, compared with _DISTANCE_CHUNK
+# targets at a time (a 4 MB difference array, about 8 MB of scratch)
 _N_DISTANCE = 4096
+_DISTANCE_CHUNK = 64
 
 
 def distance_to_curve(curve: CurveParametrization, targets):
+    """Distance from each target to the nearest of _N_DISTANCE equispaced
+    curve samples."""
     t = _TWO_PI * np.arange(_N_DISTANCE) / _N_DISTANCE
     x = curve.position(t)
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    d = np.empty(pts.shape[0])
-    for i, p in enumerate(pts):
-        d[i] = np.sqrt(((x - p) ** 2).sum(axis=1).min())
-    return d
+    d2 = np.empty(pts.shape[0])
+    for s in range(0, pts.shape[0], _DISTANCE_CHUNK):
+        z = x[None, :, :] - pts[s:s + _DISTANCE_CHUNK, None, :]
+        d2[s:s + _DISTANCE_CHUNK] = (z[..., 0] ** 2 + z[..., 1] ** 2).min(axis=1)
+    return np.sqrt(d2)
 
 
 def _layer_weights(grid: BoundaryGrid, kind: str, y) -> np.ndarray:
@@ -214,15 +221,13 @@ def _layer_weights(grid: BoundaryGrid, kind: str, y) -> np.ndarray:
     return -grid.weights * ker
 
 
-def _ladder_apply(grid: BoundaryGrid, kind: str, targets, base, upsample):
+def _ladder(grid: BoundaryGrid, kind: str, targets):
     """The upsampling ladder behind every off-boundary layer potential.
 
-    Each target at distance d from the curve gets the trapezoid rule on
-    the grid doubled until it has 8 L / d nodes (L the curve length, at
-    most _LADDER_CAP), and the result is that rule's _layer_weights
-    applied to ``base`` on the given grid, or to ``upsample(g_up)`` on an
-    upsampled grid g_up (computed once per grid size).  Targets on the
-    curve or not finite are rejected.
+    Yields, for each target at distance d from the curve, the grid doubled
+    until it has 8 L / d nodes (L the curve length, at most _LADDER_CAP)
+    and that grid's _layer_weights at the target; each grid size is built
+    once.  Targets on the curve or not finite are rejected.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.isfinite(pts).all():
@@ -230,18 +235,14 @@ def _ladder_apply(grid: BoundaryGrid, kind: str, targets, base, upsample):
     dists = distance_to_curve(grid.curve, pts)
     if np.any(dists == 0.0):
         raise SingularEvaluationError("off-boundary evaluation target lies on S")
-    out = np.empty((pts.shape[0],) + np.shape(base)[1:])
-    levels = {grid.n: (grid, base)}
-    for i, (y, d) in enumerate(zip(pts, dists)):
+    grids = {grid.n: grid}
+    for y, d in zip(pts, dists):
         n_up = grid.n
         while n_up < min(8.0 * grid.length / d, _LADDER_CAP):
             n_up *= 2
-        if n_up not in levels:
-            g_up = boundary_grid(grid.curve, n_up)
-            levels[n_up] = (g_up, upsample(g_up))
-        g_up, data = levels[n_up]
-        out[i] = _layer_weights(g_up, kind, y) @ data
-    return out
+        if n_up not in grids:
+            grids[n_up] = boundary_grid(grid.curve, n_up)
+        yield grids[n_up], _layer_weights(grids[n_up], kind, y)
 
 
 def layer_potential_offboundary(grid: BoundaryGrid, density, kind: str, targets,
@@ -253,17 +254,27 @@ def layer_potential_offboundary(grid: BoundaryGrid, density, kind: str, targets,
     if ``density_fn(t)`` is given, evaluated analytically.
     """
     density = np.asarray(density, dtype=float)
-    if density_fn is None:
-        upsample = lambda g_up: trig_resample(density, g_up.n)
-    else:
-        upsample = lambda g_up: density_fn(g_up.t)
-    return _ladder_apply(grid, kind, targets, density, upsample)
+    upsampled = {grid.n: density}
+    out = []
+    for g_up, w in _ladder(grid, kind, targets):
+        if g_up.n not in upsampled:
+            upsampled[g_up.n] = (trig_resample(density, g_up.n)
+                                 if density_fn is None else density_fn(g_up.t))
+        out.append(w @ upsampled[g_up.n])
+    return np.array(out)
 
 
 def layer_rows_offboundary(grid: BoundaryGrid, kind: str, targets) -> np.ndarray:
-    """Matrix rows mapping nodal density values to off-boundary potentials."""
-    return _ladder_apply(grid, kind, targets, np.eye(grid.n),
-                         lambda g_up: trig_interp_matrix(grid.n, g_up.n))
+    """Matrix rows mapping nodal density values to off-boundary potentials.
+
+    A target's row is its upsampled weights w composed with trigonometric
+    interpolation, w @ trig_resample(I, n_up), formed as the inverse real
+    FFT of the first n/2 + 1 Fourier coefficients of w.
+    """
+    n = grid.n
+    rows = [np.fft.irfft(np.fft.rfft(w)[:n // 2 + 1], n)
+            for _, w in _ladder(grid, kind, targets)]
+    return np.array(rows).reshape(-1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +462,13 @@ def newtonian_potential(mesh: DomainMesh, targets, *, g_fn,
     """Newtonian potential int P(x - y) g(x) dx over the mesh, with gradient.
 
     The density ``g_fn(points)`` is evaluated analytically at the
-    quadrature points of each target's near/far rule.
+    quadrature points of each target's near/far rule; ``g_fn`` None
+    declares a zero density, whose potential is zero without any rule.
     Returns values (m,), or (values, gradients (m, 2)) if requested.
     """
+    if g_fn is None:
+        m = np.atleast_2d(targets).shape[0]
+        return (np.zeros(m), np.zeros((m, 2))) if want_gradient else np.zeros(m)
     if not want_gradient:
         return _volume_apply(mesh, targets,
                              value_fn=_newtonian_integrand(g_fn))[1]

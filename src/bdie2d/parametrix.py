@@ -56,13 +56,22 @@ def _boundary_data(field: CoefficientField, grid: BoundaryGrid):
 # volume potential and remainder
 
 def _scaled_density(field: CoefficientField, rho_fn):
+    """rho / a, None for a declared zero density."""
+    if rho_fn is None:
+        return None
     return lambda p: rho_fn(p) / field.eval(p)[0]
+
+
+def _zeros(targets, *shape):
+    """Zeros with one leading entry per target."""
+    return np.zeros((np.atleast_2d(targets).shape[0],) + shape)
 
 
 def volume_potential(mesh: DomainMesh, field: CoefficientField, targets, *,
                      rho_fn):
     """Parametrix volume potential of the analytic density
-    ``rho_fn(points)`` at given points."""
+    ``rho_fn(points)`` at given points; ``rho_fn`` None declares a zero
+    density, whose potential is zero without any quadrature."""
     return laplace.newtonian_potential(mesh, targets,
                                        g_fn=_scaled_density(field, rho_fn))
 
@@ -76,8 +85,7 @@ def remainder_kernel(field: CoefficientField, x, y):
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
-    gl = field.grad_log(x)
-    ll = field.laplacian_log(x)
+    gl, ll = field.log_derivatives(x)
     z = x - y
     r2 = z[:, 0] ** 2 + z[:, 1] ** 2
     out = np.zeros(x.shape[0])
@@ -108,8 +116,7 @@ def _near_mask_for_support(field: CoefficientField, targets):
 def remainder_rows(mesh: DomainMesh, field: CoefficientField, targets):
     """Matrix rows of the remainder operator acting on nodal densities."""
     if field.is_constant:
-        pts = np.atleast_2d(np.asarray(targets, dtype=float))
-        return np.zeros((pts.shape[0], mesh.n_nodes))
+        return _zeros(targets, mesh.n_nodes)
     near = _near_mask_for_support(field, targets)
     return laplace.domain_rows(
         mesh, targets, lambda x, y: remainder_kernel(field, x, y),
@@ -122,12 +129,16 @@ def volume_terms(mesh: DomainMesh, field: CoefficientField, targets,
     potential of the analytic density ``rho_fn(points)``, at given points.
 
     Both come from one near/far rule per target: the rows are those of
-    remainder_rows, the values those of volume_potential.
+    remainder_rows, the values those of volume_potential.  With ``rho_fn``
+    None (a zero density) the values are zeros and only the rows take a
+    quadrature, none at all for a constant coefficient.
     """
     if field.is_constant:
-        pts = np.atleast_2d(np.asarray(targets, dtype=float))
-        return (np.zeros((pts.shape[0], len(columns))),
+        return (_zeros(targets, len(columns)),
                 volume_potential(mesh, field, targets, rho_fn=rho_fn))
+    if rho_fn is None:
+        return (remainder_rows(mesh, field, targets)[:, columns],
+                _zeros(targets))
     rows, values = laplace.domain_rows(
         mesh, targets, lambda x, y: remainder_kernel(field, x, y),
         near_targets=_near_mask_for_support(field, targets),
@@ -140,8 +151,7 @@ def remainder_apply(mesh: DomainMesh, field: CoefficientField, targets, *,
     """Remainder potential of the analytic density ``rho_fn(points)`` at
     given targets."""
     if field.is_constant:
-        pts = np.atleast_2d(np.asarray(targets, dtype=float))
-        return np.zeros(pts.shape[0])
+        return _zeros(targets)
     return laplace._volume_apply(
         mesh, targets,
         value_fn=lambda x, y: remainder_kernel(field, x, y) * rho_fn(x))[1]

@@ -35,8 +35,10 @@ from .geometry import BoundaryGrid, DomainMesh
 class DirichletProblem:
     """Exterior Dirichlet problem data.
 
-    ``source(points)`` is the volume right-hand side f, ``dirichlet(t)``
-    the boundary data as a function of the curve parameter.
+    ``source(points)`` is the volume right-hand side f, or None to declare
+    f = 0, which skips the volume potential of f altogether;
+    ``dirichlet(t)`` is the boundary data as a function of the curve
+    parameter.
     """
 
     curve: object
@@ -45,9 +47,15 @@ class DirichletProblem:
     dirichlet: object
     name: str = "problem"
 
+    def source_values(self, points):
+        """f at the given points, zeros for a declared zero source."""
+        if self.source is None:
+            return np.zeros(np.atleast_2d(points).shape[0])
+        return self.source(points)
+
     def check_compatibility(self, mesh: DomainMesh, tol=1e-6):
         """Discrete zero-mean requirement on f; returns the integral."""
-        f = self.source(mesh.points)
+        f = self.source_values(mesh.points)
         total = float(np.sum(mesh.weights * f))
         scale = float(np.sum(mesh.weights * np.abs(f)))
         if abs(total) > tol * max(scale, 1.0):

@@ -43,7 +43,7 @@ class ManufacturedCase:
     field: CoefficientField
     exact_u: object          # u(points)
     exact_grad: object       # grad u(points)
-    source: object           # f = div(a grad u), closed form
+    source: object           # f = div(a grad u), closed form; None: f = 0
     dirichlet: object        # phi0(t) on the curve parameter
     psi_exact: object        # T+ u(t) on the curve parameter
     decay_class: str
@@ -76,7 +76,8 @@ class ManufacturedCase:
             axis=1)
         a, ga, _ = self.field.eval(pts)
         au_fd = a * lap_u + np.sum(ga * grad_u, axis=1)
-        f = self.source(pts)
+        source_values = self.problem().source_values
+        f = source_values(pts)
         scale = max(float(np.abs(f).max()), 1.0)
         fd_err = float(np.abs(au_fd - f).max()) / scale
         if fd_err > tol:
@@ -89,7 +90,7 @@ class ManufacturedCase:
         grid = boundary_grid(self.curve, 64)
         mesh = domain_mesh(self.curve, self.r_trunc, 4 * np.pi / 64,
                            m_theta=64)
-        f_mean = float(np.sum(mesh.weights * self.source(mesh.points)))
+        f_mean = float(np.sum(mesh.weights * source_values(mesh.points)))
         psi_mean = float(np.sum(grid.weights * self.psi_exact(grid.t)))
         if abs(f_mean) > 1e-6 or abs(psi_mean) > 1e-10:
             raise VerificationError(
@@ -113,17 +114,17 @@ def manufactured_case(name, **params) -> ManufacturedCase:
     """Catalog of exact exterior solutions on the unit circle.
 
     "laplace-dipole": a = 1 and the decaying harmonic dipole u = x1/|x|^2,
-    so f = 0 and the conormal density is cos(t).  "bump-dipole": the same
-    u with the gaussian-bump coefficient, f = grad a . grad u in closed
-    form.  "zero": everything identically zero.
+    so f = 0 (declared as source None) and the conormal density is
+    cos(t).  "bump-dipole": the same u with the gaussian-bump coefficient,
+    f = grad a . grad u in closed form.  "zero": everything identically
+    zero, f declared as None too.
     """
     curve = make_curve("circle", radius=1.0)
     if name == "laplace-dipole":
         field = make_coefficient("constant", value=1.0)
         return ManufacturedCase(
             name=name, curve=curve, field=field,
-            exact_u=_dipole_u, exact_grad=_dipole_grad,
-            source=lambda p: np.zeros(p.shape[0]),
+            exact_u=_dipole_u, exact_grad=_dipole_grad, source=None,
             dirichlet=np.cos, psi_exact=np.cos,
             decay_class="O(1/r)", r_trunc=params.pop("r_trunc", 3.0))
     if name == "bump-dipole":
@@ -147,7 +148,7 @@ def manufactured_case(name, **params) -> ManufacturedCase:
         return ManufacturedCase(
             name=name, curve=curve, field=field,
             exact_u=zfun, exact_grad=lambda p: np.zeros_like(np.atleast_2d(p)),
-            source=zfun, dirichlet=np.zeros_like,
+            source=None, dirichlet=np.zeros_like,
             psi_exact=np.zeros_like,
             decay_class="zero", r_trunc=params.pop("r_trunc", 3.0))
     raise UnknownCatalogError(f"unknown manufactured case {name!r}")
@@ -195,7 +196,8 @@ def green_identity_residuals(case: ManufacturedCase, points, *, n=64,
              + parametrix.double_layer_boundary(grid, case.field) @ phi
              - parametrix.volume_potential(mesh, case.field, grid.points,
                                            rho_fn=case.source))
-    flux = (float(np.sum(mesh.weights * case.source(mesh.points)))
+    f = case.problem().source_values(mesh.points)
+    flux = (float(np.sum(mesh.weights * f))
             - float(np.sum(grid.weights * psi)))
     return {
         "interior_residuals": interior,
@@ -361,7 +363,8 @@ def equivalence_check(case: ManufacturedCase, solution):
     gx = (vals[1] - vals[2]) / (2 * h_fd)
     gy = (vals[3] - vals[4]) / (2 * h_fd)
     a, ga, _ = case.field.eval(checks)
-    pde_res = a * lap + ga[:, 0] * gx + ga[:, 1] * gy - case.source(checks)
+    pde_res = (a * lap + ga[:, 0] * gx + ga[:, 1] * gy
+               - case.problem().source_values(checks))
     return {
         "err_psi": err_psi,
         "err_u": err_u,

@@ -114,6 +114,49 @@ def test_fourier_diff_exactness():
     assert_allclose(df, 4 * np.cos(4 * t) - 3.5 * np.sin(7 * t), atol=1e-12)
 
 
+def _kress_weights_by_cosine_sum(grid):
+    """The Kress weights as the plain O(N^3) sum of cosine matrices."""
+    n_half = grid.n // 2
+    dt = grid.t[:, None] - grid.t[None, :]
+    acc = np.zeros((grid.n, grid.n))
+    for m in range(1, n_half):
+        acc += np.cos(m * dt) / m
+    return -(2 * np.pi / n_half) * acc - (np.pi / n_half ** 2) * np.cos(n_half * dt)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 512])
+def test_kress_weights_match_the_cosine_sum(n):
+    grid = boundary_grid(make_curve("star", alpha=0.2, k=5), n)
+    ref = _kress_weights_by_cosine_sum(grid)
+    assert_allclose(laplace.kress_log_weights(grid), ref, rtol=0.0,
+                    atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("kind", ["single", "double"])
+def test_layer_rows_fold_upsampled_weights_onto_the_nodes(circle64, kind):
+    # distances 2, 0.5, 0.05 and 0.003 from the circle: the ladder takes
+    # 64, 128, 1024 and 2^15 (its cap) nodes
+    d = np.array([2.0, 0.5, 0.05, 0.003])
+    targets = np.stack([1.0 + d, np.zeros_like(d)], axis=1)
+    rows = laplace.layer_rows_offboundary(circle64, kind, targets)
+    for row, y, n_up in zip(rows, targets, (64, 128, 1024, 1 << 15)):
+        g_up = boundary_grid(circle64.curve, n_up)
+        ref = (laplace._layer_weights(g_up, kind, y)
+               @ laplace.trig_resample(np.eye(circle64.n), n_up))
+        assert_allclose(row, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_distance_to_curve_matches_the_per_target_loop():
+    curve = make_curve("star", alpha=0.2, k=5)
+    rng = np.random.default_rng(5)
+    r, th = rng.uniform(0.5, 8.0, 150), rng.uniform(0.0, 2 * np.pi, 150)
+    targets = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    t = 2 * np.pi * np.arange(4096) / 4096
+    x = curve.position(t)
+    ref = [np.sqrt(((x - p) ** 2).sum(axis=1).min()) for p in targets]
+    assert np.array_equal(laplace.distance_to_curve(curve, targets), ref)
+
+
 def test_layer_rows_match_applied_potential(circle64):
     targets = np.array([[2.0, 0.5], [0.2, 0.1], [1.4, -1.2]])
     dens = np.cos(circle64.t) + 0.3 * np.sin(2 * circle64.t)
@@ -200,6 +243,20 @@ def test_newtonian_potential_gradient(annulus_mesh):
     vals = laplace.newtonian_potential(mesh, y + stencil, g_fn=g_fn)
     assert_allclose(grad[0, 0], (vals[0] - vals[1]) / (2 * h), atol=5e-5)
     assert_allclose(grad[0, 1], (vals[2] - vals[3]) / (2 * h), atol=5e-5)
+
+
+def test_declared_zero_density_gives_a_zero_potential(annulus_mesh):
+    targets = np.array([[1.7, 0.9], [0.5, -3.1], [1.05, 0.0]])
+    zero_fn = lambda p: np.zeros(len(p))
+    assert np.array_equal(
+        laplace.newtonian_potential(annulus_mesh, targets, g_fn=None),
+        laplace.newtonian_potential(annulus_mesh, targets, g_fn=zero_fn))
+    vals, grad = laplace.newtonian_potential(annulus_mesh, targets, g_fn=None,
+                                             want_gradient=True)
+    zero_vals, zero_grad = laplace.newtonian_potential(
+        annulus_mesh, targets, g_fn=zero_fn, want_gradient=True)
+    assert np.array_equal(vals, zero_vals)
+    assert np.array_equal(grad, zero_grad)
 
 
 def test_domain_rows_consistent_with_direct_quadrature(annulus_mesh):

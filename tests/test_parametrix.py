@@ -108,6 +108,20 @@ def test_volume_potential_is_newtonian_of_scaled_density(bump_mesh, bump):
     assert_allclose(vol, newt, atol=1e-12)
 
 
+def test_zero_density_gives_the_remainder_rows_alone(bump_mesh, bump):
+    targets = np.array([[2.0, 0.5], [1.3, -0.4], [7.5, 1.0]])
+    columns = np.arange(0, bump_mesh.n_nodes, 5)
+    rows, values = parametrix.volume_terms(bump_mesh, bump, targets, columns,
+                                           rho_fn=None)
+    zero_rows, zero_values = parametrix.volume_terms(
+        bump_mesh, bump, targets, columns, rho_fn=lambda p: np.zeros(len(p)))
+    assert np.array_equal(rows, zero_rows)
+    assert np.array_equal(values, zero_values)
+    assert np.array_equal(
+        parametrix.volume_potential(bump_mesh, bump, targets, rho_fn=None),
+        np.zeros(3))
+
+
 def test_remainder_kernel_closed_form(bump):
     x = np.array([[0.7, 0.2]])
     y = np.array([1.5, -0.3])

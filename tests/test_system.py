@@ -70,6 +70,44 @@ def test_forced_domain_rows_keep_remainder_blocks_zero(laplace_case):
     assert_allclose(sol.u_dom, case.exact_u(mesh.points), atol=1e-10)
 
 
+def test_declared_zero_source_matches_a_zero_function(laplace_case):
+    case = laplace_case
+    grid = boundary_grid(case.curve, 32)
+    mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 32, m_theta=32)
+    declared = DirichletProblem(case.curve, case.field, None, case.dirichlet)
+    zero_fn = DirichletProblem(case.curve, case.field,
+                               lambda p: np.zeros(len(p)), case.dirichlet)
+    assert declared.check_compatibility(mesh) == 0.0
+    assert np.array_equal(declared.source_values(mesh.points),
+                          zero_fn.source_values(mesh.points))
+    sys_none = assemble_system(declared, grid, mesh)
+    sys_fn = assemble_system(zero_fn, grid, mesh)
+    assert np.array_equal(sys_none.matrix, sys_fn.matrix)
+    assert np.array_equal(sys_none.rhs, sys_fn.rhs)
+    probes = np.array([[1.05, 0.2], [2.0, -1.0], [-0.3, 4.5]])
+    assert_allclose(solve(sys_none).evaluate(probes),
+                    solve(sys_fn).evaluate(probes), rtol=0.0, atol=1e-14)
+
+
+def test_declared_zero_source_builds_no_volume_rule(laplace_case,
+                                                     monkeypatch):
+    case = laplace_case
+    grid = boundary_grid(case.curve, 16)
+    mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 16, m_theta=16)
+    rules = []
+    rule = laplace._volume_rule
+
+    def counted(*args, **kwargs):
+        rules.append(args[1])
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(laplace, "_volume_rule", counted)
+    assert case.problem().source is None
+    sysm = assemble_system(case.problem(), grid, mesh)
+    solve(sysm).evaluate(np.array([[1.5, 0.2], [-3.0, 1.0]]))
+    assert rules == []
+
+
 def test_nonzero_mean_source_rejected(laplace_case):
     case = laplace_case
     problem = DirichletProblem(
