@@ -63,18 +63,18 @@ class CoefficientField:
             np.asarray(self.laplacian(pts), dtype=float)
 
     def log_derivatives(self, x):
-        """(grad(ln a), Delta(ln a)) at the given points from one
+        """(a, grad(ln a), Delta(ln a)) at the given points from one
         evaluation, Delta(ln a) = Delta a / a - |grad a|^2 / a^2."""
         a, g, lap = self.eval(x)
-        return g / a[:, None], lap / a - np.sum(g * g, axis=1) / a ** 2
+        return a, g / a[:, None], lap / a - (g[:, 0] ** 2 + g[:, 1] ** 2) / a ** 2
 
     def grad_log(self, x):
         """grad(ln a) at the given points."""
-        return self.log_derivatives(x)[0]
+        return self.log_derivatives(x)[1]
 
     def laplacian_log(self, x):
         """Delta(ln a) at the given points."""
-        return self.log_derivatives(x)[1]
+        return self.log_derivatives(x)[2]
 
     def normal_log_derivative(self, points, normals):
         """d(ln a)/dn = n . grad a / a at boundary points."""

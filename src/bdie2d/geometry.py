@@ -270,44 +270,42 @@ class DomainMesh:
         rho = (r - r_s) / (self.r_trunc - r_s)
         return rho, theta
 
-    def physical_points(self, rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        r_s = self.curve.radial_profile(theta)
-        r = r_s + (self.r_trunc - r_s) * rho
-        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    def radial_weights(self, rho):
+        """Radial factor of the nodal interpolant at scaled radii rho (m,).
 
-    def jacobian(self, rho, theta):
-        """|dx / d(rho, theta)| at scaled coordinates."""
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        r_s = self.curve.radial_profile(theta)
-        span = self.r_trunc - r_s
-        r = r_s + span * rho
-        return span * r
+        Returns the radial node indices (m, _Q) of each point's panel and
+        the Lagrange weights (m, _Q) on that panel's Gauss nodes; rho
+        outside [0, 1] uses the end panels.
+        """
+        rho = np.atleast_1d(np.asarray(rho, dtype=float))
+        panel = np.clip(np.searchsorted(self.breakpoints, rho, side="right") - 1,
+                        0, len(self.breakpoints) - 2)
+        i_r = panel[:, None] * _Q + np.arange(_Q)[None, :]
+        return i_r, _lagrange_weights(rho, self.rho[i_r])
+
+    def angular_weights(self, theta):
+        """Angular factor of the nodal interpolant at angles theta (m,).
+
+        Returns the columns (m, 4) around each angle and their 4-point
+        Lagrange weights (m, 4).
+        """
+        theta = np.atleast_1d(np.asarray(theta, dtype=float)) % _TWO_PI
+        dtheta = _TWO_PI / self.m_theta
+        j = np.floor(theta / dtheta).astype(int)[:, None] + np.arange(-1, 3)
+        return j % self.m_theta, _lagrange_weights(theta, j * dtheta)
 
     def interpolation(self, rho, theta):
         """Nodal interpolation weights at scaled coordinates.
 
-        Returns (indices, weights) of shape (m, _Q) and (m, 4) combined into
-        (m, 4 * _Q): Lagrange on the radial panel's Gauss nodes times 4-point
-        Lagrange across neighbouring theta columns.
+        Returns (indices, weights) of shape (m, 4 * _Q), the outer product
+        of radial_weights and angular_weights.  No library path calls it:
+        the near-field scatter applies the two factors one axis at a time.
         """
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float)) % _TWO_PI
-        panel = np.clip(np.searchsorted(self.breakpoints, rho, side="right") - 1,
-                        0, len(self.breakpoints) - 2)
-        dtheta = _TWO_PI / self.m_theta
-        j0 = np.floor(theta / dtheta).astype(int)
-        cols = (j0[:, None] + np.arange(-1, 3)[None, :]) % self.m_theta
-        th_nodes = (j0[:, None] + np.arange(-1, 3)[None, :]) * dtheta
-        w_th = _lagrange_weights(theta, th_nodes)
-        # radial node indices of each point's panel
-        i_r = panel[:, None] * _Q + np.arange(_Q)[None, :]
-        w_r = _lagrange_weights(rho, self.rho[i_r])
-        comb = w_r[:, :, None] * w_th[:, None, :]
-        rows = i_r[:, :, None] * self.m_theta + cols[:, None, :]
-        return rows.reshape(rho.shape[0], -1), comb.reshape(rho.shape[0], -1)
+        i_r, w_r = self.radial_weights(rho)
+        cols, w_th = self.angular_weights(theta)
+        m = i_r.shape[0]
+        return ((i_r[:, :, None] * self.m_theta + cols[:, None, :]).reshape(m, -1),
+                (w_r[:, :, None] * w_th[:, None, :]).reshape(m, -1))
 
 
 def _lagrange_weights(x, nodes):

@@ -26,19 +26,27 @@ refined toward the singular point and weighted by the window.  That grid
 rings: ring l is the near rectangle cut to the square of half-side
 scale * 2^-l about the target, minus the next such box, and splits into
 up to four strips of 4x4 Gauss cells; the target lies on the closed
-rectangle and the innermost box is dropped.  One apply
+rectangle and the innermost box is dropped.  Each strip is a tensor grid
+in (rho, theta), so the grid is kept factored: per-axis nodes and
+weights plus an index pair per point.  The rule evaluates everything
+that depends on one coordinate once per distinct value, and the scatter
+of fine-point values onto the mesh nodes (``_scatter_near``) contracts
+the interpolant one axis at a time, the 4-point angular factor by
+bincounts and the radial factor by a small product per panel (the
+sum-factorization of spectral-element codes).  One apply
 (``_volume_apply``) builds that rule once per target and runs it for a row
 kernel, an analytic value integrand, or both: the kernel gives matrix rows
-on nodal densities, the fine points reaching the nodes through mesh
-interpolation (``domain_rows``), and the integrand is sampled at the far
-nodes and fine points (``newtonian_potential``,
-``parametrix.remainder_apply``).  ``domain_rows`` with a ``value_fn`` does
-both from the same rule, which is how ``parametrix.volume_terms`` yields
+on nodal densities, the fine points reaching the nodes through that
+scatter (``domain_rows``), and the integrand is sampled at the far nodes
+and fine points (``newtonian_potential``, ``parametrix.remainder_apply``).
+``domain_rows(..., with_values=True)`` does both from the same rule and
+one evaluation per point, which is how ``parametrix.volume_terms`` yields
 the remainder rows and the volume potential of a source together.
 
 Every off-boundary layer potential uses one upsampling ladder
 (``_ladder``): each target gets the trapezoid rule on the boundary grid
-doubled until it resolves the target's distance to the curve.  That rule
+doubled until it resolves the target's distance to the curve, and a
+target that would need more than _LADDER_CAP nodes is rejected.  That rule
 is applied to the resampled density (values), or folded back onto the
 boundary nodes through the FFT adjoint of trigonometric interpolation
 (rows).
@@ -186,7 +194,8 @@ def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # off-boundary layer potentials
 
-_LADDER_CAP = 1 << 15
+# a target needing more ladder nodes than this is rejected
+_LADDER_CAP = 1 << 16
 # curve samples of distance_to_curve, compared with _DISTANCE_CHUNK
 # targets at a time (a 4 MB difference array, about 8 MB of scratch)
 _N_DISTANCE = 4096
@@ -196,14 +205,38 @@ _DISTANCE_CHUNK = 64
 def distance_to_curve(curve: CurveParametrization, targets):
     """Distance from each target to the nearest of _N_DISTANCE equispaced
     curve samples."""
+    return _nearest_sample(curve, targets)[0]
+
+
+def _nearest_sample(curve: CurveParametrization, targets):
+    """(distance, parameter) of the nearest of _N_DISTANCE equispaced
+    curve samples to each target."""
     t = _TWO_PI * np.arange(_N_DISTANCE) / _N_DISTANCE
     x = curve.position(t)
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    d2 = np.empty(pts.shape[0])
+    d2, k = np.empty(pts.shape[0]), np.empty(pts.shape[0], dtype=int)
     for s in range(0, pts.shape[0], _DISTANCE_CHUNK):
         z = x[None, :, :] - pts[s:s + _DISTANCE_CHUNK, None, :]
-        d2[s:s + _DISTANCE_CHUNK] = (z[..., 0] ** 2 + z[..., 1] ** 2).min(axis=1)
-    return np.sqrt(d2)
+        z2 = z[..., 0] ** 2 + z[..., 1] ** 2
+        k[s:s + _DISTANCE_CHUNK] = z2.argmin(axis=1)
+        d2[s:s + _DISTANCE_CHUNK] = np.take_along_axis(
+            z2, k[s:s + _DISTANCE_CHUNK, None], axis=1)[:, 0]
+    return np.sqrt(d2), t[k]
+
+
+def _foot_distance(curve: CurveParametrization, targets):
+    """Distance from targets near the curve to their foot points: Newton
+    on (x(t) - y) . x'(t) = 0 from the nearest curve sample, whose
+    parameter is within half a sample spacing of the root."""
+    s = _nearest_sample(curve, targets)[1]
+    for _ in range(4):
+        z = curve.position(s) - targets
+        dx = curve.derivative(s)
+        s = s - np.sum(z * dx, axis=1) / (
+            np.sum(dx * dx, axis=1)
+            + np.sum(z * curve.second_derivative(s), axis=1))
+    z = curve.position(s) - targets
+    return np.hypot(z[:, 0], z[:, 1])
 
 
 def _layer_weights(grid: BoundaryGrid, kind: str, y) -> np.ndarray:
@@ -225,20 +258,31 @@ def _ladder(grid: BoundaryGrid, kind: str, targets):
     """The upsampling ladder behind every off-boundary layer potential.
 
     Yields, for each target at distance d from the curve, the grid doubled
-    until it has 8 L / d nodes (L the curve length, at most _LADDER_CAP)
-    and that grid's _layer_weights at the target; each grid size is built
-    once.  Targets on the curve or not finite are rejected.
+    until it has 8 L / d nodes (L the curve length) and that grid's
+    _layer_weights at the target; each grid size is built once.  Targets
+    that are not finite, lie on the curve, or need more than _LADDER_CAP
+    nodes are rejected.  The sampled distance can exceed d by half a
+    sample spacing, so below one spacing it is refined to the foot point.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.isfinite(pts).all():
         raise GeometryError("off-boundary evaluation target is not finite")
     dists = distance_to_curve(grid.curve, pts)
+    close = dists < grid.length / _N_DISTANCE
+    if close.any():
+        dists[close] = np.minimum(dists[close],
+                                  _foot_distance(grid.curve, pts[close]))
     if np.any(dists == 0.0):
         raise SingularEvaluationError("off-boundary evaluation target lies on S")
+    need = 8.0 * grid.length / dists
+    if need.max() > _LADDER_CAP:
+        raise SingularEvaluationError(
+            f"off-boundary target {dists.min():.2e} from S needs "
+            f"{need.max():.3g} ladder nodes, more than {_LADDER_CAP}")
     grids = {grid.n: grid}
-    for y, d in zip(pts, dists):
+    for y, n_need in zip(pts, need):
         n_up = grid.n
-        while n_up < min(8.0 * grid.length / d, _LADDER_CAP):
+        while n_up < n_need:
             n_up *= 2
         if n_up not in grids:
             grids[n_up] = boundary_grid(grid.curve, n_up)
@@ -304,10 +348,14 @@ _GL_X01 = 0.5 * (_GL_X + 1.0)
 _GL_W01 = 0.5 * _GL_W
 
 
-# unit 4x4 tensor Gauss rule on [0, 1]^2
-_U_PTS = np.stack(
-    [np.repeat(_GL_X01, 4), np.tile(_GL_X01, 4)], axis=1)
-_U_WTS = np.outer(_GL_W01, _GL_W01).ravel()
+def _gauss_nodes(x0, x1, n):
+    """Composite 4-point Gauss rules, n[k] equal cells on [x0[k], x1[k]]:
+    nodes and weights, concatenated over k."""
+    size = np.repeat((x1 - x0) / n, n)
+    first = np.repeat(np.cumsum(n) - n, n)
+    orig = np.repeat(x0, n) + size * (np.arange(n.sum()) - first)
+    return ((orig[:, None] + size[:, None] * _GL_X01).ravel(),
+            (size[:, None] * _GL_W01).ravel())
 
 
 def _singular_rect_quadrature(rect, center, v_cap=np.inf):
@@ -322,7 +370,12 @@ def _singular_rect_quadrature(rect, center, v_cap=np.inf):
     of side about 0.75 s_{l+1}; ``v_cap`` further limits the cell size
     along the second coordinate so that a window profile living there
     stays resolved.  Box _LEVELS, around the singular point, is dropped.
-    Cells are ordered level-major, then by strip, then x-major.
+
+    Each strip is a tensor grid, so the rule comes back factored as
+    ((u, wu), (v, wv), (iu, iv)): the strips' Gauss nodes and weights
+    along each coordinate, concatenated level-major and then by strip, and
+    for every point its index pair, point k being (u[iu[k]], v[iv[k]])
+    with weight wu[iu[k]] * wv[iv[k]].  Points run strip by strip, u-major.
     """
     cx, cy = center
     x0, x1, y0, y1 = rect
@@ -341,20 +394,19 @@ def _singular_rect_quadrature(rect, center, v_cap=np.inf):
     keep = ((strips[:, 1] > strips[:, 0] + 1e-300)
             & (strips[:, 3] > strips[:, 2] + 1e-300))
     (sx0, sx1, sy0, sy1), cell = strips[keep].T, cell[keep]
-    nx = np.maximum(1, np.ceil((sx1 - sx0) / cell)).astype(int)
-    ny = np.maximum(1, np.ceil((sy1 - sy0) / np.minimum(cell, v_cap))).astype(int)
-    # cell (ix, iy) of each strip, x-major
-    n_cells = nx * ny
-    first = np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
-    ix, iy = np.divmod(np.arange(n_cells.sum()) - first,
-                       np.repeat(ny, n_cells))
-    size = np.repeat(np.stack([(sx1 - sx0) / nx, (sy1 - sy0) / ny], axis=1),
-                     n_cells, axis=0)
-    orig = (np.repeat(np.stack([sx0, sy0], axis=1), n_cells, axis=0)
-            + size * np.stack([ix, iy], axis=1))
-    pts = (orig[:, None, :] + size[:, None, :] * _U_PTS[None, :, :]).reshape(-1, 2)
-    wts = (size[:, 0] * size[:, 1])[:, None] * _U_WTS[None, :]
-    return pts, wts.ravel()
+    # a side within 1e-9 cells of a whole number of cells takes that
+    # number: ceil must not turn roundoff into an extra cell
+    nx = np.maximum(1, np.ceil((sx1 - sx0) / cell - 1e-9)).astype(int)
+    ny = np.maximum(1, np.ceil((sy1 - sy0) / np.minimum(cell, v_cap)
+                               - 1e-9)).astype(int)
+    # strip k pairs each of its 4 nx nodes along u with its 4 ny nodes
+    # along v, which start at v index v0
+    nu, nv = 4 * nx, 4 * ny
+    per_u = np.repeat(nv, nu)
+    v0 = np.repeat(np.cumsum(nv) - nv, nu)
+    iu = np.repeat(np.arange(per_u.size), per_u)
+    iv = np.arange(iu.size) - np.repeat(np.cumsum(per_u) - per_u - v0, per_u)
+    return _gauss_nodes(sx0, sx1, nx), _gauss_nodes(sy0, sy1, ny), (iu, iv)
 
 
 class _VolumeRule(NamedTuple):
@@ -362,9 +414,11 @@ class _VolumeRule(NamedTuple):
 
     far_idx: np.ndarray     # mesh nodes below the window's plateau
     far_w: np.ndarray       # their weights times (1 - window)
-    fine_rho: np.ndarray    # near-field points in scaled coordinates
-    fine_theta: np.ndarray
-    fine_x: np.ndarray      # the same points, physical
+    rho: np.ndarray         # distinct scaled radii of the near field, sorted
+    theta: np.ndarray       # distinct angles of the near field, sorted
+    iu: np.ndarray          # each fine point's index into rho
+    iv: np.ndarray          # and into theta
+    fine_x: np.ndarray      # the fine points, physical
     fine_w: np.ndarray      # their weights times window and Jacobian
 
 
@@ -378,6 +432,9 @@ def _volume_rule(mesh: DomainMesh, y, near=True) -> _VolumeRule:
     ``near`` false, or for a target more than 0.5 outside the meshed
     region, the near part is empty and the far part is the whole mesh
     rule.  Fine points of zero weight or coincident with y are dropped.
+    The near grid is a union of tensor strips, so everything that depends
+    on one coordinate (window, curve radius, cos and sin) is evaluated once
+    per distinct value and gathered per point.
     """
     y = np.asarray(y, dtype=float)
     if near:
@@ -388,8 +445,10 @@ def _volume_rule(mesh: DomainMesh, y, near=True) -> _VolumeRule:
         # radial clearance of the target from the meshed region
         near = not span * max(-rho_y, rho_y - 1.0, 0.0) > 0.5
     if not near:
+        empty = np.zeros(0, dtype=int)
         return _VolumeRule(np.arange(mesh.n_nodes), mesh.weights, np.zeros(0),
-                           np.zeros(0), np.zeros((0, 2)), np.zeros(0))
+                           np.zeros(0), empty, empty, np.zeros((0, 2)),
+                           np.zeros(0))
     dtheta = _TWO_PI / mesh.m_theta
     r_y = r_s + span * max(rho_y, 0.0)
     theta_half = min(0.9 * np.pi, max(_WIDTH_COLS * dtheta, 0.7,
@@ -402,59 +461,100 @@ def _volume_rule(mesh: DomainMesh, y, near=True) -> _VolumeRule:
     far_w = mesh.weights[far_idx] * (1.0 - win[far_idx])
     # build the dyadic grid in physically isotropic coordinates
     su, sv = span, max(r_y, 1e-3)
-    upts, uwts = _singular_rect_quadrature(
+    (u, wu), (v, wv), (iu, iv) = _singular_rect_quadrature(
         (0.0, su, (theta_y - theta_half) * sv, (theta_y + theta_half) * sv),
         (np.clip(rho_y, 0.0, 1.0) * su, theta_y * sv),
         v_cap=0.125 * theta_half * sv)
-    fine_rho = upts[:, 0] / su
-    fine_theta = upts[:, 1] / sv
-    fine_w = (uwts / (su * sv) * _bump((fine_theta - theta_y) / theta_half)
-              * mesh.jacobian(fine_rho, fine_theta))
-    fine_x = mesh.physical_points(fine_rho, fine_theta)
+    w = wu[iu] * wv[iv]
+    u, iu_d = np.unique(u, return_inverse=True)
+    v, iv_d = np.unique(v, return_inverse=True)
+    iu, iv = iu_d[iu], iv_d[iv]
+    fine_rho, fine_theta = u / su, v / sv
+    r_s = mesh.curve.radial_profile(fine_theta)
+    span_t = mesh.r_trunc - r_s
+    r = r_s[iv] + span_t[iv] * fine_rho[iu]
+    fine_w = (w / (su * sv) * _bump((fine_theta - theta_y) / theta_half)[iv]
+              * (span_t[iv] * r))
+    fine_x = np.stack([r * np.cos(fine_theta)[iv], r * np.sin(fine_theta)[iv]],
+                      axis=-1)
     z = fine_x - y
     keep = (fine_w != 0.0) & (z[:, 0] ** 2 + z[:, 1] ** 2 > 0.0)
-    return _VolumeRule(far_idx, far_w, fine_rho[keep], fine_theta[keep],
-                       fine_x[keep], fine_w[keep])
+    if not keep.all():
+        iu, iv, fine_x, fine_w = iu[keep], iv[keep], fine_x[keep], fine_w[keep]
+    return _VolumeRule(far_idx, far_w, fine_rho, fine_theta, iu, iv, fine_x,
+                       fine_w)
 
 
-def _volume_apply(mesh: DomainMesh, targets, *, kernel_fn=None,
-                  value_fn=None, near_targets=None):
-    """Run each target's _volume_rule once for a row kernel and an analytic
-    value integrand; returns (rows, values), None for a missing function.
+def _scatter_near(mesh: DomainMesh, rule: _VolumeRule, c, row):
+    """Add the fine-point values c, interpolated onto the mesh nodes, to row.
 
-    ``kernel_fn(x_points, y)`` gives the (m, n_nodes) matrix acting on
+    The interpolant is radial Lagrange times 4-point angular Lagrange, so
+    the scatter goes one axis at a time: the angular factor by bincounts
+    over (radius, window column), then the radial factor as one small
+    product per radial panel on the columns the window touches.
+    """
+    m = mesh.m_theta
+    i_r, w_r = mesh.radial_weights(rule.rho)
+    cols, w_th = mesh.angular_weights(rule.theta)
+    # each angle's first column, counted from the window's (theta sorted)
+    first = (cols[:, 0] - cols[0, 0]) % m
+    n_cols = int(first.max()) + 4
+    key = rule.iu * n_cols + first[rule.iv]
+    size = rule.rho.size * n_cols
+    by_col = sum(np.bincount(key + k, c * w_th[rule.iv, k], minlength=size)
+                 for k in range(4)).reshape(-1, n_cols)
+    if n_cols > m:  # a window reaching round the whole circle
+        by_col[:, :n_cols - m] += by_col[:, m:]
+        n_cols, by_col = m, by_col[:, :m]
+    grid = row.reshape(mesh.n_r, m)
+    window = (cols[0, 0] + np.arange(n_cols)) % m
+    # rho is sorted, so each panel's radii are contiguous
+    start = np.flatnonzero(np.diff(i_r[:, 0], prepend=-1))
+    for s, e in zip(start, np.append(start[1:], i_r.shape[0])):
+        grid[i_r[s, :, None], window] += w_r[s:e].T @ by_col[s:e]
+
+
+def _volume_apply(mesh: DomainMesh, targets, terms_fn, *, rows=False,
+                  values=False, near_targets=None):
+    """Run each target's _volume_rule once for a row kernel, an analytic
+    value integrand, or both; returns (rows, values), None for a part not
+    asked for.
+
+    ``terms_fn(x_points, y)`` returns (kernel, value) at source points x
+    for target y, from one evaluation there; a part not asked for may be
+    None.  With ``rows`` the kernel gives the (m, n_nodes) matrix acting on
     nodal densities: the far part lands on its nodes and the near part
-    reaches the nodes through mesh interpolation.  ``value_fn(x_points, y)``
-    is an analytic integrand, sampled at the far nodes and the fine points;
-    the values hold one integral per target (shape (m,) or (m, k) as
-    value_fn returns (p,) or (p, k) values).  ``near_targets`` (one bool
+    reaches the nodes through mesh interpolation (_scatter_near).  With
+    ``values`` the value integrand is sampled at the far nodes and the
+    fine points; the values hold one integral per target (shape (m,) or
+    (m, k) as the value is (p,) or (p, k)).  ``near_targets`` (one bool
     per target) limits the rows' near-field quadrature to the marked
     targets; by default every target gets it, and values always do.  One
     rule is alive at a time.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    rows = None if kernel_fn is None else np.zeros((pts.shape[0],
-                                                    mesh.n_nodes))
-    values = []
+    out = np.zeros((pts.shape[0], mesh.n_nodes)) if rows else None
+    vals = []
     for i, y in enumerate(pts):
         rows_near = near_targets is None or near_targets[i]
-        rule = _volume_rule(mesh, y, rows_near or value_fn is not None)
-        if value_fn is not None:
-            fine = value_fn(rule.fine_x, y) if rule.fine_w.size else None
-            values.append(rule.far_w @ value_fn(mesh.points[rule.far_idx], y)
-                          + (0.0 if fine is None else rule.fine_w @ fine))
-        if kernel_fn is None:
+        rule = _volume_rule(mesh, y, rows_near or values)
+        far_k, far_v = terms_fn(mesh.points[rule.far_idx], y)
+        fine_k, fine_v = (terms_fn(rule.fine_x, y) if rule.fine_w.size
+                          else (None, None))
+        if values:
+            vals.append(rule.far_w @ far_v
+                        + (0.0 if fine_v is None else rule.fine_w @ fine_v))
+        if not rows:
             continue
-        if not rows_near:
-            rule = _volume_rule(mesh, y, False)
-        rows[i, rule.far_idx] = rule.far_w * kernel_fn(
-            mesh.points[rule.far_idx], y)
-        if rule.fine_w.size:
-            idx, wts = mesh.interpolation(rule.fine_rho, rule.fine_theta)
-            np.add.at(rows[i], idx.ravel(),
-                      ((rule.fine_w * kernel_fn(rule.fine_x, y))[:, None]
-                       * wts).ravel())
-    return rows, None if value_fn is None else np.asarray(values)
+        if not rows_near and values:
+            rule, fine_k = _volume_rule(mesh, y, False), None
+            # the value is not used here, and a mesh node may sit at y
+            with np.errstate(divide="ignore", invalid="ignore"):
+                far_k = terms_fn(mesh.points, y)[0]
+        out[i, rule.far_idx] = rule.far_w * far_k
+        if fine_k is not None:
+            _scatter_near(mesh, rule, rule.fine_w * fine_k, out[i])
+    return out, np.asarray(vals) if values else None
 
 
 def newtonian_potential(mesh: DomainMesh, targets, *, g_fn,
@@ -470,21 +570,16 @@ def newtonian_potential(mesh: DomainMesh, targets, *, g_fn,
         m = np.atleast_2d(targets).shape[0]
         return (np.zeros(m), np.zeros((m, 2))) if want_gradient else np.zeros(m)
     if not want_gradient:
-        return _volume_apply(mesh, targets,
-                             value_fn=_newtonian_integrand(g_fn))[1]
-    vals = _volume_apply(mesh, targets, value_fn=lambda x, y: g_fn(x)[:, None]
-                         * np.column_stack([_kernel_value(x, y),
-                                            _kernel_grad_y(x, y)]))[1]
-    return vals[:, 0], vals[:, 1:]
-
-
-def _newtonian_integrand(g_fn):
-    """The integrand g(x) P(x - y) of the Newtonian potential of g_fn."""
-    return lambda x, y: g_fn(x) * _kernel_value(x, y)
+        fn = lambda x, y: (None, g_fn(x) * _kernel_value(x, y))
+    else:
+        fn = lambda x, y: (None, g_fn(x)[:, None] * np.column_stack(
+            [_kernel_value(x, y), _kernel_grad_y(x, y)]))
+    vals = _volume_apply(mesh, targets, fn, values=True)[1]
+    return vals if not want_gradient else (vals[:, 0], vals[:, 1:])
 
 
 def domain_rows(mesh: DomainMesh, targets, kernel_fn, *, near_targets=None,
-                value_fn=None):
+                with_values=False):
     """Assemble matrix rows of a volume operator acting on nodal densities.
 
     ``kernel_fn(x_points, y)`` returns the full integrand factor (kernel
@@ -492,11 +587,13 @@ def domain_rows(mesh: DomainMesh, targets, kernel_fn, *, near_targets=None,
     for target ``y``.  Fine points coincident with y never reach it; a
     mesh node coincident with y does only when the near field of y is
     skipped.  ``near_targets`` (one bool per target) limits near-field
-    quadrature to the marked targets.  With ``value_fn(x_points, y)``, an
-    analytic integrand, the result is (rows, integrals of value_fn), both
-    from the same rule of each target; the integrals always get the near
-    field.
+    quadrature to the marked targets.  With ``with_values``, kernel_fn
+    returns (kernel, value) from one evaluation at the points, the value
+    an analytic integrand, and the result is (rows, integrals of the
+    value), both from the same rule of each target; the integrals always
+    get the near field.
     """
-    rows, values = _volume_apply(mesh, targets, kernel_fn=kernel_fn,
-                                 value_fn=value_fn, near_targets=near_targets)
-    return rows if value_fn is None else (rows, values)
+    fn = kernel_fn if with_values else lambda x, y: (kernel_fn(x, y), None)
+    rows, values = _volume_apply(mesh, targets, fn, rows=True,
+                                 values=with_values, near_targets=near_targets)
+    return (rows, values) if with_values else rows

@@ -84,22 +84,25 @@ def remainder_kernel(field: CoefficientField, x, y):
     the evaluation is genuinely singular otherwise and raises.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    gl, ll = field.log_derivatives(x)
+    return _remainder(field.log_derivatives(x)[1:], x, np.asarray(y, dtype=float))
+
+
+def _remainder(log_derivatives, x, y):
+    """R(x, y) from (grad(ln a), Delta(ln a)) at the source points x."""
+    gl, ll = log_derivatives
     z = x - y
     r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-    out = np.zeros(x.shape[0])
-    ok = r2 > 0.0
-    out[ok] = (-ll[ok] * np.log(r2[ok]) / (2.0 * _TWO_PI)
-               - (gl[ok, 0] * z[ok, 0] + gl[ok, 1] * z[ok, 1])
-               / (_TWO_PI * r2[ok]))
-    if np.any(~ok):
-        bad = ~ok & ((np.abs(gl).max(axis=1) > 1e-8) | (np.abs(ll) > 1e-8))
-        if np.any(bad):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (-ll * np.log(r2) / (2.0 * _TWO_PI)
+               - (gl[:, 0] * z[:, 0] + gl[:, 1] * z[:, 1]) / (_TWO_PI * r2))
+    same = r2 == 0.0
+    if same.any():
+        if np.any(same & ((np.abs(gl).max(axis=1) > 1e-8) | (np.abs(ll) > 1e-8))):
             from .errors import SingularEvaluationError
             raise SingularEvaluationError(
                 "remainder kernel evaluated at a coincident point inside "
                 "the coefficient support")
+        out[same] = 0.0
     return out
 
 
@@ -139,10 +142,16 @@ def volume_terms(mesh: DomainMesh, field: CoefficientField, targets,
     if rho_fn is None:
         return (remainder_rows(mesh, field, targets)[:, columns],
                 _zeros(targets))
+
+    def terms(x, y):
+        # one coefficient evaluation serves the kernel and rho / a
+        a, *log_derivatives = field.log_derivatives(x)
+        return (_remainder(log_derivatives, x, y),
+                rho_fn(x) / a * laplace._kernel_value(x, y))
+
     rows, values = laplace.domain_rows(
-        mesh, targets, lambda x, y: remainder_kernel(field, x, y),
-        near_targets=_near_mask_for_support(field, targets),
-        value_fn=laplace._newtonian_integrand(_scaled_density(field, rho_fn)))
+        mesh, targets, terms, with_values=True,
+        near_targets=_near_mask_for_support(field, targets))
     return rows[:, columns], values
 
 
@@ -154,7 +163,8 @@ def remainder_apply(mesh: DomainMesh, field: CoefficientField, targets, *,
         return _zeros(targets)
     return laplace._volume_apply(
         mesh, targets,
-        value_fn=lambda x, y: remainder_kernel(field, x, y) * rho_fn(x))[1]
+        lambda x, y: (None, remainder_kernel(field, x, y) * rho_fn(x)),
+        values=True)[1]
 
 
 def remainder_split(mesh: DomainMesh, rows: np.ndarray, r_split: float):
@@ -218,15 +228,17 @@ def single_layer_offboundary(grid: BoundaryGrid, field: CoefficientField,
 
 def double_layer_offboundary(grid: BoundaryGrid, field: CoefficientField,
                              density, targets, density_fn=None):
-    a, dln = _boundary_data(field, grid)
     density = np.asarray(density, dtype=float)
+    w_part = laplace.layer_potential_offboundary(
+        grid, density, "double", targets, density_fn=density_fn)
+    if field.is_constant:
+        return w_part  # d(ln a)/dn = 0: no single-layer correction
+    _, dln = _boundary_data(field, grid)
     corr_fn = None
     if density_fn is not None:
         def corr_fn(t):
             pts, _, nrm, _ = grid.curve.evaluate(t)
             return density_fn(t) * field.normal_log_derivative(pts, nrm)
-    w_part = laplace.layer_potential_offboundary(
-        grid, density, "double", targets, density_fn=density_fn)
     v_part = laplace.layer_potential_offboundary(
         grid, density * dln, "single", targets, density_fn=corr_fn)
     return w_part - v_part

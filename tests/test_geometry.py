@@ -152,3 +152,19 @@ def test_truncation_radius_must_exceed_circumradius():
 def test_explicit_panel_count_guards_inner_node_distance():
     with pytest.raises(DiscretizationError):
         domain_mesh(make_curve("circle"), 3.0, 0.5, n_panels=200)
+
+
+def test_interpolation_is_the_outer_product_of_its_factors():
+    mesh = domain_mesh(make_curve("star", alpha=0.2, k=5), 3.0, 0.2)
+    rng = np.random.default_rng(6)
+    rho = np.concatenate([mesh.breakpoints, [-0.1, 1.1],
+                          rng.uniform(0.0, 1.0, 40)])
+    theta = rng.uniform(-1.0, 7.0, rho.size)
+    i_r, w_r = mesh.radial_weights(rho)
+    cols, w_th = mesh.angular_weights(theta)
+    idx, wts = mesh.interpolation(rho, theta)
+    assert np.array_equal(
+        idx, (i_r[:, :, None] * mesh.m_theta
+              + cols[:, None, :]).reshape(rho.size, -1))
+    assert np.array_equal(
+        wts, (w_r[:, :, None] * w_th[:, None, :]).reshape(rho.size, -1))

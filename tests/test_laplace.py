@@ -135,7 +135,7 @@ def test_kress_weights_match_the_cosine_sum(n):
 @pytest.mark.parametrize("kind", ["single", "double"])
 def test_layer_rows_fold_upsampled_weights_onto_the_nodes(circle64, kind):
     # distances 2, 0.5, 0.05 and 0.003 from the circle: the ladder takes
-    # 64, 128, 1024 and 2^15 (its cap) nodes
+    # 64, 128, 1024 and 2^15 nodes
     d = np.array([2.0, 0.5, 0.05, 0.003])
     targets = np.stack([1.0 + d, np.zeros_like(d)], axis=1)
     rows = laplace.layer_rows_offboundary(circle64, kind, targets)
@@ -187,7 +187,9 @@ def test_offboundary_rejects_on_curve_and_non_finite_targets(circle64, target,
                          ids=["inside", "edge", "corner"])
 def test_dyadic_rule_integrates_linear_functions(center, v_cap):
     rect = (0.0, 1.0, -0.3, 0.7)
-    pts, wts = laplace._singular_rect_quadrature(rect, center, v_cap)
+    (u, wu), (v, wv), (iu, iv) = laplace._singular_rect_quadrature(
+        rect, center, v_cap)
+    pts, wts = np.stack([u[iu], v[iv]], axis=1), wu[iu] * wv[iv]
     x0, x1, y0, y1 = rect
     assert np.all((pts[:, 0] > x0) & (pts[:, 0] < x1)
                   & (pts[:, 1] > y0) & (pts[:, 1] < y1))
@@ -268,3 +270,69 @@ def test_domain_rows_consistent_with_direct_quadrature(annulus_mesh):
     rows = laplace.domain_rows(mesh, targets,
                                lambda x, y: laplace._kernel_value(x, y))
     assert_allclose(rows @ g_fn(mesh.points), direct, atol=2e-5)
+
+
+def _per_point_rows(mesh, targets, kernel, near):
+    """domain_rows with a 16-entry interpolation stencil per fine point."""
+    rows = np.zeros((len(targets), mesh.n_nodes))
+    for i, y in enumerate(targets):
+        rule = laplace._volume_rule(mesh, y, near[i])
+        rows[i, rule.far_idx] = rule.far_w * kernel(
+            mesh.points[rule.far_idx], y)
+        if rule.fine_w.size:
+            idx, wts = mesh.interpolation(rule.rho[rule.iu],
+                                          rule.theta[rule.iv])
+            np.add.at(rows[i], idx.ravel(),
+                      ((rule.fine_w * kernel(rule.fine_x, y))[:, None]
+                       * wts).ravel())
+    return rows
+
+
+@pytest.mark.parametrize("curve,r_trunc,m_theta", [
+    (("circle", {}), 4.0, 32), (("star", {"alpha": 0.2, "k": 5}), 3.0, 24),
+    (("circle", {}), 4.0, 8)], ids=["circle", "star", "circle-8-columns"])
+def test_domain_rows_match_the_per_point_scatter(curve, r_trunc, m_theta):
+    mesh = domain_mesh(make_curve(curve[0], **curve[1]), r_trunc,
+                       4 * np.pi / m_theta, m_theta=m_theta)
+    j = m_theta // 3
+    th = mesh.theta[j]
+    on_curve = mesh.r_curve[j] * np.array([np.cos(th), np.sin(th)])
+    targets = np.array([
+        mesh.points[2 * mesh.m_theta + j],          # interior node
+        on_curve,                                   # boundary node, rho = 0
+        (r_trunc + 0.3) * np.array([np.cos(0.4), np.sin(0.4)]),  # rho > 1
+        [0.4 * r_trunc, -0.3 * r_trunc]])           # near field skipped
+    near = np.array([True, True, True, False])
+
+    def kernel(x, y):
+        return laplace._kernel_value(x, y) * (1.0 + 0.3 * x[:, 0])
+
+    rows = laplace.domain_rows(mesh, targets, kernel, near_targets=near)
+    ref = _per_point_rows(mesh, targets, kernel, near)
+    assert np.abs(rows - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.fixture(scope="module")
+def ring_mesh():
+    """The bump-dipole N=32 mesh, rotation-invariant by whole columns."""
+    return domain_mesh(make_curve("circle"), 6.0, 4 * np.pi / 32, m_theta=32)
+
+
+def test_rows_of_a_circle_ring_are_rotations_of_one_row(ring_mesh):
+    mesh = ring_mesh
+    targets = mesh.points[5 * mesh.m_theta:6 * mesh.m_theta]
+    rows = laplace.domain_rows(mesh, targets, laplace._kernel_value)
+    first = rows[0].reshape(mesh.n_r, mesh.m_theta)
+    gap = max(np.abs(np.roll(row.reshape(mesh.n_r, mesh.m_theta), -j, axis=1)
+                     - first).max() for j, row in enumerate(rows))
+    assert gap <= 1e-13 * np.abs(rows).max()
+
+
+def test_a_roundoff_shift_of_the_target_keeps_its_row(ring_mesh):
+    mesh = ring_mesh
+    targets = mesh.points[5 * mesh.m_theta:6 * mesh.m_theta]
+    rows = laplace.domain_rows(mesh, targets, laplace._kernel_value)
+    for shift in ([1e-14, 0.0], [0.0, -1e-14]):
+        moved = laplace.domain_rows(mesh, targets + shift,
+                                    laplace._kernel_value)
+        assert np.abs(moved - rows).max() <= 1e-10 * np.abs(rows).max()

@@ -122,6 +122,52 @@ def test_zero_density_gives_the_remainder_rows_alone(bump_mesh, bump):
         np.zeros(3))
 
 
+def test_volume_terms_evaluate_the_coefficient_once_per_point(bump_mesh,
+                                                              bump,
+                                                              monkeypatch):
+    points = {"eval": 0, "rho": 0}
+    eval_fn = bump.eval
+
+    def counted_eval(x):
+        points["eval"] += len(np.atleast_2d(x))
+        return eval_fn(x)
+
+    def rho_fn(p):
+        points["rho"] += len(p)
+        return np.exp(-0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
+
+    targets = np.array([[2.0, 0.5], [1.3, -0.4]])
+    columns = np.arange(bump_mesh.n_nodes)
+    monkeypatch.setattr(bump, "eval", counted_eval)
+    rows, values = parametrix.volume_terms(bump_mesh, bump, targets, columns,
+                                           rho_fn=rho_fn)
+    assert points["eval"] == points["rho"] > 0
+    monkeypatch.undo()
+    assert np.array_equal(rows, parametrix.remainder_rows(bump_mesh, bump,
+                                                          targets))
+    assert np.array_equal(values, parametrix.volume_potential(
+        bump_mesh, bump, targets, rho_fn=rho_fn))
+
+
+def test_constant_coefficient_double_layer_is_the_laplace_one(circle64, const,
+                                                              monkeypatch):
+    targets = np.array([[2.0, 0.5], [0.4, -1.3]])
+    dens = np.cos(circle64.t)
+    calls = []
+    layer = laplace.layer_potential_offboundary
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return layer(*args, **kwargs)
+
+    monkeypatch.setattr(laplace, "layer_potential_offboundary", counted)
+    got = parametrix.double_layer_offboundary(circle64, const, dens, targets,
+                                              density_fn=np.cos)
+    assert calls == ["double"]
+    assert np.array_equal(got, layer(circle64, dens, "double", targets,
+                                     density_fn=np.cos))
+
+
 def test_remainder_kernel_closed_form(bump):
     x = np.array([[0.7, 0.2]])
     y = np.array([1.5, -0.3])

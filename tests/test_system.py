@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from bdie2d import laplace, parametrix
 from bdie2d.coefficient import make_coefficient
-from bdie2d.errors import (AssemblyError, CompatibilityError, GeometryError,
+from bdie2d.errors import (AssemblyError, Bdie2dError, CompatibilityError,
+                           GeometryError, SingularEvaluationError,
                            SolverSingularError)
 from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
 from bdie2d.system import DirichletProblem, assemble_system, solve
@@ -53,6 +54,44 @@ def test_evaluation_rejects_targets_outside_the_exterior_domain(
     _, sol = laplace_solution
     with pytest.raises(GeometryError):
         sol.evaluate(np.array([[2.0, 0.0], target]))
+
+
+@pytest.fixture(scope="module")
+def laplace_solution_32(laplace_case):
+    case = laplace_case
+    grid = boundary_grid(case.curve, 32)
+    mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 32, m_theta=32)
+    return solve(assemble_system(case.problem(), grid, mesh))
+
+
+def test_evaluation_near_the_curve_is_accurate_or_rejected(laplace_solution_32,
+                                                           laplace_case):
+    direction = np.array([[np.cos(0.7), np.sin(0.7)]])
+    near = (1.0 + 1e-3) * direction
+    exact = laplace_case.exact_u(near)
+    assert_allclose(laplace_solution_32.evaluate(near), exact, rtol=1e-12,
+                    atol=0.0)
+    # 8 L / d ladder nodes would exceed the cap: an error, not a wrong value
+    with pytest.raises(SingularEvaluationError):
+        laplace_solution_32.evaluate((1.0 + 1e-5) * direction)
+
+
+def test_points_on_a_star_curve_are_rejected():
+    curve = make_curve("star", alpha=0.2, k=5)
+    problem = DirichletProblem(
+        curve=curve, field=make_coefficient("constant", value=1.0),
+        source=None, dirichlet=np.cos)
+    grid = boundary_grid(curve, 32)
+    mesh = domain_mesh(curve, 3.0, 4 * np.pi / 32, m_theta=32)
+    sol = solve(assemble_system(problem, grid, mesh))
+    rng = np.random.default_rng(8)
+    # random parameters, and midpoints of the 4096 distance samples (nodes
+    # of the finest ladder grid)
+    t = np.concatenate([rng.uniform(0.0, 2 * np.pi, 40),
+                        2 * np.pi * (np.arange(0, 4096, 97) + 0.5) / 4096])
+    for p in curve.position(t):
+        with pytest.raises(Bdie2dError):
+            sol.evaluate(p[None, :])
 
 
 def test_forced_domain_rows_keep_remainder_blocks_zero(laplace_case):
