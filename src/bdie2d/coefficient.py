@@ -1,9 +1,10 @@
 """Variable diffusion coefficient a(x), the exterior weight, and the
 runtime checks on the coefficient's growth/decay conditions.
 
-Coefficients are supplied analytically (value, gradient, Laplacian
-closures): the remainder kernel needs grad a and the verification suite
-needs the Laplacian exactly.  Condition checks are sampled on mesh nodes
+Coefficients are supplied analytically, as one derivative closure that
+returns a, grad a and the Laplacian together: the remainder kernel needs
+all three at every quadrature point, so each point pays once for the
+subexpressions they share.  Condition checks are sampled on mesh nodes
 plus an outer ring; they can falsify the conditions but never certify
 them.
 """
@@ -36,16 +37,15 @@ def weight(x) -> np.ndarray:
 class CoefficientField:
     """Scalar coefficient with analytic gradient and Laplacian.
 
-    value(x), gradient(x), laplacian(x) accept (n, 2) arrays.  c1/c2 are the
-    declared positivity bounds, support_radius the radius outside which
-    |grad a| is numerically negligible (0 for constants, inf if unbounded).
+    derivatives(x) maps (n, 2) points to (a, grad a, Delta a), of shapes
+    (n,), (n, 2) and (n,).  c1/c2 are the declared positivity bounds,
+    support_radius the radius outside which |grad a| is numerically
+    negligible (0 for constants, inf if unbounded).
     """
 
-    def __init__(self, value, gradient, laplacian, c1, c2,
-                 support_radius=np.inf, name="coefficient"):
-        self.value = value
-        self.gradient = gradient
-        self.laplacian = laplacian
+    def __init__(self, derivatives, c1, c2, support_radius=np.inf,
+                 name="coefficient"):
+        self.derivatives = derivatives
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.support_radius = float(support_radius)
@@ -55,12 +55,10 @@ class CoefficientField:
 
     def eval(self, x):
         """Return (a, grad a, laplacian a) at the given points."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        a = np.asarray(self.value(pts), dtype=float)
+        a, g, lap = self.derivatives(np.atleast_2d(np.asarray(x, dtype=float)))
         if np.any(a <= 0.0):
             raise CoefficientError("coefficient is nonpositive at a sampled point")
-        return a, np.asarray(self.gradient(pts), dtype=float), \
-            np.asarray(self.laplacian(pts), dtype=float)
+        return a, g, lap
 
     def log_derivatives(self, x):
         """(a, grad(ln a), Delta(ln a)) at the given points from one
@@ -96,88 +94,69 @@ def make_coefficient(name: str, **params) -> CoefficientField:
         if c <= 0:
             raise CoefficientError("constant coefficient must be positive")
         return CoefficientField(
-            value=lambda x: np.full(x.shape[0], c),
-            gradient=lambda x: np.zeros_like(x),
-            laplacian=lambda x: np.zeros(x.shape[0]),
+            lambda x: (np.full(x.shape[0], c), np.zeros_like(x),
+                       np.zeros(x.shape[0])),
             c1=c, c2=c, support_radius=0.0, name=f"constant({c})")
+    if name not in ("gaussian_bump", "compact_bump"):
+        raise UnknownCatalogError(f"unknown coefficient name {name!r}")
+    beta = float(params.pop("beta", 1.0 if name == "gaussian_bump" else 0.5))
+    center = np.asarray(params.pop("center", (0.0, 0.0)), dtype=float)
+    sigma = float(params.pop("sigma", 1.0))
+    if params:
+        raise UnknownCatalogError(f"unknown {name} parameters {sorted(params)}")
+    if 1.0 + min(beta, 0.0) <= 0:
+        raise CoefficientError(f"{name} makes the coefficient nonpositive")
+    c1 = 1.0 + min(beta, 0.0) if beta < 0 else 1.0
+    c2 = 1.0 + max(beta, 0.0)
+    cx, cy = center
+    sigma2 = sigma ** 2
     if name == "gaussian_bump":
-        beta = float(params.pop("beta", 1.0))
-        center = np.asarray(params.pop("center", (0.0, 0.0)), dtype=float)
-        sigma = float(params.pop("sigma", 1.0))
-        if params:
-            raise UnknownCatalogError(f"unknown gaussian_bump parameters {sorted(params)}")
-        if 1.0 + min(beta, 0.0) <= 0:
-            raise CoefficientError("gaussian bump makes the coefficient nonpositive")
+        # a = 1 + beta e, e = exp(-|d|^2 / sigma^2), d = x - c:
+        # grad a = -2 beta / sigma^2 e d, Delta a = beta e (4|d|^2/sigma^4 - 4/sigma^2)
+        g_scale = -2.0 * beta / sigma2
 
-        def val(x):
-            d = x - center
-            return 1.0 + beta * np.exp(-(d[:, 0] ** 2 + d[:, 1] ** 2) / sigma ** 2)
-
-        def grad(x):
-            d = x - center
-            e = np.exp(-(d[:, 0] ** 2 + d[:, 1] ** 2) / sigma ** 2)
-            return (-2.0 * beta / sigma ** 2) * d * e[:, None]
-
-        def lap(x):
-            d = x - center
-            r2 = d[:, 0] ** 2 + d[:, 1] ** 2
-            e = np.exp(-r2 / sigma ** 2)
-            return beta * e * (4.0 * r2 / sigma ** 4 - 4.0 / sigma ** 2)
+        def derivatives(x):
+            dx = x[:, 0] - cx
+            dy = x[:, 1] - cy
+            r2 = dx ** 2 + dy ** 2
+            e = np.exp(r2 / -sigma2)
+            g = np.empty_like(x)
+            g[:, 0] = g_scale * dx * e
+            g[:, 1] = g_scale * dy * e
+            return (1.0 + beta * e, g,
+                    beta * e * (4.0 * r2 / sigma ** 4 - 4.0 / sigma2))
 
         # |grad a| = 2|beta| s exp(-s^2/sigma^2), decreasing beyond its peak:
         # scan outward from the peak for the tail radius
         s = np.linspace(sigma / np.sqrt(2.0), 60.0 * sigma, 200001)
-        mag = 2.0 * abs(beta) * s / sigma ** 2 * np.exp(-s ** 2 / sigma ** 2)
+        mag = 2.0 * abs(beta) * s / sigma2 * np.exp(-s ** 2 / sigma2)
         below = np.nonzero(mag < _TAIL_TOL)[0]
         r_a = float(np.hypot(*center) + (s[below[0]] if below.size else np.inf))
-        return CoefficientField(val, grad, lap,
-                                c1=1.0 + min(beta, 0.0) if beta < 0 else 1.0,
-                                c2=1.0 + max(beta, 0.0),
-                                support_radius=r_a,
+        return CoefficientField(derivatives, c1=c1, c2=c2, support_radius=r_a,
                                 name=f"gaussian_bump(beta={beta},sigma={sigma})")
-    if name == "compact_bump":
-        beta = float(params.pop("beta", 0.5))
-        center = np.asarray(params.pop("center", (0.0, 0.0)), dtype=float)
-        sigma = float(params.pop("sigma", 1.0))
-        if params:
-            raise UnknownCatalogError(f"unknown compact_bump parameters {sorted(params)}")
-        if 1.0 + min(beta, 0.0) <= 0:
-            raise CoefficientError("compact bump makes the coefficient nonpositive")
-        p = 6  # a = 1 + beta (1 - s^2)^p inside |x - c| < sigma, C^(p-1) at the seam
+    p = 6  # a = 1 + beta (1 - s^2)^p inside |x - c| < sigma, C^(p-1) at the seam
+    g_scale = -2.0 * p * beta / sigma2
 
-        def val(x):
-            d = x - center
-            s2 = (d[:, 0] ** 2 + d[:, 1] ** 2) / sigma ** 2
-            out = np.ones(x.shape[0])
-            inside = s2 < 1.0
-            out[inside] += beta * (1.0 - s2[inside]) ** p
-            return out
+    def derivatives(x):
+        n = x.shape[0]
+        a, g, lap = np.ones(n), np.zeros((n, 2)), np.zeros(n)
+        dx = x[:, 0] - cx
+        dy = x[:, 1] - cy
+        s_sq = (dx ** 2 + dy ** 2) / sigma2
+        inside = s_sq < 1.0
+        s_sq = s_sq[inside]
+        u = 1.0 - s_sq
+        u_p2 = u ** (p - 2)
+        u_p1 = u_p2 * u
+        a[inside] += beta * (u_p1 * u)
+        g[inside, 0] = g_scale * u_p1 * dx[inside]
+        g[inside, 1] = g_scale * u_p1 * dy[inside]
+        lap[inside] = -g_scale * (2.0 * (p - 1) * s_sq * u_p2 - 2.0 * u_p1)
+        return a, g, lap
 
-        def grad(x):
-            d = x - center
-            s2 = (d[:, 0] ** 2 + d[:, 1] ** 2) / sigma ** 2
-            out = np.zeros_like(x)
-            inside = s2 < 1.0
-            out[inside] = (-2.0 * p * beta / sigma ** 2) \
-                * (1.0 - s2[inside, None]) ** (p - 1) * d[inside]
-            return out
-
-        def lap(x):
-            d = x - center
-            s2 = (d[:, 0] ** 2 + d[:, 1] ** 2) / sigma ** 2
-            out = np.zeros(x.shape[0])
-            inside = s2 < 1.0
-            u = 1.0 - s2[inside]
-            out[inside] = (2.0 * p * beta / sigma ** 2) \
-                * (2.0 * (p - 1) * s2[inside] * u ** (p - 2) - 2.0 * u ** (p - 1))
-            return out
-
-        return CoefficientField(val, grad, lap,
-                                c1=1.0 + min(beta, 0.0) if beta < 0 else 1.0,
-                                c2=1.0 + max(beta, 0.0),
-                                support_radius=float(np.hypot(*center) + sigma),
-                                name=f"compact_bump(beta={beta},sigma={sigma})")
-    raise UnknownCatalogError(f"unknown coefficient name {name!r}")
+    return CoefficientField(derivatives, c1=c1, c2=c2,
+                            support_radius=float(np.hypot(*center) + sigma),
+                            name=f"compact_bump(beta={beta},sigma={sigma})")
 
 
 @dataclass(frozen=True)

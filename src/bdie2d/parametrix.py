@@ -84,17 +84,25 @@ def remainder_kernel(field: CoefficientField, x, y):
     the evaluation is genuinely singular otherwise and raises.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return _remainder(field.log_derivatives(x)[1:], x, np.asarray(y, dtype=float))
+    return _remainder(field.log_derivatives(x)[1:],
+                      *_separation(x, np.asarray(y, dtype=float)))
 
 
-def _remainder(log_derivatives, x, y):
-    """R(x, y) from (grad(ln a), Delta(ln a)) at the source points x."""
-    gl, ll = log_derivatives
+def _separation(x, y):
+    """z = x - y, r2 = |z|^2 and the Laplace kernel P_L(z) = ln(r2) / (4 pi)
+    for source points x and a single target y."""
     z = x - y
     r2 = z[:, 0] ** 2 + z[:, 1] ** 2
+    with np.errstate(divide="ignore"):
+        return z, r2, np.log(r2) / (2.0 * _TWO_PI)
+
+
+def _remainder(log_derivatives, z, r2, p_l):
+    """R(x, y) from (grad(ln a), Delta(ln a)) at the source points x and
+    their _separation (z, r2, p_l) from y."""
+    gl, ll = log_derivatives
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (-ll * np.log(r2) / (2.0 * _TWO_PI)
-               - (gl[:, 0] * z[:, 0] + gl[:, 1] * z[:, 1]) / (_TWO_PI * r2))
+        out = -ll * p_l - (gl[:, 0] * z[:, 0] + gl[:, 1] * z[:, 1]) / (_TWO_PI * r2)
     same = r2 == 0.0
     if same.any():
         if np.any(same & ((np.abs(gl).max(axis=1) > 1e-8) | (np.abs(ll) > 1e-8))):
@@ -144,10 +152,11 @@ def volume_terms(mesh: DomainMesh, field: CoefficientField, targets,
                 _zeros(targets))
 
     def terms(x, y):
-        # one coefficient evaluation serves the kernel and rho / a
+        # one coefficient evaluation and one separation serve the
+        # remainder kernel and the source kernel rho / a P_L
         a, *log_derivatives = field.log_derivatives(x)
-        return (_remainder(log_derivatives, x, y),
-                rho_fn(x) / a * laplace._kernel_value(x, y))
+        z, r2, p_l = _separation(x, y)
+        return _remainder(log_derivatives, z, r2, p_l), rho_fn(x) / a * p_l
 
     rows, values = laplace.domain_rows(
         mesh, targets, terms, with_values=True,

@@ -137,14 +137,16 @@ def _representation(problem: DirichletProblem, grid: BoundaryGrid,
                     mesh: DomainMesh, targets, dom_idx):
     """The terms of u(y) = F0(y) - (R u)(y) + (V psi)(y) at off-boundary
     targets: remainder rows on the dom_idx nodes, single-layer rows, and
-    F0 = (volume potential of f) - (double layer of phi0)."""
+    F0 = (volume potential of f) - (double layer of phi0).  The layer
+    terms run first: their ladder rejects a target on the curve before
+    any volume rule is built."""
     field = problem.field
-    r_rows, pf = parametrix.volume_terms(mesh, field, targets, dom_idx,
-                                         rho_fn=problem.source)
     v_rows = parametrix.single_layer_rows_offboundary(grid, field, targets)
     w = parametrix.double_layer_offboundary(
         grid, field, problem.dirichlet(grid.t), targets,
         density_fn=problem.dirichlet)
+    r_rows, pf = parametrix.volume_terms(mesh, field, targets, dom_idx,
+                                         rho_fn=problem.source)
     return r_rows, v_rows, pf - w
 
 

@@ -111,13 +111,16 @@ def _dipole_grad(pts):
 
 
 def manufactured_case(name, **params) -> ManufacturedCase:
-    """Catalog of exact exterior solutions on the unit circle.
+    """Catalog of exact exterior solutions, all with the decaying harmonic
+    dipole u = x1/|x|^2 (or u = 0).
 
-    "laplace-dipole": a = 1 and the decaying harmonic dipole u = x1/|x|^2,
-    so f = 0 (declared as source None) and the conormal density is
-    cos(t).  "bump-dipole": the same u with the gaussian-bump coefficient,
-    f = grad a . grad u in closed form.  "zero": everything identically
-    zero, f declared as None too.
+    "laplace-dipole": the unit circle and a = 1, so f = 0 (declared as
+    source None) and the conormal density is cos(t).  "bump-dipole": the
+    unit circle with the gaussian-bump coefficient, f = grad a . grad u in
+    closed form.  "star-bump-dipole": the same u, a and f outside the star
+    (alpha 0.2, k 5), where phi = u(x(t)) and psi = a n . grad u vary along
+    a non-circular curve.  "zero": the unit circle with everything
+    identically zero, f declared as None too.
     """
     curve = make_curve("circle", radius=1.0)
     if name == "laplace-dipole":
@@ -127,7 +130,7 @@ def manufactured_case(name, **params) -> ManufacturedCase:
             exact_u=_dipole_u, exact_grad=_dipole_grad, source=None,
             dirichlet=np.cos, psi_exact=np.cos,
             decay_class="O(1/r)", r_trunc=params.pop("r_trunc", 3.0))
-    if name == "bump-dipole":
+    if name in ("bump-dipole", "star-bump-dipole"):
         beta = params.pop("beta", 1.0)
         sigma = params.pop("sigma", 1.0)
         field = make_coefficient("gaussian_bump", beta=beta, sigma=sigma)
@@ -136,11 +139,23 @@ def manufactured_case(name, **params) -> ManufacturedCase:
             _, ga, _ = field.eval(p)
             return np.sum(ga * _dipole_grad(p), axis=1)
 
-        a_s = 1.0 + beta * np.exp(-1.0 / sigma ** 2)
+        if name == "bump-dipole":
+            a_s = 1.0 + beta * np.exp(-1.0 / sigma ** 2)
+            dirichlet, psi_exact = np.cos, lambda t: a_s * np.cos(t)
+        else:
+            curve = make_curve("star", alpha=0.2, k=5)
+
+            def dirichlet(t):
+                return _dipole_u(curve.position(t))
+
+            def psi_exact(t):
+                pts, _, nrm, _ = curve.evaluate(t)
+                return field.eval(pts)[0] * np.sum(nrm * _dipole_grad(pts), axis=1)
+
         return ManufacturedCase(
             name=name, curve=curve, field=field,
             exact_u=_dipole_u, exact_grad=_dipole_grad, source=source,
-            dirichlet=np.cos, psi_exact=lambda t: a_s * np.cos(t),
+            dirichlet=dirichlet, psi_exact=psi_exact,
             decay_class="O(1/r)", r_trunc=params.pop("r_trunc", 6.0))
     if name == "zero":
         field = make_coefficient("constant", value=1.0)
@@ -272,7 +287,7 @@ def second_green_identity(case: ManufacturedCase, *, field=None, n=64,
 
 
 def _is_radial(field):
-    g = field.gradient(np.array([[0.0, 1.7]]))
+    g = field.eval(np.array([[0.0, 1.7]]))[1]
     return abs(g[0, 0]) < 1e-14
 
 
@@ -433,10 +448,10 @@ def gaussian_tail_factor(field: CoefficientField, r):
         best = 0.0
         for tt in th:
             p = np.stack([s * np.cos(tt), s * np.sin(tt)], axis=1)
-            g = field.gradient(p)
+            g = field.eval(p)[1]
             best = max(best, float(np.max(weight(p) * np.hypot(g[:, 0], g[:, 1]))))
         return best
-    g = field.gradient(pts)
+    g = field.eval(pts)[1]
     return float(np.max(weight(pts) * np.hypot(g[:, 0], g[:, 1])))
 
 

@@ -44,6 +44,63 @@ def test_derivatives_match_finite_differences(name, params):
     assert_allclose(lap, (ap1 + am1 + ap2 + am2 - 4 * a) / h ** 2, atol=1e-4)
 
 
+def _relative_close(actual, expected):
+    scale = max(np.abs(expected).max(), 1e-300)
+    assert np.abs(actual - expected).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("params", [
+    {},
+    {"beta": 0.7, "sigma": 1.3, "center": (0.5, -0.2)},
+])
+def test_gaussian_bump_matches_its_closed_form(params):
+    field = make_coefficient("gaussian_bump", **params)
+    beta = params.get("beta", 1.0)
+    sigma = params.get("sigma", 1.0)
+    center = np.asarray(params.get("center", (0.0, 0.0)))
+    rng = np.random.default_rng(3)
+    # inside the bump, on its flank and far in the tail
+    pts = np.concatenate([rng.uniform(-1.0, 1.0, (20, 2)),
+                          rng.uniform(-4.0, 4.0, (20, 2)),
+                          [[field.support_radius + 0.5, 0.0], [0.0, -9.0]]])
+    d = pts - center
+    r2 = np.sum(d * d, axis=1)
+    e = np.exp(-r2 / sigma ** 2)
+    a, g, lap = field.eval(pts)
+    _relative_close(a, 1.0 + beta * e)
+    _relative_close(g, -2.0 * beta / sigma ** 2 * e[:, None] * d)
+    # radial a = 1 + beta f(r): Delta a = beta (f'' + f'/r)
+    f1_over_r = -2.0 / sigma ** 2 * e
+    f2 = (4.0 * r2 / sigma ** 4 - 2.0 / sigma ** 2) * e
+    _relative_close(lap, beta * (f2 + f1_over_r))
+
+
+def test_compact_bump_matches_its_closed_form():
+    beta, sigma, center = 0.5, 1.25, np.array([1.5, 0.0])
+    field = make_coefficient("compact_bump", beta=beta, sigma=sigma,
+                             center=tuple(center))
+    rng = np.random.default_rng(4)
+    # inside the support, outside it, and exactly on the seam s^2 = 1
+    # (dyadic offsets: 0.75^2 + 1^2 = 1.25^2 without rounding)
+    seam = center + np.array([[0.75, 1.0], [-1.0, -0.75], [1.25, 0.0],
+                              [0.0, -1.25]])
+    pts = np.concatenate([center + rng.uniform(-0.8, 0.8, (20, 2)),
+                          rng.uniform(-3.0, 4.0, (20, 2)), seam])
+    d = pts - center
+    s2 = np.sum(d * d, axis=1) / sigma ** 2
+    assert np.all(s2[-4:] == 1.0)
+    u = np.where(s2 < 1.0, 1.0 - s2, 0.0)
+    a, g, lap = field.eval(pts)
+    _relative_close(a, 1.0 + beta * u ** 6)
+    _relative_close(g, (-12.0 * beta / sigma ** 2 * u ** 5)[:, None] * d)
+    # radial a = 1 + beta f(r), f = (1 - r^2/sigma^2)^6: Delta a = beta (f'' + f'/r)
+    f1_over_r = -12.0 / sigma ** 2 * u ** 5
+    f2 = f1_over_r + 120.0 * s2 / sigma ** 2 * u ** 4
+    _relative_close(lap, beta * (f2 + f1_over_r))
+    assert np.array_equal(a[-4:], np.ones(4))
+    assert not np.any(g[-4:]) and not np.any(lap[-4:])
+
+
 def test_gaussian_bump_values_and_support():
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
     a, _, _ = field.eval(np.zeros((1, 2)))
@@ -73,8 +130,7 @@ def test_nonpositive_coefficient_rejected():
     # declared bounds must be consistent
     from bdie2d.coefficient import CoefficientField
     with pytest.raises(CoefficientError):
-        CoefficientField(field.value, field.gradient, field.laplacian,
-                         c1=2.0, c2=1.0)
+        CoefficientField(field.derivatives, c1=2.0, c2=1.0)
 
 
 def test_unknown_coefficient_raises():

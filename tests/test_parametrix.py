@@ -149,6 +149,38 @@ def test_volume_terms_evaluate_the_coefficient_once_per_point(bump_mesh,
         bump_mesh, bump, targets, rho_fn=rho_fn))
 
 
+@pytest.mark.parametrize("curve", [make_curve("circle"),
+                                   make_curve("star", alpha=0.2, k=5)],
+                         ids=["circle", "star"])
+def test_volume_terms_match_the_kernels_evaluated_apart(curve, bump):
+    mesh = domain_mesh(curve, 6.0, 4 * np.pi / 16, m_theta=16)
+    grid = boundary_grid(curve, 16)
+    # mesh nodes, boundary nodes, off-node points and one target beyond
+    # the support, whose rows skip the near field
+    targets = np.concatenate([mesh.points[::37], grid.points[::5],
+                              [[2.0, 0.5], [-1.1, 1.7], [0.3, -3.3],
+                               [bump.support_radius + 1.4, 0.0]]])
+    columns = np.arange(0, mesh.n_nodes, 3)
+
+    def rho_fn(p):
+        return p[:, 1] * np.exp(-0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
+
+    def apart(x, y):
+        return (parametrix.remainder_kernel(bump, x, y),
+                rho_fn(x) / bump.eval(x)[0] * laplace._kernel_value(x, y))
+
+    near = np.hypot(targets[:, 0], targets[:, 1]) <= bump.support_radius + 1.0
+    assert not near.all()
+    ref_rows, ref_values = laplace.domain_rows(mesh, targets, apart,
+                                               near_targets=near,
+                                               with_values=True)
+    rows, values = parametrix.volume_terms(mesh, bump, targets, columns,
+                                           rho_fn=rho_fn)
+    assert np.abs(rows - ref_rows[:, columns]).max() \
+        <= 1e-13 * np.abs(ref_rows).max()
+    assert np.abs(values - ref_values).max() <= 1e-13 * np.abs(ref_values).max()
+
+
 def test_constant_coefficient_double_layer_is_the_laplace_one(circle64, const,
                                                               monkeypatch):
     targets = np.array([[2.0, 0.5], [0.4, -1.3]])

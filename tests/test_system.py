@@ -94,6 +94,30 @@ def test_points_on_a_star_curve_are_rejected():
             sol.evaluate(p[None, :])
 
 
+def test_star_points_past_the_radial_check_build_no_volume_rule(monkeypatch):
+    case = manufactured_case("star-bump-dipole")
+    # 20 angular columns: the source's discrete mean vanishes by symmetry
+    grid = boundary_grid(case.curve, 20)
+    mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 20, m_theta=20)
+    sol = solve(assemble_system(case.problem(), grid, mesh))
+    # on-curve points whose mesh coordinate rho rounds above zero
+    on_curve = case.curve.position(np.linspace(0.0, 2 * np.pi, 41)[:-1])
+    slipped = on_curve[mesh.mesh_coords(on_curve)[0] > 0.0]
+    assert len(slipped) > 0
+    rules = []
+    rule = laplace._volume_rule
+
+    def counted(*args, **kwargs):
+        rules.append(args[1])
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(laplace, "_volume_rule", counted)
+    for p in slipped:
+        with pytest.raises(SingularEvaluationError):
+            sol.evaluate(p[None, :])
+    assert rules == []
+
+
 def test_forced_domain_rows_keep_remainder_blocks_zero(laplace_case):
     case = laplace_case
     grid = boundary_grid(case.curve, 32)

@@ -9,13 +9,28 @@ from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
 from bdie2d.system import assemble_system, solve
 
 
-@pytest.mark.parametrize("name", ["laplace-dipole", "bump-dipole", "zero"])
+@pytest.mark.parametrize("name", ["laplace-dipole", "bump-dipole",
+                                  "star-bump-dipole", "zero"])
 def test_manufactured_cases_are_internally_consistent(name):
     case = vf.manufactured_case(name)
     report = case.validate()
     assert report["fd_residual"] <= 1e-6
     assert abs(report["f_mean"]) <= 1e-6
     assert abs(report["psi_mean"]) <= 1e-10
+
+
+def test_star_case_converges_in_u_and_psi():
+    case = vf.manufactured_case("star-bump-dipole")
+    errs = []
+    for n in (32, 64):
+        grid = boundary_grid(case.curve, n)
+        mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / n, m_theta=n)
+        eq = vf.equivalence_check(
+            case, solve(assemble_system(case.problem(), grid, mesh)))
+        errs.append((eq["err_u"], eq["err_psi"]))
+    (u32, psi32), (u64, psi64) = errs
+    assert np.log2(u32 / u64) >= 2.0
+    assert np.log2(psi32 / psi64) >= 2.0
 
 
 def test_unknown_case_raises():
