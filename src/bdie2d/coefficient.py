@@ -111,8 +111,6 @@ def make_coefficient(name: str, **params) -> CoefficientField:
     cx, cy = center
     sigma2 = sigma ** 2
     if name == "gaussian_bump":
-        # a = 1 + beta e, e = exp(-|d|^2 / sigma^2), d = x - c:
-        # grad a = -2 beta / sigma^2 e d, Delta a = beta e (4|d|^2/sigma^4 - 4/sigma^2)
         g_scale = -2.0 * beta / sigma2
 
         def derivatives(x):

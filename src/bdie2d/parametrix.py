@@ -152,8 +152,7 @@ def volume_terms(mesh: DomainMesh, field: CoefficientField, targets,
                 _zeros(targets))
 
     def terms(x, y):
-        # one coefficient evaluation and one separation serve the
-        # remainder kernel and the source kernel rho / a P_L
+        # one coefficient evaluation and one separation serve both kernels
         a, *log_derivatives = field.log_derivatives(x)
         z, r2, p_l = _separation(x, y)
         return _remainder(log_derivatives, z, r2, p_l), rho_fn(x) / a * p_l

@@ -137,10 +137,10 @@ def _representation(problem: DirichletProblem, grid: BoundaryGrid,
                     mesh: DomainMesh, targets, dom_idx):
     """The terms of u(y) = F0(y) - (R u)(y) + (V psi)(y) at off-boundary
     targets: remainder rows on the dom_idx nodes, single-layer rows, and
-    F0 = (volume potential of f) - (double layer of phi0).  The layer
-    terms run first: their ladder rejects a target on the curve before
-    any volume rule is built."""
+    F0 = (volume potential of f) - (double layer of phi0)."""
     field = problem.field
+    # layer terms first: their ladder rejects on-curve targets before any
+    # volume rule is built
     v_rows = parametrix.single_layer_rows_offboundary(grid, field, targets)
     w = parametrix.double_layer_offboundary(
         grid, field, problem.dirichlet(grid.t), targets,

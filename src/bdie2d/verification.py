@@ -116,10 +116,10 @@ def manufactured_case(name, **params) -> ManufacturedCase:
 
     "laplace-dipole": the unit circle and a = 1, so f = 0 (declared as
     source None) and the conormal density is cos(t).  "bump-dipole": the
-    unit circle with the gaussian-bump coefficient, f = grad a . grad u in
-    closed form.  "star-bump-dipole": the same u, a and f outside the star
-    (alpha 0.2, k 5), where phi = u(x(t)) and psi = a n . grad u vary along
-    a non-circular curve.  "zero": the unit circle with everything
+    unit circle with the gaussian-bump coefficient, f = grad a . grad u,
+    phi = u(x(t)) and psi = a n . grad u in closed form.
+    "star-bump-dipole": the same outside the star (alpha 0.2, k 5), where
+    a varies along the curve.  "zero": the unit circle with everything
     identically zero, f declared as None too.
     """
     curve = make_curve("circle", radius=1.0)
@@ -131,6 +131,8 @@ def manufactured_case(name, **params) -> ManufacturedCase:
             dirichlet=np.cos, psi_exact=np.cos,
             decay_class="O(1/r)", r_trunc=params.pop("r_trunc", 3.0))
     if name in ("bump-dipole", "star-bump-dipole"):
+        if name == "star-bump-dipole":
+            curve = make_curve("star", alpha=0.2, k=5)
         beta = params.pop("beta", 1.0)
         sigma = params.pop("sigma", 1.0)
         field = make_coefficient("gaussian_bump", beta=beta, sigma=sigma)
@@ -139,18 +141,12 @@ def manufactured_case(name, **params) -> ManufacturedCase:
             _, ga, _ = field.eval(p)
             return np.sum(ga * _dipole_grad(p), axis=1)
 
-        if name == "bump-dipole":
-            a_s = 1.0 + beta * np.exp(-1.0 / sigma ** 2)
-            dirichlet, psi_exact = np.cos, lambda t: a_s * np.cos(t)
-        else:
-            curve = make_curve("star", alpha=0.2, k=5)
+        def dirichlet(t):
+            return _dipole_u(curve.position(t))
 
-            def dirichlet(t):
-                return _dipole_u(curve.position(t))
-
-            def psi_exact(t):
-                pts, _, nrm, _ = curve.evaluate(t)
-                return field.eval(pts)[0] * np.sum(nrm * _dipole_grad(pts), axis=1)
+        def psi_exact(t):
+            pts, _, nrm, _ = curve.evaluate(t)
+            return field.eval(pts)[0] * np.sum(nrm * _dipole_grad(pts), axis=1)
 
         return ManufacturedCase(
             name=name, curve=curve, field=field,
