@@ -62,9 +62,12 @@ class CoefficientField:
 
     def log_derivatives(self, x):
         """(a, grad(ln a), Delta(ln a)) at the given points from one
-        evaluation, Delta(ln a) = Delta a / a - |grad a|^2 / a^2."""
+        evaluation, Delta(ln a) = Delta a / a - |grad(ln a)|^2."""
         a, g, lap = self.eval(x)
-        return a, g / a[:, None], lap / a - (g[:, 0] ** 2 + g[:, 1] ** 2) / a ** 2
+        gl = np.empty_like(g)
+        gl[:, 0] = g[:, 0] / a
+        gl[:, 1] = g[:, 1] / a
+        return a, gl, lap / a - (gl[:, 0] ** 2 + gl[:, 1] ** 2)
 
     def grad_log(self, x):
         """grad(ln a) at the given points."""
@@ -111,18 +114,16 @@ def make_coefficient(name: str, **params) -> CoefficientField:
     cx, cy = center
     sigma2 = sigma ** 2
     if name == "gaussian_bump":
-        g_scale = -2.0 * beta / sigma2
-
         def derivatives(x):
             dx = x[:, 0] - cx
             dy = x[:, 1] - cy
             r2 = dx ** 2 + dy ** 2
-            e = np.exp(r2 / -sigma2)
+            b = beta * np.exp(r2 / -sigma2)  # a - 1
+            g_b = (-2.0 / sigma2) * b
             g = np.empty_like(x)
-            g[:, 0] = g_scale * dx * e
-            g[:, 1] = g_scale * dy * e
-            return (1.0 + beta * e, g,
-                    beta * e * (4.0 * r2 / sigma ** 4 - 4.0 / sigma2))
+            g[:, 0] = g_b * dx
+            g[:, 1] = g_b * dy
+            return 1.0 + b, g, b * (r2 * (4.0 / sigma ** 4) - 4.0 / sigma2)
 
         # |grad a| = 2|beta| s exp(-s^2/sigma^2), decreasing beyond its peak:
         # scan outward from the peak for the tail radius

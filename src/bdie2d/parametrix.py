@@ -89,10 +89,10 @@ def remainder_kernel(field: CoefficientField, x, y):
 
 
 def _separation(x, y):
-    """z = x - y, r2 = |z|^2 and the Laplace kernel P_L(z) = ln(r2) / (4 pi)
-    for source points x and a single target y."""
-    z = x - y
-    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
+    """Columns (z0, z1) of z = x - y, r2 = |z|^2 and P_L(z) = ln(r2) / (4 pi)
+    for source points x and one target y; columns beat (m, 2) broadcasting."""
+    z = (x[:, 0] - y[0], x[:, 1] - y[1])
+    r2 = z[0] ** 2 + z[1] ** 2
     with np.errstate(divide="ignore"):
         return z, r2, np.log(r2) / (2.0 * _TWO_PI)
 
@@ -102,7 +102,7 @@ def _remainder(log_derivatives, z, r2, p_l):
     their _separation (z, r2, p_l) from y."""
     gl, ll = log_derivatives
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -ll * p_l - (gl[:, 0] * z[:, 0] + gl[:, 1] * z[:, 1]) / (_TWO_PI * r2)
+        out = -ll * p_l - (gl[:, 0] * z[0] + gl[:, 1] * z[1]) / (_TWO_PI * r2)
     same = r2 == 0.0
     if same.any():
         if np.any(same & ((np.abs(gl).max(axis=1) > 1e-8) | (np.abs(ll) > 1e-8))):

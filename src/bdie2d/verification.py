@@ -111,16 +111,16 @@ def _dipole_grad(pts):
 
 
 def manufactured_case(name, **params) -> ManufacturedCase:
-    """Catalog of exact exterior solutions, all with the decaying harmonic
-    dipole u = x1/|x|^2 (or u = 0).
+    """Catalog of exact exterior solutions.
 
-    "laplace-dipole": the unit circle and a = 1, so f = 0 (declared as
-    source None) and the conormal density is cos(t).  "bump-dipole": the
-    unit circle with the gaussian-bump coefficient, f = grad a . grad u,
-    phi = u(x(t)) and psi = a n . grad u in closed form.
-    "star-bump-dipole": the same outside the star (alpha 0.2, k 5), where
-    a varies along the curve.  "zero": the unit circle with everything
-    identically zero, f declared as None too.
+    "laplace-dipole": a = 1 and the decaying harmonic dipole u = x1/|x|^2
+    on the unit circle, so f = 0 (declared as source None) and the
+    conormal density is cos(t).  "bump-dipole": the same u with the
+    gaussian-bump coefficient, f = grad a . grad u, phi = u(x(t)) and
+    psi = a n . grad u in closed form.  "star-bump-dipole": the same
+    outside the star (alpha 0.2, k 5), where a varies along the curve.
+    "zero": everything identically zero on the unit circle, f declared
+    as None too.
     """
     curve = make_curve("circle", radius=1.0)
     if name == "laplace-dipole":
@@ -138,8 +138,8 @@ def manufactured_case(name, **params) -> ManufacturedCase:
         field = make_coefficient("gaussian_bump", beta=beta, sigma=sigma)
 
         def source(p):
-            _, ga, _ = field.eval(p)
-            return np.sum(ga * _dipole_grad(p), axis=1)
+            ga, gu = field.eval(p)[1], _dipole_grad(p)
+            return ga[:, 0] * gu[:, 0] + ga[:, 1] * gu[:, 1]
 
         def dirichlet(t):
             return _dipole_u(curve.position(t))
