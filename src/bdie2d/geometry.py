@@ -204,10 +204,22 @@ class BoundaryGrid:
     normals: np.ndarray    # (n, 2), pointing into Omega^-
     speeds: np.ndarray     # (n,)
     weights: np.ndarray    # (n,) trapezoidal arc-length weights
+    # upsampled grids of the same curve by node count, built on first use
+    _refined: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     @property
     def length(self) -> float:
         return float(self.weights.sum())
+
+    def refined(self, n_up: int) -> "BoundaryGrid":
+        """The grid of ``n_up`` nodes on the same curve, built once per
+        grid; ``n_up == n`` gives the grid itself."""
+        if n_up == self.n:
+            return self
+        if n_up not in self._refined:
+            self._refined[n_up] = boundary_grid(self.curve, n_up)
+        return self._refined[n_up]
 
 
 def boundary_grid(curve: CurveParametrization, n: int) -> BoundaryGrid:

@@ -46,10 +46,14 @@ the remainder rows and the volume potential of a source together.
 Every off-boundary layer potential uses one upsampling ladder
 (``_ladder``): each target gets the trapezoid rule on the boundary grid
 doubled until it resolves the target's distance to the curve, and a
-target that would need more than _LADDER_CAP nodes is rejected.  That rule
-is applied to the resampled density (values), or folded back onto the
-boundary nodes through the FFT adjoint of trigonometric interpolation
-(rows).
+target that would need more than _LADDER_CAP nodes is rejected.  The
+distance (``distance_to_curve``) starts from the grid's own nodes and
+ends with Newton steps to the foot point, O(m N) for m targets.  The
+targets are grouped by ladder size: each size's grid is built once per
+boundary grid (``BoundaryGrid.refined``) and its weights form one block,
+applied to the density resampled once per size (values) or, off the base
+size, folded back onto the boundary nodes through the FFT adjoint of
+trigonometric interpolation (rows).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GeometryError, SingularEvaluationError
-from .geometry import BoundaryGrid, CurveParametrization, DomainMesh, boundary_grid
+from .geometry import BoundaryGrid, CurveParametrization, DomainMesh
 
 _TWO_PI = 2.0 * np.pi
 
@@ -196,59 +200,89 @@ def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
 
 # a target needing more ladder nodes than this is rejected
 _LADDER_CAP = 1 << 16
-# curve samples of distance_to_curve, compared with _DISTANCE_CHUNK
-# targets at a time (a 4 MB difference array, about 8 MB of scratch)
-_N_DISTANCE = 4096
+# entries of the largest (targets, nodes) weight block the ladder forms
+_BLOCK_SIZE = 1 << 20
+# distance_to_curve compares _DISTANCE_CHUNK targets at a time with the
+# grid nodes, samples the curve at _FOOT_OFFSETS node spacings about each
+# candidate node (an odd count: the node is a sample) and takes at most
+# _NEWTON_STEPS Newton steps from the nearest sample
 _DISTANCE_CHUNK = 64
+_FOOT_OFFSETS = np.linspace(-1.0, 1.0, 17)
+_NEWTON_STEPS = 6
 
 
-def distance_to_curve(curve: CurveParametrization, targets):
-    """Distance from each target to the nearest of _N_DISTANCE equispaced
-    curve samples."""
-    return _nearest_sample(curve, targets)[0]
+def distance_to_curve(grid: BoundaryGrid, targets):
+    """Distance from each finite target to the curve of ``grid``.
 
-
-def _nearest_sample(curve: CurveParametrization, targets):
-    """(distance, parameter) of the nearest of _N_DISTANCE equispaced
-    curve samples to each target."""
-    t = _TWO_PI * np.arange(_N_DISTANCE) / _N_DISTANCE
-    x = curve.position(t)
+    The foot point's nearest node in parameter is at most
+    max(speed) pi / n farther from the target than the nearest node, so
+    every node within that margin is a candidate.  The curve is sampled
+    across the two node intervals about each candidate, and Newton steps
+    (_foot_distance) start at the target's nearest sample; the smaller of
+    the sample and Newton distances is kept.  Every point of the curve is
+    at least as far as the nearest one, so the result never undershoots; a
+    degenerate step (the centre of a circle) gives NaN and leaves the
+    sample distance.  The cost is O(m n) for m targets.
+    """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    d2, k = np.empty(pts.shape[0]), np.empty(pts.shape[0], dtype=int)
+    x = grid.points
+    reach = np.pi / grid.n * grid.speeds.max()
+    pair_i, pair_j = [], []
     for s in range(0, pts.shape[0], _DISTANCE_CHUNK):
-        z = x[None, :, :] - pts[s:s + _DISTANCE_CHUNK, None, :]
-        z2 = z[..., 0] ** 2 + z[..., 1] ** 2
-        k[s:s + _DISTANCE_CHUNK] = z2.argmin(axis=1)
-        d2[s:s + _DISTANCE_CHUNK] = np.take_along_axis(
-            z2, k[s:s + _DISTANCE_CHUNK, None], axis=1)[:, 0]
-    return np.sqrt(d2), t[k]
+        chunk = pts[s:s + _DISTANCE_CHUNK]
+        z2 = ((x[None, :, 0] - chunk[:, None, 0]) ** 2
+              + (x[None, :, 1] - chunk[:, None, 1]) ** 2)
+        near = (np.sqrt(z2.min(axis=1)) + reach) ** 2
+        i, j = np.nonzero(z2 <= near[:, None])
+        pair_i.append(i + s)
+        pair_j.append(j)
+    # pairs run target by target, each target with at least its nearest node
+    pair_i = np.concatenate(pair_i)
+    t = (grid.t[np.concatenate(pair_j), None]
+         + (_TWO_PI / grid.n) * _FOOT_OFFSETS)
+    z = grid.curve.position(t.ravel()) - np.repeat(pts[pair_i],
+                                                   _FOOT_OFFSETS.size, axis=0)
+    z2 = (z[:, 0] ** 2 + z[:, 1] ** 2).reshape(t.shape)
+    k = z2.argmin(axis=1)
+    z2 = z2[np.arange(k.size), k]
+    best = np.lexsort((z2, pair_i))[np.flatnonzero(np.diff(pair_i, prepend=-1))]
+    return np.fmin(np.sqrt(z2[best]),
+                   _foot_distance(grid.curve, pts, t[best, k[best]]))
 
 
-def _foot_distance(curve: CurveParametrization, targets):
-    """Distance from targets near the curve to their foot points: Newton
-    on (x(t) - y) . x'(t) = 0 from the nearest curve sample, whose
-    parameter is within half a sample spacing of the root."""
-    s = _nearest_sample(curve, targets)[1]
-    for _ in range(4):
+def _foot_distance(curve: CurveParametrization, targets, s):
+    """Distance from targets to the curve points reached by Newton on
+    (x(t) - y) . x'(t) = 0 from the parameters s.  It stops after
+    _NEWTON_STEPS steps, or once no step exceeds 1e-8: the error is then
+    about the square of the last step, and the distance, stationary at the
+    foot point, moves by less still."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            z = curve.position(s) - targets
+            dx, ddx = curve.derivative(s), curve.second_derivative(s)
+            step = (z[:, 0] * dx[:, 0] + z[:, 1] * dx[:, 1]) / (
+                dx[:, 0] ** 2 + dx[:, 1] ** 2
+                + z[:, 0] * ddx[:, 0] + z[:, 1] * ddx[:, 1])
+            s = s - step
+            if not (np.abs(step) > 1e-8).any():
+                break
         z = curve.position(s) - targets
-        dx = curve.derivative(s)
-        s = s - np.sum(z * dx, axis=1) / (
-            np.sum(dx * dx, axis=1)
-            + np.sum(z * curve.second_derivative(s), axis=1))
-    z = curve.position(s) - targets
     return np.hypot(z[:, 0], z[:, 1])
 
 
 def _layer_weights(grid: BoundaryGrid, kind: str, y) -> np.ndarray:
-    """Trapezoid weights of the single or double layer at target y: the
-    layer potential of nodal density rho on ``grid`` is weights @ rho."""
+    """Trapezoid weights of the single or double layer at targets y, an
+    (m, 2) block or a single point: the layer potential of nodal density
+    rho on ``grid`` is weights @ rho, weights of shape (m, n) or (n,)."""
+    y = np.asarray(y, dtype=float)
+    zx = grid.points[:, 0] - y[..., 0, None]
+    zy = grid.points[:, 1] - y[..., 1, None]
+    r2 = zx ** 2 + zy ** 2
     if kind == "single":
-        ker = _kernel_value(grid.points, y)
+        ker = np.log(r2) / (2.0 * _TWO_PI)
     elif kind == "double":
-        z = grid.points - y
-        r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-        ker = (grid.normals[:, 0] * z[:, 0]
-               + grid.normals[:, 1] * z[:, 1]) / (_TWO_PI * r2)
+        ker = ((grid.normals[:, 0] * zx + grid.normals[:, 1] * zy)
+               / (_TWO_PI * r2))
     else:
         raise ValueError(f"unknown layer kind {kind!r}")
     return -grid.weights * ker
@@ -257,21 +291,18 @@ def _layer_weights(grid: BoundaryGrid, kind: str, y) -> np.ndarray:
 def _ladder(grid: BoundaryGrid, kind: str, targets):
     """The upsampling ladder behind every off-boundary layer potential.
 
-    Yields, for each target at distance d from the curve, the grid doubled
-    until it has 8 L / d nodes (L the curve length) and that grid's
-    _layer_weights at the target; each grid size is built once.  Targets
+    A target at distance d from the curve gets the trapezoid rule on the
+    grid doubled until it has 8 L / d nodes (L the curve length).  Targets
     that are not finite, lie on the curve, or need more than _LADDER_CAP
-    nodes are rejected.  The sampled distance can exceed d by half a
-    sample spacing, so below one spacing it is refined to the foot point.
+    nodes are rejected.  Yields, for each ladder size, the upsampled grid
+    (``grid.refined``), the indices of its targets and their
+    _layer_weights as one (m_g, n_up) block, split so that no block
+    exceeds _BLOCK_SIZE entries.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.isfinite(pts).all():
         raise GeometryError("off-boundary evaluation target is not finite")
-    dists = distance_to_curve(grid.curve, pts)
-    close = dists < grid.length / _N_DISTANCE
-    if close.any():
-        dists[close] = np.minimum(dists[close],
-                                  _foot_distance(grid.curve, pts[close]))
+    dists = distance_to_curve(grid, pts)
     if np.any(dists == 0.0):
         raise SingularEvaluationError("off-boundary evaluation target lies on S")
     need = 8.0 * grid.length / dists
@@ -279,14 +310,16 @@ def _ladder(grid: BoundaryGrid, kind: str, targets):
         raise SingularEvaluationError(
             f"off-boundary target {dists.min():.2e} from S needs "
             f"{need.max():.3g} ladder nodes, more than {_LADDER_CAP}")
-    grids = {grid.n: grid}
-    for y, n_need in zip(pts, need):
-        n_up = grid.n
-        while n_up < n_need:
-            n_up *= 2
-        if n_up not in grids:
-            grids[n_up] = boundary_grid(grid.curve, n_up)
-        yield grids[n_up], _layer_weights(grids[n_up], kind, y)
+    n_up = np.full(pts.shape[0], grid.n)
+    while (short := n_up < need).any():
+        n_up[short] *= 2
+    for size in np.unique(n_up):
+        g_up = grid.refined(int(size))
+        idx = np.flatnonzero(n_up == size)
+        step = max(1, _BLOCK_SIZE // g_up.n)
+        for s in range(0, idx.size, step):
+            yield g_up, idx[s:s + step], _layer_weights(g_up, kind,
+                                                         pts[idx[s:s + step]])
 
 
 def layer_potential_offboundary(grid: BoundaryGrid, density, kind: str, targets,
@@ -295,17 +328,17 @@ def layer_potential_offboundary(grid: BoundaryGrid, density, kind: str, targets,
 
     ``density`` holds nodal values; near targets trigger evaluation on an
     upsampled grid with the density either resampled trigonometrically or,
-    if ``density_fn(t)`` is given, evaluated analytically.
+    if ``density_fn(t)`` is given, evaluated analytically, once per size.
     """
     density = np.asarray(density, dtype=float)
     upsampled = {grid.n: density}
-    out = []
-    for g_up, w in _ladder(grid, kind, targets):
+    out = np.empty((np.atleast_2d(targets).shape[0],) + density.shape[1:])
+    for g_up, idx, w in _ladder(grid, kind, targets):
         if g_up.n not in upsampled:
             upsampled[g_up.n] = (trig_resample(density, g_up.n)
                                  if density_fn is None else density_fn(g_up.t))
-        out.append(w @ upsampled[g_up.n])
-    return np.array(out)
+        out[idx] = w @ upsampled[g_up.n]
+    return out
 
 
 def layer_rows_offboundary(grid: BoundaryGrid, kind: str, targets) -> np.ndarray:
@@ -313,12 +346,15 @@ def layer_rows_offboundary(grid: BoundaryGrid, kind: str, targets) -> np.ndarray
 
     A target's row is its upsampled weights w composed with trigonometric
     interpolation, w @ trig_resample(I, n_up), formed as the inverse real
-    FFT of the first n/2 + 1 Fourier coefficients of w.
+    FFT of the first n/2 + 1 Fourier coefficients of w; on the grid itself
+    the row is w.
     """
     n = grid.n
-    rows = [np.fft.irfft(np.fft.rfft(w)[:n // 2 + 1], n)
-            for _, w in _ladder(grid, kind, targets)]
-    return np.array(rows).reshape(-1, n)
+    rows = np.empty((np.atleast_2d(targets).shape[0], n))
+    for g_up, idx, w in _ladder(grid, kind, targets):
+        rows[idx] = w if g_up.n == n else np.fft.irfft(
+            np.fft.rfft(w, axis=1)[:, :n // 2 + 1], n, axis=1)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +511,13 @@ def _volume_rule(mesh: DomainMesh, y, near=True) -> _VolumeRule:
     r = r_s[iv] + span_t[iv] * fine_rho[iu]
     fine_w = (w / (su * sv) * _bump((fine_theta - theta_y) / theta_half)[iv]
               * (span_t[iv] * r))
-    fine_x = np.stack([r * np.cos(fine_theta)[iv], r * np.sin(fine_theta)[iv]],
-                      axis=-1)
-    z = fine_x - y
-    keep = (fine_w != 0.0) & (z[:, 0] ** 2 + z[:, 1] ** 2 > 0.0)
+    x0, x1 = r * np.cos(fine_theta)[iv], r * np.sin(fine_theta)[iv]
+    keep = (fine_w != 0.0) & ((x0 - y[0]) ** 2 + (x1 - y[1]) ** 2 > 0.0)
     if not keep.all():
-        iu, iv, fine_x, fine_w = iu[keep], iv[keep], fine_x[keep], fine_w[keep]
-    return _VolumeRule(far_idx, far_w, fine_rho, fine_theta, iu, iv, fine_x,
-                       fine_w)
+        iu, iv, fine_w = iu[keep], iv[keep], fine_w[keep]
+        x0, x1 = x0[keep], x1[keep]
+    return _VolumeRule(far_idx, far_w, fine_rho, fine_theta, iu, iv,
+                       np.stack([x0, x1], axis=-1), fine_w)
 
 
 def _scatter_near(mesh: DomainMesh, rule: _VolumeRule, c, row):

@@ -196,6 +196,8 @@ def single_layer_boundary(grid: BoundaryGrid, field: CoefficientField):
 
 
 def double_layer_boundary(grid: BoundaryGrid, field: CoefficientField):
+    if field.is_constant:
+        return laplace.double_layer_matrix(grid)  # d(ln a)/dn = 0
     a, dln = _boundary_data(field, grid)
     return (laplace.double_layer_matrix(grid)
             - laplace.single_layer_matrix(grid) * dln[None, :])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -38,6 +40,17 @@ def test_normals_point_into_bounded_complement(name, params):
     assert np.all(curve.is_inside_bounded(inside))
     outside = grid.points - 0.05 * grid.normals
     assert not np.any(curve.is_inside_bounded(outside))
+
+
+def test_refined_grid_is_built_once_per_grid():
+    curve = make_curve("star", alpha=0.2, k=5)
+    grid = boundary_grid(curve, 32)
+    fine = grid.refined(256)
+    assert grid.refined(256) is fine and grid.refined(32) is grid
+    ref = boundary_grid(curve, 256)
+    for name in ("t", "points", "normals", "speeds", "weights"):
+        assert np.array_equal(getattr(fine, name), getattr(ref, name))
+    assert dataclasses.replace(grid).refined(256) is not fine
 
 
 def test_boundary_grid_rejects_bad_n():

@@ -147,14 +147,79 @@ def test_layer_rows_fold_upsampled_weights_onto_the_nodes(circle64, kind):
 
 
 def test_distance_to_curve_matches_the_per_target_loop():
+    # reference: the nearest of 2^16 curve samples, then the same Newton steps
     curve = make_curve("star", alpha=0.2, k=5)
+    grid = boundary_grid(curve, 32)
     rng = np.random.default_rng(5)
-    r, th = rng.uniform(0.5, 8.0, 150), rng.uniform(0.0, 2 * np.pi, 150)
-    targets = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-    t = 2 * np.pi * np.arange(4096) / 4096
+    d = np.concatenate([np.geomspace(1e-9, 5.0, 150),
+                        -rng.uniform(1e-4, 0.1, 50)])
+    pts, _, nrm, _ = curve.evaluate(rng.uniform(0.0, 2 * np.pi, d.size))
+    targets = pts - d[:, None] * nrm   # normals point inside
+    t = 2 * np.pi * np.arange(1 << 16) / (1 << 16)
     x = curve.position(t)
-    ref = [np.sqrt(((x - p) ** 2).sum(axis=1).min()) for p in targets]
-    assert np.array_equal(laplace.distance_to_curve(curve, targets), ref)
+    start = np.array([t[((x - p) ** 2).sum(axis=1).argmin()] for p in targets])
+    ref = laplace._foot_distance(curve, targets, start)
+    assert_allclose(laplace.distance_to_curve(grid, targets), ref, rtol=0.0,
+                    atol=1e-12)
+
+
+def _targets_at(grid, d, sign, rng):
+    """Targets at distance d from the curve, outside (sign 1) or inside
+    (sign -1), at random curve parameters."""
+    pts, _, nrm, _ = grid.curve.evaluate(rng.uniform(0.0, 2 * np.pi, d.size))
+    return pts - (sign * d)[:, None] * nrm
+
+
+def _per_target_ladder(grid, kind, targets, density, density_fn):
+    """The ladder as a loop over targets: rows and values of each target
+    from its own upsampled grid, weights, density and FFT fold."""
+    n = grid.n
+    need = 8.0 * grid.length / laplace.distance_to_curve(grid, targets)
+    rows, values = [], []
+    for y, n_need in zip(targets, need):
+        n_up = n
+        while n_up < n_need:
+            n_up *= 2
+        g_up = boundary_grid(grid.curve, n_up)
+        w = laplace._layer_weights(g_up, kind, y)
+        rows.append(np.fft.irfft(np.fft.rfft(w)[:n // 2 + 1], n))
+        dens = (laplace.trig_resample(density, n_up) if density_fn is None
+                else density_fn(g_up.t))
+        values.append(w @ dens)
+    return np.array(rows), np.array(values)
+
+
+@pytest.mark.parametrize("kind", ["single", "double"])
+@pytest.mark.parametrize("analytic", [False, True], ids=["resampled", "fn"])
+@pytest.mark.parametrize("curve", ["circle", "star"])
+def test_grouped_ladder_matches_the_per_target_loop(curve, kind, analytic):
+    grid = boundary_grid(make_curve(curve, **({"alpha": 0.2, "k": 5}
+                                              if curve == "star" else {})), 64)
+    rng = np.random.default_rng(11)
+    out = np.array([2.0, 0.5, 0.05, 0.003, 1e-3])
+    targets = np.concatenate([_targets_at(grid, out, 1.0, rng),
+                              _targets_at(grid, out[1:], -1.0, rng)])
+    targets = targets[rng.permutation(targets.shape[0])]
+    density_fn = (lambda t: np.cos(t) + 0.3 * np.sin(2 * t)) if analytic else None
+    density = np.cos(grid.t) + 0.3 * np.sin(2 * grid.t)
+    ref_rows, ref_values = _per_target_ladder(grid, kind, targets, density,
+                                              density_fn)
+    rows = laplace.layer_rows_offboundary(grid, kind, targets)
+    values = laplace.layer_potential_offboundary(grid, density, kind, targets,
+                                                 density_fn=density_fn)
+    assert np.abs(rows - ref_rows).max() <= 1e-13 * np.abs(ref_rows).max()
+    assert (np.abs(values - ref_values).max()
+            <= 1e-13 * np.abs(ref_values).max())
+
+
+@pytest.mark.parametrize("kind", ["single", "double"])
+def test_base_size_rows_are_the_layer_weights(circle64, kind):
+    # 2 and 3 from the circle: 8 L / d < 64, so no upsampling
+    targets = np.array([[3.0, 0.0], [0.5, -3.9], [-2.1, 2.1]])
+    assert np.array_equal(laplace.layer_rows_offboundary(circle64, kind, targets),
+                          laplace._layer_weights(circle64, kind, targets))
+    assert np.array_equal(laplace._layer_weights(circle64, kind, targets[1]),
+                          laplace._layer_weights(circle64, kind, targets)[1])
 
 
 def test_layer_rows_match_applied_potential(circle64):

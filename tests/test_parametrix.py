@@ -6,6 +6,8 @@ from bdie2d import laplace, parametrix
 from bdie2d.coefficient import make_coefficient
 from bdie2d.errors import SingularEvaluationError
 from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
+from bdie2d.system import assemble_system
+from bdie2d.verification import manufactured_case
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +200,30 @@ def test_constant_coefficient_double_layer_is_the_laplace_one(circle64, const,
     assert calls == ["double"]
     assert np.array_equal(got, layer(circle64, dens, "double", targets,
                                      density_fn=np.cos))
+
+
+def test_constant_coefficient_boundary_double_layer_is_the_laplace_one(
+        circle64, const):
+    assert np.array_equal(parametrix.double_layer_boundary(circle64, const),
+                          laplace.double_layer_matrix(circle64))
+
+
+@pytest.mark.parametrize("name,calls", [("laplace-dipole", 1),
+                                        ("bump-dipole", 2)])
+def test_single_layer_matrices_per_assembly(name, calls, monkeypatch):
+    case = manufactured_case(name)
+    grid = boundary_grid(case.curve, 16)
+    mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 16, m_theta=16)
+    made = []
+    matrix = laplace.single_layer_matrix
+
+    def counted(g):
+        made.append(g.n)
+        return matrix(g)
+
+    monkeypatch.setattr(laplace, "single_layer_matrix", counted)
+    assemble_system(case.problem(), grid, mesh)
+    assert made == [16] * calls
 
 
 def test_remainder_kernel_closed_form(bump):
