@@ -202,10 +202,10 @@ def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
 _LADDER_CAP = 1 << 16
 # entries of the largest (targets, nodes) weight block the ladder forms
 _BLOCK_SIZE = 1 << 20
-# distance_to_curve compares _DISTANCE_CHUNK targets at a time with the
-# grid nodes, samples the curve at _FOOT_OFFSETS node spacings about each
-# candidate node (an odd count: the node is a sample) and takes at most
-# _NEWTON_STEPS Newton steps from the nearest sample
+# distance_to_curve takes _DISTANCE_CHUNK targets at a time, samples the
+# curve at _FOOT_OFFSETS node spacings about each candidate node (an odd
+# count: the node is a sample) and takes at most _NEWTON_STEPS Newton
+# steps from the nearest sample
 _DISTANCE_CHUNK = 64
 _FOOT_OFFSETS = np.linspace(-1.0, 1.0, 17)
 _NEWTON_STEPS = 6
@@ -225,29 +225,27 @@ def distance_to_curve(grid: BoundaryGrid, targets):
     sample distance.  The cost is O(m n) for m targets.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    x = grid.points
-    reach = np.pi / grid.n * grid.speeds.max()
-    pair_i, pair_j = [], []
+    x, h = grid.points, _TWO_PI / grid.n
+    reach = 0.5 * h * grid.speeds.max()
+    start, d2 = np.empty(pts.shape[0]), np.empty(pts.shape[0])
     for s in range(0, pts.shape[0], _DISTANCE_CHUNK):
         chunk = pts[s:s + _DISTANCE_CHUNK]
         z2 = ((x[None, :, 0] - chunk[:, None, 0]) ** 2
               + (x[None, :, 1] - chunk[:, None, 1]) ** 2)
         near = (np.sqrt(z2.min(axis=1)) + reach) ** 2
+        # (target, candidate node) pairs, target by target, each target
+        # with at least its nearest node
         i, j = np.nonzero(z2 <= near[:, None])
-        pair_i.append(i + s)
-        pair_j.append(j)
-    # pairs run target by target, each target with at least its nearest node
-    pair_i = np.concatenate(pair_i)
-    t = (grid.t[np.concatenate(pair_j), None]
-         + (_TWO_PI / grid.n) * _FOOT_OFFSETS)
-    z = grid.curve.position(t.ravel()) - np.repeat(pts[pair_i],
-                                                   _FOOT_OFFSETS.size, axis=0)
-    z2 = (z[:, 0] ** 2 + z[:, 1] ** 2).reshape(t.shape)
-    k = z2.argmin(axis=1)
-    z2 = z2[np.arange(k.size), k]
-    best = np.lexsort((z2, pair_i))[np.flatnonzero(np.diff(pair_i, prepend=-1))]
-    return np.fmin(np.sqrt(z2[best]),
-                   _foot_distance(grid.curve, pts, t[best, k[best]]))
+        t = grid.t[j, None] + h * _FOOT_OFFSETS
+        pos = grid.curve.position(t.ravel())
+        z2 = ((pos[:, 0].reshape(t.shape) - chunk[i, 0, None]) ** 2
+              + (pos[:, 1].reshape(t.shape) - chunk[i, 1, None]) ** 2)
+        k = z2.argmin(axis=1)
+        pair_d2 = z2[np.arange(k.size), k]
+        best = np.lexsort((pair_d2, i))[np.flatnonzero(np.diff(i, prepend=-1))]
+        start[s:s + _DISTANCE_CHUNK] = t[best, k[best]]
+        d2[s:s + _DISTANCE_CHUNK] = pair_d2[best]
+    return np.fmin(np.sqrt(d2), _foot_distance(grid.curve, pts, start))
 
 
 def _foot_distance(curve: CurveParametrization, targets, s):
