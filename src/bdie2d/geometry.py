@@ -23,9 +23,8 @@ import numpy as np
 from .errors import DiscretizationError, GeometryError, UnknownCatalogError
 
 _TWO_PI = 2.0 * np.pi
-# curve samples taken by circumradius and winding_number
+# curve samples taken by circumradius
 _N_CIRCUMRADIUS = 1024
-_N_WINDING = 2048
 
 
 class CurveParametrization:
@@ -34,16 +33,15 @@ class CurveParametrization:
     position, derivative and second_derivative map arrays of parameter
     values to arrays of shape (n, 2).  ``radial_profile`` gives the curve
     radius as a function of the polar angle (star-shaped curves only) and
-    is required for domain meshing.
+    is required for domain meshing and ``is_inside_bounded``.
     """
 
     def __init__(self, position, derivative, second_derivative,
-                 radial_profile=None, analytic=True, name="curve"):
+                 radial_profile=None, name="curve"):
         self.position = position
         self.derivative = derivative
         self.second_derivative = second_derivative
         self.radial_profile = radial_profile
-        self.analytic = bool(analytic)
         self.name = name
         self._validate()
 
@@ -107,22 +105,13 @@ class CurveParametrization:
         x = self.position(t)
         return float(np.hypot(x[:, 0], x[:, 1]).max())
 
-    def winding_number(self, point) -> float:
-        """Winding of the sampled curve about ``point`` (1 inside, 0 outside)."""
-        t = np.linspace(0.0, _TWO_PI, _N_WINDING, endpoint=False)
-        z = self.position(t) - np.asarray(point, dtype=float)
-        ang = np.arctan2(z[:, 1], z[:, 0])
-        dang = np.diff(np.concatenate([ang, ang[:1]]))
-        dang = (dang + np.pi) % _TWO_PI - np.pi
-        return float(np.round(dang.sum() / _TWO_PI))
-
     def is_inside_bounded(self, points) -> np.ndarray:
         """True for points lying in the bounded complement Omega^-."""
+        if self.radial_profile is None:
+            raise GeometryError("inside test requires a radial profile")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.radial_profile is not None:
-            theta = np.arctan2(pts[:, 1], pts[:, 0])
-            return np.hypot(pts[:, 0], pts[:, 1]) < self.radial_profile(theta)
-        return np.array([abs(self.winding_number(p)) > 0.5 for p in pts])
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        return np.hypot(pts[:, 0], pts[:, 1]) < self.radial_profile(theta)
 
 
 def make_curve(name: str, **params) -> CurveParametrization:
@@ -213,12 +202,16 @@ class BoundaryGrid:
         return float(self.weights.sum())
 
     def refined(self, n_up: int) -> "BoundaryGrid":
-        """The grid of ``n_up`` nodes on the same curve, built once per
-        grid; ``n_up == n`` gives the grid itself."""
+        """The grid of ``n_up`` = n 2^k nodes on the same curve, built once
+        per grid; ``n_up == n`` gives the grid itself.  A grid whose normals
+        are not the curve's raises GeometryError."""
         if n_up == self.n:
             return self
         if n_up not in self._refined:
-            self._refined[n_up] = boundary_grid(self.curve, n_up)
+            fine = boundary_grid(self.curve, n_up)
+            if not np.array_equal(fine.normals[::n_up // self.n], self.normals):
+                raise GeometryError("grid normals differ from the curve's")
+            self._refined[n_up] = fine
         return self._refined[n_up]
 
 

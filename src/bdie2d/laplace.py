@@ -4,8 +4,8 @@ Boundary operators on a periodic Nystroem grid:
 
 * single layer: Martensen-Kussmaul/Kress splitting of the log kernel,
   spectrally accurate on analytic curves;
-* double layer and its adjoint: continuous kernels with the curvature
-  diagonal limit (needs a C^2 curve);
+* double layer: continuous kernel with the curvature diagonal limit
+  (needs a C^2 curve);
 * hypersingular operator: tangential-derivative (Maue) regularization
   through the single layer.
 
@@ -71,36 +71,11 @@ _TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 # fundamental solution
 
-def fundamental_solution(x, y):
-    """Laplace fundamental solution P(x - y) with both gradients.
-
-    Returns (value, grad_x, grad_y); value = log|x - y| / (2 pi).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.atleast_2d(x - y)
-    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-    if np.any(r2 == 0.0):
-        raise SingularEvaluationError("fundamental solution evaluated at x == y")
-    value = np.log(r2) / (2.0 * _TWO_PI)
-    grad_x = z / (_TWO_PI * r2[:, None])
-    if x.ndim == 1 and y.ndim == 1:
-        return float(value[0]), grad_x[0], -grad_x[0]
-    return value, grad_x, -grad_x
-
-
 def _kernel_value(x, y):
     """P(x - y) for x of shape (m, 2) and a single target y."""
     z = x - y
     r2 = z[:, 0] ** 2 + z[:, 1] ** 2
     return np.log(r2) / (2.0 * _TWO_PI)
-
-
-def _kernel_grad_y(x, y):
-    """grad_y P(x - y) = (y - x) / (2 pi |x - y|^2), shape (m, 2)."""
-    z = y - x
-    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-    return z / (_TWO_PI * r2[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +126,6 @@ def kress_log_weights(grid: BoundaryGrid) -> np.ndarray:
 
 def single_layer_matrix(grid: BoundaryGrid) -> np.ndarray:
     """Direct value of the single layer on the grid (Kress quadrature)."""
-    if not grid.curve.analytic:
-        raise SingularEvaluationError(
-            "log-quadrature single layer requires the analytic-curve flag")
     n = grid.n
     x = grid.points
     dt = grid.t[:, None] - grid.t[None, :]
@@ -180,12 +152,6 @@ def double_layer_matrix(grid: BoundaryGrid) -> np.ndarray:
     kappa_term = grid.curve.curvature_term(grid.t)
     np.fill_diagonal(ker, kappa_term / (2.0 * _TWO_PI))
     return ker * (_TWO_PI / grid.n)
-
-
-def adjoint_double_layer_matrix(grid: BoundaryGrid) -> np.ndarray:
-    """Direct value of the adjoint double layer (transpose kernel, same diagonal)."""
-    return (double_layer_matrix(grid).T
-            * grid.speeds[None, :] / grid.speeds[:, None])
 
 
 def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
@@ -590,25 +556,19 @@ def _volume_apply(mesh: DomainMesh, targets, terms_fn, *, rows=False,
     return out, np.asarray(vals) if values else None
 
 
-def newtonian_potential(mesh: DomainMesh, targets, *, g_fn,
-                        want_gradient=False):
-    """Newtonian potential int P(x - y) g(x) dx over the mesh, with gradient.
+def newtonian_potential(mesh: DomainMesh, targets, *, g_fn):
+    """Newtonian potential int P(x - y) g(x) dx over the mesh.
 
     The density ``g_fn(points)`` is evaluated analytically at the
     quadrature points of each target's near/far rule; ``g_fn`` None
     declares a zero density, whose potential is zero without any rule.
-    Returns values (m,), or (values, gradients (m, 2)) if requested.
+    Returns values (m,).
     """
     if g_fn is None:
-        m = np.atleast_2d(targets).shape[0]
-        return (np.zeros(m), np.zeros((m, 2))) if want_gradient else np.zeros(m)
-    if not want_gradient:
-        fn = lambda x, y: (None, g_fn(x) * _kernel_value(x, y))
-    else:
-        fn = lambda x, y: (None, g_fn(x)[:, None] * np.column_stack(
-            [_kernel_value(x, y), _kernel_grad_y(x, y)]))
-    vals = _volume_apply(mesh, targets, fn, values=True)[1]
-    return vals if not want_gradient else (vals[:, 0], vals[:, 1:])
+        return np.zeros(np.atleast_2d(targets).shape[0])
+    return _volume_apply(mesh, targets,
+                         lambda x, y: (None, g_fn(x) * _kernel_value(x, y)),
+                         values=True)[1]
 
 
 def domain_rows(mesh: DomainMesh, targets, kernel_fn, *, near_targets=None,

@@ -10,12 +10,9 @@ so every variable-coefficient potential reduces to a constant-coefficient
 one acting on a rescaled density, plus boundary corrections involving the
 normal derivative of ln a:
 
-    volume:        Q rho       = Q_L(rho / a)
-    single layer:  V rho       = V_L(rho / a)
-    double layer:  W tau       = W_L tau - V_L(tau d(ln a)/dn)
-    adjoint layer: W' rho      = a W'_L(rho / a)
-    hypersingular: Lhat rho    = a L_L rho
-    one-sided:     L(+/-) rho  = Lhat rho - a T(+/-)_L V_L(rho d(ln a)/dn)
+    volume:        Q rho  = Q_L(rho / a)
+    single layer:  V rho  = V_L(rho / a)
+    double layer:  W tau  = W_L tau - V_L(tau d(ln a)/dn)
 
 (the _L suffix marks the Laplace operators from laplace.py).  Applying
 div(a grad .) to the parametrix leaves the remainder kernel
@@ -35,15 +32,6 @@ from .coefficient import CoefficientField
 from .geometry import BoundaryGrid, DomainMesh
 
 _TWO_PI = 2.0 * np.pi
-
-
-def parametrix(field: CoefficientField, x, y):
-    """P(x, y) = P_L(x - y) / a(x) for source x and target y."""
-    xx = np.atleast_2d(np.asarray(x, dtype=float))
-    val = laplace._kernel_value(xx, np.asarray(y, dtype=float))
-    a, _, _ = field.eval(xx)
-    out = val / a
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
 def _boundary_data(field: CoefficientField, grid: BoundaryGrid):
@@ -203,26 +191,6 @@ def double_layer_boundary(grid: BoundaryGrid, field: CoefficientField):
             - laplace.single_layer_matrix(grid) * dln[None, :])
 
 
-def adjoint_double_layer_boundary(grid: BoundaryGrid, field: CoefficientField):
-    a, _ = _boundary_data(field, grid)
-    return a[:, None] * laplace.adjoint_double_layer_matrix(grid) / a[None, :]
-
-
-def hypersingular_boundary(grid: BoundaryGrid, field: CoefficientField):
-    """Two-sided part Lhat = a L_L (equal one-sided limits when a is flat)."""
-    a, _ = _boundary_data(field, grid)
-    return a[:, None] * laplace.hypersingular_matrix(grid)
-
-
-def hypersingular_trace(grid: BoundaryGrid, field: CoefficientField, side=+1):
-    """One-sided hypersingular trace L(+/-); side=+1 is the exterior limit."""
-    a, dln = _boundary_data(field, grid)
-    t_v = (0.5 * side * np.eye(grid.n)
-           + laplace.adjoint_double_layer_matrix(grid))
-    return hypersingular_boundary(grid, field) \
-        - a[:, None] * (t_v * dln[None, :])
-
-
 # ---------------------------------------------------------------------------
 # off-boundary layer potentials
 
@@ -258,14 +226,6 @@ def single_layer_rows_offboundary(grid: BoundaryGrid, field: CoefficientField,
                                   targets):
     a, _ = _boundary_data(field, grid)
     return laplace.layer_rows_offboundary(grid, "single", targets) / a[None, :]
-
-
-def double_layer_rows_offboundary(grid: BoundaryGrid, field: CoefficientField,
-                                  targets):
-    a, dln = _boundary_data(field, grid)
-    return (laplace.layer_rows_offboundary(grid, "double", targets)
-            - laplace.layer_rows_offboundary(grid, "single", targets)
-            * dln[None, :])
 
 
 def conormal_derivative(field: CoefficientField, points, normals, gradients):

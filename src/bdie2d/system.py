@@ -121,17 +121,6 @@ class BdieSolution:
                                              sys_.mesh, targets, sys_.dom_idx)
         return f0 - r_rows @ self.u_dom + v_rows @ self.psi
 
-    def u_mesh(self):
-        """u at every mesh node: solved values inside the coefficient
-        support, reconstruction elsewhere."""
-        out = np.empty(self.system.mesh.n_nodes)
-        out[self.system.dom_idx] = self.u_dom
-        rest = np.setdiff1d(np.arange(self.system.mesh.n_nodes),
-                            self.system.dom_idx)
-        if rest.size:
-            out[rest] = self.evaluate(self.system.mesh.points[rest])
-        return out
-
 
 def _representation(problem: DirichletProblem, grid: BoundaryGrid,
                     mesh: DomainMesh, targets, dom_idx):

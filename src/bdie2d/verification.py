@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import laplace, parametrix
+from . import parametrix
 from .coefficient import CoefficientField, make_coefficient, weight
 from .errors import UnknownCatalogError, VerificationError
 from .geometry import boundary_grid, domain_mesh, make_curve
@@ -498,16 +498,6 @@ def sobolev_scaling_matrix(n, p):
     return np.real(np.fft.ifft(mult[:, None] * f, axis=0))
 
 
-def fourier_symbol_check(grid):
-    """Distance of the raw single-layer spectrum on the circle from the
-    symbol 1/(2 n): max over n = 1..N/2-1 of the paired singular values."""
-    v = laplace.single_layer_matrix(grid)
-    sv = np.sort(np.linalg.svd(v, compute_uv=False))[::-1]
-    n_half = grid.n // 2
-    target = np.repeat(1.0 / (2.0 * np.arange(1, n_half)), 2)
-    return float(np.abs(sv[: target.size] - target).max())
-
-
 def weighted_system_condition(system):
     """Condition number after symmetric Sobolev rescaling of the boundary
     rows and the conormal-density columns (order +-1/4)."""
@@ -530,7 +520,7 @@ def single_layer_sigma_min(v_matrix, weights):
     return float(sv.min())
 
 
-def conditioning_study(problem_factory, n_values, *, mesh_factory=None):
+def conditioning_study(problem_factory, n_values):
     """Assemble the system across boundary resolutions and record the
     rescaled condition number and single-layer sigma_min (CSV columns
     N, cond_M, sigma_min_V)."""

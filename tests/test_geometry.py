@@ -7,7 +7,8 @@ from scipy.special import ellipe
 
 from bdie2d.errors import (DiscretizationError, GeometryError,
                            UnknownCatalogError)
-from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
+from bdie2d.geometry import (CurveParametrization, boundary_grid, domain_mesh,
+                             make_curve)
 
 
 def test_circle_grid_length():
@@ -40,6 +41,14 @@ def test_normals_point_into_bounded_complement(name, params):
     assert np.all(curve.is_inside_bounded(inside))
     outside = grid.points - 0.05 * grid.normals
     assert not np.any(curve.is_inside_bounded(outside))
+
+
+def test_inside_test_requires_a_radial_profile():
+    circle = make_curve("circle")
+    curve = CurveParametrization(circle.position, circle.derivative,
+                                 circle.second_derivative)
+    with pytest.raises(GeometryError):
+        curve.is_inside_bounded([[0.0, 0.0]])
 
 
 def test_refined_grid_is_built_once_per_grid():

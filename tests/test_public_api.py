@@ -1,0 +1,73 @@
+"""Every public function and method of the library has a caller.
+
+A public module-level function or method of ``src/bdie2d`` must be named
+somewhere in ``src/bdie2d/*.py`` or ``perfbench/*.py`` outside its own
+definition: as a name, an attribute, or a word of a string constant (the
+benchmark tracer patches methods by name).  Docstrings do not count, and
+neither do the tests: an operator only its own test reaches is dead API.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "bdie2d").glob("*.py"))
+CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _docstrings(tree):
+    """ids of the string constants that are docstrings."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                out.add(id(first.value))
+    return out
+
+
+def _references(node, docstrings):
+    """Names, attributes and string-constant words used under ``node``."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and id(sub) not in docstrings):
+            refs.update(re.findall(r"\w+", sub.value))
+    return refs
+
+
+def _public_definitions(tree):
+    """(qualified name, def node) of public module-level functions and
+    public methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_function_and_method_has_a_caller():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    docstrings = {path: _docstrings(tree) for path, tree in trees.items()}
+    refs = Counter()
+    for path, tree in trees.items():
+        refs.update(_references(tree, docstrings[path]))
+    dead = []
+    for path in LIBRARY:
+        for qualname, node in _public_definitions(trees[path]):
+            own = _references(node, docstrings[path])[node.name]
+            if refs[node.name] - own == 0:
+                dead.append(f"{path.stem}.{qualname}")
+    assert not dead, "public API without a caller: " + ", ".join(dead)

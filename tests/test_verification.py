@@ -156,11 +156,6 @@ def test_sobolev_scaling_matrix_is_fourier_multiplier():
         assert_allclose(s @ mode, (1 + k ** 2) ** p * mode, atol=1e-12)
 
 
-def test_fourier_symbol_check_on_circle():
-    grid = boundary_grid(make_curve("circle"), 64)
-    assert vf.fourier_symbol_check(grid) <= 1e-10
-
-
 @pytest.mark.parametrize("curve_name,params", [
     ("circle", {}),
     ("ellipse", {"a": 1.5, "b": 1.0}),
