@@ -16,7 +16,7 @@ mesh construction relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -193,26 +193,14 @@ class BoundaryGrid:
     normals: np.ndarray    # (n, 2), pointing into Omega^-
     speeds: np.ndarray     # (n,)
     weights: np.ndarray    # (n,) trapezoidal arc-length weights
-    # upsampled grids of the same curve by node count, built on first use
-    _refined: dict = field(default_factory=dict, init=False, compare=False,
-                           repr=False)
+    # operator data built from the grid on first use (laplace's Cauchy
+    # diagonal)
+    memo: dict = field(default_factory=dict, init=False, compare=False,
+                       repr=False)
 
     @property
     def length(self) -> float:
         return float(self.weights.sum())
-
-    def refined(self, n_up: int) -> "BoundaryGrid":
-        """The grid of ``n_up`` = n 2^k nodes on the same curve, built once
-        per grid; ``n_up == n`` gives the grid itself.  A grid whose normals
-        are not the curve's raises GeometryError."""
-        if n_up == self.n:
-            return self
-        if n_up not in self._refined:
-            fine = boundary_grid(self.curve, n_up)
-            if not np.array_equal(fine.normals[::n_up // self.n], self.normals):
-                raise GeometryError("grid normals differ from the curve's")
-            self._refined[n_up] = fine
-        return self._refined[n_up]
 
 
 def boundary_grid(curve: CurveParametrization, n: int) -> BoundaryGrid:

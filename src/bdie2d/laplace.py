@@ -43,17 +43,38 @@ and fine points (``newtonian_potential``, ``parametrix.remainder_apply``).
 one evaluation per point, which is how ``parametrix.volume_terms`` yields
 the remainder rows and the volume potential of a source together.
 
-Every off-boundary layer potential uses one upsampling ladder
-(``_ladder``): each target gets the trapezoid rule on the boundary grid
-doubled until it resolves the target's distance to the curve, and a
-target that would need more than _LADDER_CAP nodes is rejected.  The
-distance (``distance_to_curve``) starts from the grid's own nodes and
-ends with Newton steps to the foot point, O(m N) for m targets.  The
-targets are grouped by ladder size: each size's grid is built once per
-boundary grid (``BoundaryGrid.refined``) and its weights form one block,
-applied to the density resampled once per size (values) or, off the base
-size, folded back onto the boundary nodes through the FFT adjoint of
-trigonometric interpolation (rows).
+Every off-boundary layer potential is a block of rows on the boundary
+grid's own nodes (``_rows``).  A target at distance d from the nearest
+node keeps the trapezoid weights (``_layer_weights``) while
+8 L / d <= n (L the curve length); a nearer one gets the globally
+compensated Cauchy formula for the periodic trapezoid rule (Helsing &
+Ojala, J. Comput. Phys. 227, 2008).  With the nodes zeta_j as complex
+numbers, dzeta_j = -i n_j w_j (the counter-clockwise element whatever
+the orientation of the curve), h = 2 pi / n and
+C[g](z) = (1 / 2 pi i) oint g dzeta / (zeta - z):
+
+* the boundary values of C[g] from the side of z are
+  v = [z inside] g + K g + (h / 2 pi i) g_t, with
+  (K g)_i = (1 / 2 pi i) sum_{j != i} (g_j - g_i) dzeta_j / (zeta_j - zeta_i)
+  and g_t the spectral t-derivative;
+* with b_j = dzeta_j / (zeta_j - z),
+  C[g](z) = sum_j b_j v_j / (sum_j b_j - 2 pi i [z outside]);
+* the double layer is D tau = Re C[tau];
+* the single layer is a Cauchy integral of a real density (Barnett,
+  SIAM J. Sci. Comput. 36, 2014).  The origin lies inside every
+  catalogue curve, which is star-shaped about it; with the outward normal
+  nu = -n, mu = nu . zeta / (2 pi |zeta|^2), Q = w . sigma / w . mu, phi
+  the spectral antiderivative of (sigma - Q mu) |zeta'(t)| and
+  omega = log|zeta| / (2 pi),
+  S sigma(z) = -Im C[phi](z) - Q (Re C[omega](z) + [z outside] omega(z)).
+
+A clockwise parametrization turns the sign of g_t and phi.  The rows
+compose b with these linear maps.  By partial fractions,
+(b K)_j = b_j ((S - b_j) / (2 pi i) + 2 K_jj) with S = sum_i b_i, so only
+the diagonal of K is kept, built once per grid (``BoundaryGrid.memo``),
+and a target costs O(n); g_t and the antiderivative act on the rows by
+FFT.  A target on a node or within 8 eps r of the curve's radial profile
+is rejected.
 """
 
 from __future__ import annotations
@@ -63,7 +84,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GeometryError, SingularEvaluationError
-from .geometry import BoundaryGrid, CurveParametrization, DomainMesh
+from .geometry import BoundaryGrid, DomainMesh
 
 _TWO_PI = 2.0 * np.pi
 
@@ -80,19 +101,6 @@ def _kernel_value(x, y):
 
 # ---------------------------------------------------------------------------
 # periodic spectral helpers
-
-def trig_resample(values: np.ndarray, n_up: int) -> np.ndarray:
-    """Trigonometric interpolation of periodic nodal data (along axis 0)
-    onto n_up nodes."""
-    n = values.shape[0]
-    if n_up == n:
-        return values.copy()
-    spec = np.fft.rfft(values, axis=0)
-    spec[n // 2] *= 0.5  # old Nyquist mode is now an interior mode
-    out = np.fft.irfft(spec, n_up, axis=0)  # zero-pads the spectrum
-    out *= n_up / n
-    return out
-
 
 def fourier_diff_matrix(n: int) -> np.ndarray:
     """Spectral differentiation matrix for even n on equispaced [0, 2 pi)."""
@@ -164,76 +172,6 @@ def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # off-boundary layer potentials
 
-# a target needing more ladder nodes than this is rejected
-_LADDER_CAP = 1 << 16
-# entries of the largest (targets, nodes) weight block the ladder forms
-_BLOCK_SIZE = 1 << 20
-# distance_to_curve takes _DISTANCE_CHUNK targets at a time, samples the
-# curve at _FOOT_OFFSETS node spacings about each candidate node (an odd
-# count: the node is a sample) and takes at most _NEWTON_STEPS Newton
-# steps from the nearest sample
-_DISTANCE_CHUNK = 64
-_FOOT_OFFSETS = np.linspace(-1.0, 1.0, 17)
-_NEWTON_STEPS = 6
-
-
-def distance_to_curve(grid: BoundaryGrid, targets):
-    """Distance from each finite target to the curve of ``grid``.
-
-    The foot point's nearest node in parameter is at most
-    max(speed) pi / n farther from the target than the nearest node, so
-    every node within that margin is a candidate.  The curve is sampled
-    across the two node intervals about each candidate, and Newton steps
-    (_foot_distance) start at the target's nearest sample; the smaller of
-    the sample and Newton distances is kept.  Every point of the curve is
-    at least as far as the nearest one, so the result never undershoots; a
-    degenerate step (the centre of a circle) gives NaN and leaves the
-    sample distance.  The cost is O(m n) for m targets.
-    """
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    x, h = grid.points, _TWO_PI / grid.n
-    reach = 0.5 * h * grid.speeds.max()
-    start, d2 = np.empty(pts.shape[0]), np.empty(pts.shape[0])
-    for s in range(0, pts.shape[0], _DISTANCE_CHUNK):
-        chunk = pts[s:s + _DISTANCE_CHUNK]
-        z2 = ((x[None, :, 0] - chunk[:, None, 0]) ** 2
-              + (x[None, :, 1] - chunk[:, None, 1]) ** 2)
-        near = (np.sqrt(z2.min(axis=1)) + reach) ** 2
-        # (target, candidate node) pairs, target by target, each target
-        # with at least its nearest node
-        i, j = np.nonzero(z2 <= near[:, None])
-        t = grid.t[j, None] + h * _FOOT_OFFSETS
-        pos = grid.curve.position(t.ravel())
-        z2 = ((pos[:, 0].reshape(t.shape) - chunk[i, 0, None]) ** 2
-              + (pos[:, 1].reshape(t.shape) - chunk[i, 1, None]) ** 2)
-        k = z2.argmin(axis=1)
-        pair_d2 = z2[np.arange(k.size), k]
-        best = np.lexsort((pair_d2, i))[np.flatnonzero(np.diff(i, prepend=-1))]
-        start[s:s + _DISTANCE_CHUNK] = t[best, k[best]]
-        d2[s:s + _DISTANCE_CHUNK] = pair_d2[best]
-    return np.fmin(np.sqrt(d2), _foot_distance(grid.curve, pts, start))
-
-
-def _foot_distance(curve: CurveParametrization, targets, s):
-    """Distance from targets to the curve points reached by Newton on
-    (x(t) - y) . x'(t) = 0 from the parameters s.  It stops after
-    _NEWTON_STEPS steps, or once no step exceeds 1e-8: the error is then
-    about the square of the last step, and the distance, stationary at the
-    foot point, moves by less still."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            z = curve.position(s) - targets
-            dx, ddx = curve.derivative(s), curve.second_derivative(s)
-            step = (z[:, 0] * dx[:, 0] + z[:, 1] * dx[:, 1]) / (
-                dx[:, 0] ** 2 + dx[:, 1] ** 2
-                + z[:, 0] * ddx[:, 0] + z[:, 1] * ddx[:, 1])
-            s = s - step
-            if not (np.abs(step) > 1e-8).any():
-                break
-        z = curve.position(s) - targets
-    return np.hypot(z[:, 0], z[:, 1])
-
-
 def _layer_weights(grid: BoundaryGrid, kind: str, y) -> np.ndarray:
     """Trapezoid weights of the single or double layer at targets y, an
     (m, 2) block or a single point: the layer potential of nodal density
@@ -252,73 +190,104 @@ def _layer_weights(grid: BoundaryGrid, kind: str, y) -> np.ndarray:
     return -grid.weights * ker
 
 
-def _ladder(grid: BoundaryGrid, kind: str, targets):
-    """The upsampling ladder behind every off-boundary layer potential.
+def _complex(xy):
+    return xy[..., 0] + 1j * xy[..., 1]
 
-    A target at distance d from the curve gets the trapezoid rule on the
-    grid doubled until it has 8 L / d nodes (L the curve length).  Targets
-    that are not finite, lie on the curve, or need more than _LADDER_CAP
-    nodes are rejected.  Yields, for each ladder size, the upsampled grid
-    (``grid.refined``), the indices of its targets and their
-    _layer_weights as one (m_g, n_up) block, split so that no block
-    exceeds _BLOCK_SIZE entries.
-    """
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    if not np.isfinite(pts).all():
-        raise GeometryError("off-boundary evaluation target is not finite")
-    dists = distance_to_curve(grid, pts)
-    if np.any(dists == 0.0):
+
+def _times_derivative(rows, power):
+    """rows @ D^power, D the spectral t-derivative (power 1) or the
+    antiderivative of mean-free data (power -1), both with the Nyquist mode
+    dropped.  D^power is antisymmetric, so this is minus D^power applied
+    to each row, by FFT."""
+    k = np.fft.fftfreq(rows.shape[1], 1.0 / rows.shape[1])
+    k[rows.shape[1] // 2] = 0.0
+    symbol = np.zeros(k.size, dtype=complex)
+    symbol[k != 0] = (1j * k[k != 0]) ** power
+    return -np.fft.ifft(np.fft.fft(rows, axis=1) * symbol, axis=1)
+
+
+def _cauchy_diagonal(grid: BoundaryGrid):
+    """The diagonal of K (module docstring) and the orientation of the
+    nodes (1 for counter-clockwise), built once per grid.  A grid whose
+    normals are not the curve's raises GeometryError."""
+    if "cauchy" not in grid.memo:
+        if not np.array_equal(grid.curve.evaluate(grid.t)[2], grid.normals):
+            raise GeometryError("grid normals differ from the curve's")
+        z = _complex(grid.points)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = (-1j * _complex(grid.normals) * grid.weights) / (z - z[:, None])
+        np.fill_diagonal(k, 0.0)
+        # the sign of the area the nodes enclose
+        orient = np.sign((np.conj(z) * np.roll(z, -1)).imag.sum())
+        grid.memo["cauchy"] = -k.sum(axis=1) / (2j * np.pi), orient
+    return grid.memo["cauchy"]
+
+
+def _close_rows(grid: BoundaryGrid, kind: str, y, diff) -> np.ndarray:
+    """Rows of the single or double layer at targets y near the curve, by
+    the compensated Cauchy formula of the module docstring; ``diff`` holds
+    zeta_j - z for each target and node."""
+    curve = grid.curve
+    inside = curve.is_inside_bounded(y)  # raises without a radial profile
+    r = np.hypot(y[:, 0], y[:, 1])
+    band = np.abs(r - curve.radial_profile(np.arctan2(y[:, 1], y[:, 0])))
+    if np.any(band <= 8.0 * np.finfo(float).eps * r) or not diff.all():
         raise SingularEvaluationError("off-boundary evaluation target lies on S")
-    need = 8.0 * grid.length / dists
-    if need.max() > _LADDER_CAP:
-        raise SingularEvaluationError(
-            f"off-boundary target {dists.min():.2e} from S needs "
-            f"{need.max():.3g} ladder nodes, more than {_LADDER_CAP}")
-    n_up = np.full(pts.shape[0], grid.n)
-    while (short := n_up < need).any():
-        n_up[short] *= 2
-    for size in np.unique(n_up):
-        g_up = grid.refined(int(size))
-        idx = np.flatnonzero(n_up == size)
-        step = max(1, _BLOCK_SIZE // g_up.n)
-        for s in range(0, idx.size, step):
-            yield g_up, idx[s:s + step], _layer_weights(g_up, kind,
-                                                         pts[idx[s:s + step]])
+    k_diag, orient = _cauchy_diagonal(grid)
+    b = (-1j * _complex(grid.normals) * grid.weights) / diff
+    # S - b_j for each node j; the nearest node's term may dominate S, so
+    # its own sum leaves that term out rather than subtracting it
+    i, j = np.arange(b.shape[0]), np.abs(diff).argmin(axis=1)
+    nearest, b[i, j] = b[i, j], 0.0
+    others = b.sum(axis=1)
+    b[i, j] = nearest
+    s_minus = (others + nearest)[:, None] - b
+    s_minus[i, j] = others
+    # rows of C[g](y) = b @ v(g) / (S - 2 pi i [outside]), with
+    # v(g) = [inside] g + K g + (h / 2 pi i) g_t
+    c = (b * (s_minus / (2j * np.pi) + 2.0 * k_diag + inside[:, None])
+         + (orient * _TWO_PI / grid.n / (2j * np.pi))
+         * _times_derivative(b, 1))
+    c /= (others + nearest - 2j * np.pi * ~inside)[:, None]
+    if kind == "double":
+        return c.real
+    x = grid.points
+    mu = -(grid.normals * x).sum(axis=1) / (_TWO_PI * (x ** 2).sum(axis=1))
+    omega = np.log(np.hypot(x[:, 0], x[:, 1])) / _TWO_PI
+    # -Im C[phi] for phi = orient * antiderivative(speed (sigma - Q mu))
+    rows = -orient * _times_derivative(c.imag, -1).real * grid.speeds
+    q_part = rows @ mu + c.real @ omega
+    q_part[~inside] += np.log(r[~inside]) / _TWO_PI
+    return rows - q_part[:, None] * (grid.weights / (grid.weights @ mu))
 
 
-def layer_potential_offboundary(grid: BoundaryGrid, density, kind: str, targets,
-                                density_fn=None):
-    """Evaluate the single or double layer at off-boundary targets.
+def _rows(grid: BoundaryGrid, kind: str, targets) -> np.ndarray:
+    """Rows of the single or double layer at off-boundary targets: the
+    compensated Cauchy formula where the trapezoid rule would need more than
+    the grid's nodes (8 L / d > n, d the distance to the nearest node),
+    _layer_weights elsewhere."""
+    y = np.atleast_2d(np.asarray(targets, dtype=float))
+    if not np.isfinite(y).all():
+        raise GeometryError("off-boundary evaluation target is not finite")
+    diff = _complex(grid.points) - _complex(y)[:, None]
+    near = np.abs(diff).min(axis=1) * grid.n < 8.0 * grid.length
+    rows = np.empty((y.shape[0], grid.n))
+    rows[~near] = _layer_weights(grid, kind, y[~near])
+    if near.any():
+        rows[near] = _close_rows(grid, kind, y[near], diff[near])
+    return rows
 
-    ``density`` holds nodal values; near targets trigger evaluation on an
-    upsampled grid with the density either resampled trigonometrically or,
-    if ``density_fn(t)`` is given, evaluated analytically, once per size.
-    """
-    density = np.asarray(density, dtype=float)
-    upsampled = {grid.n: density}
-    out = np.empty((np.atleast_2d(targets).shape[0],) + density.shape[1:])
-    for g_up, idx, w in _ladder(grid, kind, targets):
-        if g_up.n not in upsampled:
-            upsampled[g_up.n] = (trig_resample(density, g_up.n)
-                                 if density_fn is None else density_fn(g_up.t))
-        out[idx] = w @ upsampled[g_up.n]
-    return out
+
+def layer_potential_offboundary(grid: BoundaryGrid, density, kind: str,
+                                targets):
+    """Evaluate the single or double layer of the nodal ``density`` (n,) or
+    (n, k) at off-boundary targets."""
+    return _rows(grid, kind, targets) @ np.asarray(density, dtype=float)
 
 
 def layer_rows_offboundary(grid: BoundaryGrid, kind: str, targets) -> np.ndarray:
-    """Matrix rows mapping nodal density values to off-boundary potentials.
-
-    A target's row is its upsampled weights w composed with trigonometric
-    interpolation, w @ trig_resample(I, n_up), formed as the inverse real
-    FFT of the first n/2 + 1 Fourier coefficients of w; on the grid itself
-    the row is w.
-    """
-    n = grid.n
-    rows = np.empty((np.atleast_2d(targets).shape[0], n))
-    for g_up, idx, w in _ladder(grid, kind, targets):
-        rows[idx] = w if g_up.n == n else np.fft.irfft(
-            np.fft.rfft(w, axis=1)[:, :n // 2 + 1], n, axis=1)
-    return rows
+    """Matrix rows mapping nodal density values to off-boundary potentials."""
+    return _rows(grid, kind, targets)
 
 
 # ---------------------------------------------------------------------------

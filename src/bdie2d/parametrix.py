@@ -195,31 +195,22 @@ def double_layer_boundary(grid: BoundaryGrid, field: CoefficientField):
 # off-boundary layer potentials
 
 def single_layer_offboundary(grid: BoundaryGrid, field: CoefficientField,
-                             density, targets, density_fn=None):
+                             density, targets):
     a, _ = _boundary_data(field, grid)
-    fn = None
-    if density_fn is not None:
-        fn = lambda t: density_fn(t) / field.eval(grid.curve.position(t))[0]
     return laplace.layer_potential_offboundary(grid, np.asarray(density) / a,
-                                               "single", targets, density_fn=fn)
+                                               "single", targets)
 
 
 def double_layer_offboundary(grid: BoundaryGrid, field: CoefficientField,
-                             density, targets, density_fn=None):
+                             density, targets):
     density = np.asarray(density, dtype=float)
-    w_part = laplace.layer_potential_offboundary(
-        grid, density, "double", targets, density_fn=density_fn)
+    w_part = laplace.layer_potential_offboundary(grid, density, "double",
+                                                 targets)
     if field.is_constant:
         return w_part  # d(ln a)/dn = 0: no single-layer correction
     _, dln = _boundary_data(field, grid)
-    corr_fn = None
-    if density_fn is not None:
-        def corr_fn(t):
-            pts, _, nrm, _ = grid.curve.evaluate(t)
-            return density_fn(t) * field.normal_log_derivative(pts, nrm)
-    v_part = laplace.layer_potential_offboundary(
-        grid, density * dln, "single", targets, density_fn=corr_fn)
-    return w_part - v_part
+    return w_part - laplace.layer_potential_offboundary(
+        grid, density * dln, "single", targets)
 
 
 def single_layer_rows_offboundary(grid: BoundaryGrid, field: CoefficientField,

@@ -108,8 +108,12 @@ class BdieSolution:
 
     def evaluate(self, targets):
         """u(y) = F0(y) - (R u)(y) + (V psi)(y) at targets in the exterior
-        domain; non-finite targets and targets on or inside the curve
-        raise GeometryError."""
+        domain, at any distance from the curve.  Non-finite targets, and
+        targets inside or on the curve by their mesh radius (rho <= 0),
+        raise GeometryError; an on-curve target whose rho rounds above
+        zero (within 8 eps |y| of the curve's radial profile) raises
+        SingularEvaluationError in the layer terms, before any volume rule
+        is built."""
         sys_ = self.system
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         if not np.isfinite(targets).all():
@@ -128,12 +132,11 @@ def _representation(problem: DirichletProblem, grid: BoundaryGrid,
     targets: remainder rows on the dom_idx nodes, single-layer rows, and
     F0 = (volume potential of f) - (double layer of phi0)."""
     field = problem.field
-    # layer terms first: their ladder rejects on-curve targets before any
-    # volume rule is built
+    # layer terms first: their side test rejects on-curve targets before
+    # any volume rule is built
     v_rows = parametrix.single_layer_rows_offboundary(grid, field, targets)
     w = parametrix.double_layer_offboundary(
-        grid, field, problem.dirichlet(grid.t), targets,
-        density_fn=problem.dirichlet)
+        grid, field, problem.dirichlet(grid.t), targets)
     r_rows, pf = parametrix.volume_terms(mesh, field, targets, dom_idx,
                                          rho_fn=problem.source)
     return r_rows, v_rows, pf - w

@@ -194,10 +194,10 @@ def green_identity_residuals(case: ManufacturedCase, points, *, n=64,
     interior = (case.exact_u(pts)
                 + parametrix.remainder_apply(mesh, case.field, pts,
                                              rho_fn=case.exact_u)
-                - parametrix.single_layer_offboundary(
-                    grid, case.field, psi, pts, density_fn=case.psi_exact)
-                + parametrix.double_layer_offboundary(
-                    grid, case.field, phi, pts, density_fn=case.dirichlet)
+                - parametrix.single_layer_offboundary(grid, case.field, psi,
+                                                      pts)
+                + parametrix.double_layer_offboundary(grid, case.field, phi,
+                                                      pts)
                 - parametrix.volume_potential(mesh, case.field, pts,
                                               rho_fn=case.source))
     trace = (0.5 * phi
@@ -290,8 +290,9 @@ def _is_radial(field):
 # ---------------------------------------------------------------------------
 # jump relations
 
-def _extrapolate_to_boundary(grid, field, density_fn, kind, side):
-    """Richardson-extrapolated one-sided limit of a layer potential.
+def _extrapolate_to_boundary(grid, field, rho, kind, side):
+    """Richardson-extrapolated one-sided limit of the layer potential of
+    nodal density rho.
 
     side=+1 approaches from the unbounded side (against the normal, which
     points into the bounded complement), side=-1 from the bounded side.
@@ -301,13 +302,11 @@ def _extrapolate_to_boundary(grid, field, density_fn, kind, side):
     for k, e in enumerate(eps):
         targets = grid.points - side * e * grid.normals
         if kind == "single":
-            vals[k] = parametrix.single_layer_offboundary(
-                grid, field, density_fn(grid.t), targets,
-                density_fn=density_fn)
+            vals[k] = parametrix.single_layer_offboundary(grid, field, rho,
+                                                          targets)
         elif kind == "double":
-            vals[k] = parametrix.double_layer_offboundary(
-                grid, field, density_fn(grid.t), targets,
-                density_fn=density_fn)
+            vals[k] = parametrix.double_layer_offboundary(grid, field, rho,
+                                                          targets)
         else:
             raise VerificationError(f"unknown layer kind {kind!r}")
     vander = np.vander(eps, _JUMP_LEVELS)
@@ -323,10 +322,8 @@ def jump_relation_check(grid, field, density_fn):
     w_direct = parametrix.double_layer_boundary(grid, field) @ rho
     out = {}
     for side, tag in ((+1, "exterior"), (-1, "interior")):
-        v_lim = _extrapolate_to_boundary(grid, field, density_fn, "single",
-                                         side)
-        w_lim = _extrapolate_to_boundary(grid, field, density_fn, "double",
-                                         side)
+        v_lim = _extrapolate_to_boundary(grid, field, rho, "single", side)
+        w_lim = _extrapolate_to_boundary(grid, field, rho, "double", side)
         out[f"single_{tag}"] = float(np.abs(v_lim - v_direct).max())
         expected = -side * 0.5 * rho + w_direct
         out[f"double_{tag}"] = float(np.abs(w_lim - expected).max())

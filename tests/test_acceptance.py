@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import yaml
 
-from bdie2d import parametrix
 from bdie2d import verification as vf
 from bdie2d.coefficient import make_coefficient
 from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
@@ -82,11 +81,10 @@ def test_criterion_03_gauss_identities():
             ("ellipse", {"a": 2.0, "b": 1.0}, (0.4, 0.2), (3.5, 1.0))):
         grid = boundary_grid(make_curve(name, **params), 128)
         ones = np.ones(grid.n)
-        one_fn = lambda t: np.ones_like(t)
         v_in = laplace.layer_potential_offboundary(
-            grid, ones, "double", np.array([inner]), density_fn=one_fn)[0]
+            grid, ones, "double", np.array([inner]))[0]
         v_out = laplace.layer_potential_offboundary(
-            grid, ones, "double", np.array([outer]), density_fn=one_fn)[0]
+            grid, ones, "double", np.array([outer]))[0]
         v_on = laplace.double_layer_matrix(grid) @ ones
         worst = max(worst, abs(v_in - 1.0), abs(v_out),
                     float(np.abs(v_on - 0.5).max()))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -49,17 +47,6 @@ def test_inside_test_requires_a_radial_profile():
                                  circle.second_derivative)
     with pytest.raises(GeometryError):
         curve.is_inside_bounded([[0.0, 0.0]])
-
-
-def test_refined_grid_is_built_once_per_grid():
-    curve = make_curve("star", alpha=0.2, k=5)
-    grid = boundary_grid(curve, 32)
-    fine = grid.refined(256)
-    assert grid.refined(256) is fine and grid.refined(32) is grid
-    ref = boundary_grid(curve, 256)
-    for name in ("t", "points", "normals", "speeds", "weights"):
-        assert np.array_equal(getattr(fine, name), getattr(ref, name))
-    assert dataclasses.replace(grid).refined(256) is not fine
 
 
 def test_boundary_grid_rejects_bad_n():

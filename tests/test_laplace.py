@@ -41,11 +41,9 @@ def test_gauss_identity_off_boundary(name, params, inner, outer):
     grid = boundary_grid(make_curve(name, **params), 64)
     ones = np.ones(grid.n)
     v_in = laplace.layer_potential_offboundary(
-        grid, ones, "double", np.array([inner]),
-        density_fn=lambda t: np.ones_like(t))
+        grid, ones, "double", np.array([inner]))
     v_out = laplace.layer_potential_offboundary(
-        grid, ones, "double", np.array([outer]),
-        density_fn=lambda t: np.ones_like(t))
+        grid, ones, "double", np.array([outer]))
     assert_allclose(v_in[0], 1.0, atol=1e-12)
     assert_allclose(v_out[0], 0.0, atol=1e-12)
 
@@ -55,11 +53,11 @@ def test_single_layer_closed_forms_off_boundary(circle64):
     y = np.array([[2.0, 0.0]])
     ones = np.ones(grid.n)
     val = laplace.layer_potential_offboundary(
-        grid, ones, "single", y, density_fn=lambda t: np.ones_like(t))
+        grid, ones, "single", y)
     assert_allclose(val[0], -2 * np.pi * np.log(2.0) / (2 * np.pi),
                     atol=1e-13)
     cos_val = laplace.layer_potential_offboundary(
-        grid, np.cos(grid.t), "single", y, density_fn=np.cos)
+        grid, np.cos(grid.t), "single", y)
     # exterior single layer of cos(n t): cos(n phi) / (2 n r^n)
     assert_allclose(cos_val[0], 1.0 / 4.0, atol=1e-13)
 
@@ -68,7 +66,7 @@ def test_double_layer_mode_off_boundary(circle64):
     y = np.array([[2.0, 0.0]])
     dens = np.cos(2 * circle64.t)
     val = laplace.layer_potential_offboundary(
-        circle64, dens, "double", y, density_fn=lambda t: np.cos(2 * t))
+        circle64, dens, "double", y)
     # exterior double layer of cos(n t): -cos(n phi) / (2 r^n)
     assert_allclose(val[0], -1.0 / 8.0, atol=1e-13)
 
@@ -77,19 +75,38 @@ def test_near_boundary_evaluation_via_upsampling(circle64):
     d = 1e-3
     y = np.array([[(1.0 + d) * np.cos(0.7), (1.0 + d) * np.sin(0.7)]])
     val = laplace.layer_potential_offboundary(
-        circle64, np.cos(circle64.t), "single", y, density_fn=np.cos)
+        circle64, np.cos(circle64.t), "single", y)
     exact = np.cos(0.7) / (2.0 * (1.0 + d))
     assert_allclose(val[0], exact, atol=1e-9)
 
 
-def test_trig_resample_band_limited_exactness():
-    n, n_up = 16, 64
-    t = 2 * np.pi * np.arange(n) / n
-    t_up = 2 * np.pi * np.arange(n_up) / n_up
-    f = 1.0 + np.cos(3 * t) - 2.0 * np.sin(5 * t)
-    f_up = laplace.trig_resample(f, n_up)
-    assert_allclose(f_up, 1.0 + np.cos(3 * t_up) - 2.0 * np.sin(5 * t_up),
-                    atol=1e-13)
+def _circle_layers(mode, r, theta):
+    """Single and double layer of cos(mode t) on the unit circle at polar
+    (r, theta): the exterior and interior harmonic extensions."""
+    if mode == 0:
+        return (-np.log(r), 0.0) if r > 1.0 else (0.0, 1.0)
+    c = np.cos(mode * theta)
+    if r > 1.0:
+        return c / (2 * mode * r ** mode), -c / (2 * r ** mode)
+    return r ** mode * c / (2 * mode), r ** mode * c / 2
+
+
+@pytest.mark.parametrize("n", [32, 512])
+def test_close_evaluation_matches_the_circle_closed_forms(n):
+    grid = boundary_grid(make_curve("circle"), n)
+    d = np.array([1e-8, 1e-5, 1e-3, 1e-1, 0.5])
+    r = np.concatenate([1.0 + d, 1.0 - d])
+    theta = np.linspace(0.2, 6.1, r.size)
+    targets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    for mode in (0, 1, 3):
+        dens = np.cos(mode * grid.t)
+        exact = np.array([_circle_layers(mode, *p) for p in zip(r, theta)])
+        for kind, col in (("single", 0), ("double", 1)):
+            got = laplace.layer_potential_offboundary(grid, dens, kind,
+                                                      targets)
+            err = np.abs(got - exact[:, col]) / np.maximum(
+                1.0, np.abs(exact[:, col]))
+            assert err.max() <= 1e-14, (mode, kind, err.max())
 
 
 def test_fourier_diff_exactness():
@@ -119,88 +136,8 @@ def test_kress_weights_match_the_cosine_sum(n):
 
 
 @pytest.mark.parametrize("kind", ["single", "double"])
-def test_layer_rows_fold_upsampled_weights_onto_the_nodes(circle64, kind):
-    # distances 2, 0.5, 0.05 and 0.003 from the circle: the ladder takes
-    # 64, 128, 1024 and 2^15 nodes
-    d = np.array([2.0, 0.5, 0.05, 0.003])
-    targets = np.stack([1.0 + d, np.zeros_like(d)], axis=1)
-    rows = laplace.layer_rows_offboundary(circle64, kind, targets)
-    for row, y, n_up in zip(rows, targets, (64, 128, 1024, 1 << 15)):
-        g_up = boundary_grid(circle64.curve, n_up)
-        ref = (laplace._layer_weights(g_up, kind, y)
-               @ laplace.trig_resample(np.eye(circle64.n), n_up))
-        assert_allclose(row, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
-
-
-def test_distance_to_curve_matches_the_per_target_loop():
-    # reference: the nearest of 2^16 curve samples, then the same Newton steps
-    curve = make_curve("star", alpha=0.2, k=5)
-    grid = boundary_grid(curve, 32)
-    rng = np.random.default_rng(5)
-    d = np.concatenate([np.geomspace(1e-9, 5.0, 150),
-                        -rng.uniform(1e-4, 0.1, 50)])
-    pts, _, nrm, _ = curve.evaluate(rng.uniform(0.0, 2 * np.pi, d.size))
-    targets = pts - d[:, None] * nrm   # normals point inside
-    t = 2 * np.pi * np.arange(1 << 16) / (1 << 16)
-    x = curve.position(t)
-    start = np.array([t[((x - p) ** 2).sum(axis=1).argmin()] for p in targets])
-    ref = laplace._foot_distance(curve, targets, start)
-    assert_allclose(laplace.distance_to_curve(grid, targets), ref, rtol=0.0,
-                    atol=1e-12)
-
-
-def _targets_at(grid, d, sign, rng):
-    """Targets at distance d from the curve, outside (sign 1) or inside
-    (sign -1), at random curve parameters."""
-    pts, _, nrm, _ = grid.curve.evaluate(rng.uniform(0.0, 2 * np.pi, d.size))
-    return pts - (sign * d)[:, None] * nrm
-
-
-def _per_target_ladder(grid, kind, targets, density, density_fn):
-    """The ladder as a loop over targets: rows and values of each target
-    from its own upsampled grid, weights, density and FFT fold."""
-    n = grid.n
-    need = 8.0 * grid.length / laplace.distance_to_curve(grid, targets)
-    rows, values = [], []
-    for y, n_need in zip(targets, need):
-        n_up = n
-        while n_up < n_need:
-            n_up *= 2
-        g_up = boundary_grid(grid.curve, n_up)
-        w = laplace._layer_weights(g_up, kind, y)
-        rows.append(np.fft.irfft(np.fft.rfft(w)[:n // 2 + 1], n))
-        dens = (laplace.trig_resample(density, n_up) if density_fn is None
-                else density_fn(g_up.t))
-        values.append(w @ dens)
-    return np.array(rows), np.array(values)
-
-
-@pytest.mark.parametrize("kind", ["single", "double"])
-@pytest.mark.parametrize("analytic", [False, True], ids=["resampled", "fn"])
-@pytest.mark.parametrize("curve", ["circle", "star"])
-def test_grouped_ladder_matches_the_per_target_loop(curve, kind, analytic):
-    grid = boundary_grid(make_curve(curve, **({"alpha": 0.2, "k": 5}
-                                              if curve == "star" else {})), 64)
-    rng = np.random.default_rng(11)
-    out = np.array([2.0, 0.5, 0.05, 0.003, 1e-3])
-    targets = np.concatenate([_targets_at(grid, out, 1.0, rng),
-                              _targets_at(grid, out[1:], -1.0, rng)])
-    targets = targets[rng.permutation(targets.shape[0])]
-    density_fn = (lambda t: np.cos(t) + 0.3 * np.sin(2 * t)) if analytic else None
-    density = np.cos(grid.t) + 0.3 * np.sin(2 * grid.t)
-    ref_rows, ref_values = _per_target_ladder(grid, kind, targets, density,
-                                              density_fn)
-    rows = laplace.layer_rows_offboundary(grid, kind, targets)
-    values = laplace.layer_potential_offboundary(grid, density, kind, targets,
-                                                 density_fn=density_fn)
-    assert np.abs(rows - ref_rows).max() <= 1e-13 * np.abs(ref_rows).max()
-    assert (np.abs(values - ref_values).max()
-            <= 1e-13 * np.abs(ref_values).max())
-
-
-@pytest.mark.parametrize("kind", ["single", "double"])
 def test_base_size_rows_are_the_layer_weights(circle64, kind):
-    # 2 and 3 from the circle: 8 L / d < 64, so no upsampling
+    # 2 and 3 from the circle: 8 L / d < 64, so the trapezoid rows
     targets = np.array([[3.0, 0.0], [0.5, -3.9], [-2.1, 2.1]])
     assert np.array_equal(laplace.layer_rows_offboundary(circle64, kind, targets),
                           laplace._layer_weights(circle64, kind, targets))
@@ -230,7 +167,7 @@ def test_offboundary_rejects_on_curve_and_non_finite_targets(circle64, target,
             laplace.layer_rows_offboundary(circle64, kind, y)
         with pytest.raises(error):
             laplace.layer_potential_offboundary(
-                circle64, np.cos(circle64.t), kind, y, density_fn=np.cos)
+                circle64, np.cos(circle64.t), kind, y)
 
 
 def test_a_grid_with_flipped_normals_is_not_upsampled(circle64):

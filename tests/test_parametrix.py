@@ -44,16 +44,14 @@ def test_offboundary_layers_reduce_to_laplace(circle64, const):
     targets = np.array([[2.0, 0.0], [0.3, 0.1]])
     dens = np.cos(circle64.t)
     assert_allclose(
-        parametrix.single_layer_offboundary(circle64, const, dens, targets,
-                                            density_fn=np.cos),
+        parametrix.single_layer_offboundary(circle64, const, dens, targets),
         laplace.layer_potential_offboundary(circle64, dens, "single",
-                                            targets, density_fn=np.cos),
+                                            targets),
         atol=1e-14)
     assert_allclose(
-        parametrix.double_layer_offboundary(circle64, const, dens, targets,
-                                            density_fn=np.cos),
+        parametrix.double_layer_offboundary(circle64, const, dens, targets),
         laplace.layer_potential_offboundary(circle64, dens, "double",
-                                            targets, density_fn=np.cos),
+                                            targets),
         atol=1e-14)
 
 
@@ -173,11 +171,9 @@ def test_constant_coefficient_double_layer_is_the_laplace_one(circle64, const,
         return layer(*args, **kwargs)
 
     monkeypatch.setattr(laplace, "layer_potential_offboundary", counted)
-    got = parametrix.double_layer_offboundary(circle64, const, dens, targets,
-                                              density_fn=np.cos)
+    got = parametrix.double_layer_offboundary(circle64, const, dens, targets)
     assert calls == ["double"]
-    assert np.array_equal(got, layer(circle64, dens, "double", targets,
-                                     density_fn=np.cos))
+    assert np.array_equal(got, layer(circle64, dens, "double", targets))
 
 
 def test_constant_coefficient_boundary_double_layer_is_the_laplace_one(

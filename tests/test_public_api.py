@@ -5,6 +5,7 @@ somewhere in ``src/bdie2d/*.py`` or ``perfbench/*.py`` outside its own
 definition: as a name, an attribute, or a word of a string constant (the
 benchmark tracer patches methods by name).  Docstrings do not count, and
 neither do the tests: an operator only its own test reaches is dead API.
+Every imported name, in the library and in the tests, is used.
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "bdie2d").glob("*.py"))
 CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _docstrings(tree):
@@ -71,3 +73,24 @@ def test_every_public_function_and_method_has_a_caller():
             if refs[node.name] - own == 0:
                 dead.append(f"{path.stem}.{qualname}")
     assert not dead, "public API without a caller: " + ", ".join(dead)
+
+
+def _unused_imports(tree):
+    """Names bound by the imports of ``tree`` (other than __future__ ones)
+    that no Name node reads: neither a name nor an attribute base."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    unused = [f"{path.relative_to(ROOT)}: {name}"
+              for path in LIBRARY + TESTS if path.name != "__init__.py"
+              for name in _unused_imports(ast.parse(path.read_text()))]
+    assert not unused, "unused imports: " + ", ".join(unused)

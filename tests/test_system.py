@@ -71,9 +71,29 @@ def test_evaluation_near_the_curve_is_accurate_or_rejected(laplace_solution_32,
     exact = laplace_case.exact_u(near)
     assert_allclose(laplace_solution_32.evaluate(near), exact, rtol=1e-12,
                     atol=0.0)
-    # 8 L / d ladder nodes would exceed the cap: an error, not a wrong value
-    with pytest.raises(SingularEvaluationError):
-        laplace_solution_32.evaluate((1.0 + 1e-5) * direction)
+    nearer = (1.0 + 1e-5) * direction
+    assert_allclose(laplace_solution_32.evaluate(nearer),
+                    laplace_case.exact_u(nearer), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("curve,n", [(("circle", {}), 32),
+                                     (("star", {"alpha": 0.2, "k": 5}), 128)],
+                         ids=["laplace-dipole-32", "star-dipole-128"])
+def test_evaluation_near_the_curve_is_accurate(curve, n):
+    # the dipole x1 / |x|^2 with a = 1 outside the curve
+    curve = make_curve(curve[0], **curve[1])
+    dipole = manufactured_case("laplace-dipole").exact_u
+    problem = DirichletProblem(
+        curve=curve, field=make_coefficient("constant", value=1.0),
+        source=None, dirichlet=lambda t: dipole(curve.position(t)))
+    grid = boundary_grid(curve, n)
+    mesh = domain_mesh(curve, 3.0, 4 * np.pi / n, m_theta=n)
+    sol = solve(assemble_system(problem, grid, mesh))
+    point, _, normal, _ = curve.evaluate(np.array([0.7]))
+    d = np.array([1e-1, 1e-3, 1e-5, 1e-8])
+    targets = point - d[:, None] * normal   # normals point inside
+    assert_allclose(sol.evaluate(targets), dipole(targets), rtol=1e-10,
+                    atol=0.0)
 
 
 def test_points_on_a_star_curve_are_rejected():
@@ -264,8 +284,7 @@ def test_evaluation_is_the_representation_formula(bump_solution):
     f0 = (parametrix.volume_potential(sysm.mesh, field, targets,
                                       rho_fn=prob.source)
           - parametrix.double_layer_offboundary(
-              sysm.grid, field, prob.dirichlet(sysm.grid.t), targets,
-              density_fn=prob.dirichlet))
+              sysm.grid, field, prob.dirichlet(sysm.grid.t), targets))
     r_rows = parametrix.remainder_rows(sysm.mesh, field, targets)
     v_rows = parametrix.single_layer_rows_offboundary(sysm.grid, field,
                                                       targets)
