@@ -214,12 +214,14 @@ def _cauchy_diagonal(grid: BoundaryGrid):
         if not np.array_equal(grid.curve.evaluate(grid.t)[2], grid.normals):
             raise GeometryError("grid normals differ from the curve's")
         z = _complex(grid.points)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = (-1j * _complex(grid.normals) * grid.weights) / (z - z[:, None])
-        np.fill_diagonal(k, 0.0)
-        # the sign of the area the nodes enclose
-        orient = np.sign((np.conj(z) * np.roll(z, -1)).imag.sum())
-        grid.memo["cauchy"] = -k.sum(axis=1) / (2j * np.pi), orient
+        dzeta = -1j * _complex(grid.normals) * grid.weights
+        row_sums = np.empty(grid.n, dtype=complex)
+        for s in range(0, grid.n, 32):  # K 32 rows at a time, not (n, n)
+            d = z - z[s:s + 32, None]
+            np.fill_diagonal(d[:, s:], np.inf)  # K_ii = 0
+            row_sums[s:s + 32] = (dzeta / d).sum(axis=1)
+        orient = np.sign((np.conj(z) * np.roll(z, -1)).imag.sum())  # area sign
+        grid.memo["cauchy"] = -row_sums / (2j * np.pi), orient
     return grid.memo["cauchy"]
 
 
