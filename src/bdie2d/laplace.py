@@ -43,14 +43,16 @@ and fine points (``newtonian_potential``, ``parametrix.remainder_apply``).
 one evaluation per point, which is how ``parametrix.volume_terms`` yields
 the remainder rows and the volume potential of a source together.
 
-Every off-boundary layer potential is a block of rows on the boundary
-grid's own nodes (``_rows``).  A target at distance d from the nearest
-node keeps the trapezoid weights (``_layer_weights``) while
-8 L / d <= n (L the curve length); a nearer one gets the globally
-compensated Cauchy formula for the periodic trapezoid rule (Helsing &
-Ojala, J. Comput. Phys. 227, 2008).  With the nodes zeta_j as complex
-numbers, dzeta_j = -i n_j w_j (the counter-clockwise element whatever
-the orientation of the curve), h = 2 pi / n and
+Both off-boundary layer potentials come from one pass over the targets
+(``layer_rows_offboundary``), as blocks of rows on the boundary grid's own
+nodes that share the distance test, the side test and the Cauchy rows
+below.  A target at distance d from the nearest node keeps the trapezoid
+weights (``_layer_weights``) while 8 L / d <= n (L the curve length); a
+nearer one gets the globally compensated Cauchy formula for the periodic
+trapezoid rule (Helsing & Ojala, J. Comput. Phys. 227, 2008).  With the
+nodes zeta_j as complex numbers, dzeta_j = -i n_j w_j (the
+counter-clockwise element whatever the orientation of the curve),
+h = 2 pi / n and
 C[g](z) = (1 / 2 pi i) oint g dzeta / (zeta - z):
 
 * the boundary values of C[g] from the side of z are
@@ -59,14 +61,16 @@ C[g](z) = (1 / 2 pi i) oint g dzeta / (zeta - z):
   and g_t the spectral t-derivative;
 * with b_j = dzeta_j / (zeta_j - z),
   C[g](z) = sum_j b_j v_j / (sum_j b_j - 2 pi i [z outside]);
-* the double layer is D tau = Re C[tau];
+* the double layer is D tau = Re C[tau], so its rows are the real part
+  of the rows of C;
 * the single layer is a Cauchy integral of a real density (Barnett,
   SIAM J. Sci. Comput. 36, 2014).  The origin lies inside every
   catalogue curve, which is star-shaped about it; with the outward normal
   nu = -n, mu = nu . zeta / (2 pi |zeta|^2), Q = w . sigma / w . mu, phi
   the spectral antiderivative of (sigma - Q mu) |zeta'(t)| and
   omega = log|zeta| / (2 pi),
-  S sigma(z) = -Im C[phi](z) - Q (Re C[omega](z) + [z outside] omega(z)).
+  S sigma(z) = -Im C[phi](z) - Q (Re C[omega](z) + [z outside] omega(z)),
+  built from the same rows of C.
 
 A clockwise parametrization turns the sign of g_t and phi.  The rows
 compose b with these linear maps.  By partial fractions,
@@ -172,22 +176,18 @@ def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # off-boundary layer potentials
 
-def _layer_weights(grid: BoundaryGrid, kind: str, y) -> np.ndarray:
-    """Trapezoid weights of the single or double layer at targets y, an
-    (m, 2) block or a single point: the layer potential of nodal density
-    rho on ``grid`` is weights @ rho, weights of shape (m, n) or (n,)."""
+def _layer_weights(grid: BoundaryGrid, y):
+    """Trapezoid weights of the single and double layer at targets y, an
+    (m, 2) block or a single point: the layer potentials of nodal density
+    rho on ``grid`` are weights @ rho, each weights of shape (m, n) or (n,)."""
     y = np.asarray(y, dtype=float)
     zx = grid.points[:, 0] - y[..., 0, None]
     zy = grid.points[:, 1] - y[..., 1, None]
     r2 = zx ** 2 + zy ** 2
-    if kind == "single":
-        ker = np.log(r2) / (2.0 * _TWO_PI)
-    elif kind == "double":
-        ker = ((grid.normals[:, 0] * zx + grid.normals[:, 1] * zy)
-               / (_TWO_PI * r2))
-    else:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    return -grid.weights * ker
+    single = np.log(r2) / (2.0 * _TWO_PI)
+    double = ((grid.normals[:, 0] * zx + grid.normals[:, 1] * zy)
+              / (_TWO_PI * r2))
+    return -grid.weights * single, -grid.weights * double
 
 
 def _complex(xy):
@@ -225,8 +225,8 @@ def _cauchy_diagonal(grid: BoundaryGrid):
     return grid.memo["cauchy"]
 
 
-def _close_rows(grid: BoundaryGrid, kind: str, y, diff) -> np.ndarray:
-    """Rows of the single or double layer at targets y near the curve, by
+def _close_rows(grid: BoundaryGrid, y, diff):
+    """Rows of the single and double layer at targets y near the curve, by
     the compensated Cauchy formula of the module docstring; ``diff`` holds
     zeta_j - z for each target and node."""
     curve = grid.curve
@@ -251,8 +251,6 @@ def _close_rows(grid: BoundaryGrid, kind: str, y, diff) -> np.ndarray:
          + (orient * _TWO_PI / grid.n / (2j * np.pi))
          * _times_derivative(b, 1))
     c /= (others + nearest - 2j * np.pi * ~inside)[:, None]
-    if kind == "double":
-        return c.real
     x = grid.points
     mu = -(grid.normals * x).sum(axis=1) / (_TWO_PI * (x ** 2).sum(axis=1))
     omega = np.log(np.hypot(x[:, 0], x[:, 1])) / _TWO_PI
@@ -260,11 +258,13 @@ def _close_rows(grid: BoundaryGrid, kind: str, y, diff) -> np.ndarray:
     rows = -orient * _times_derivative(c.imag, -1).real * grid.speeds
     q_part = rows @ mu + c.real @ omega
     q_part[~inside] += np.log(r[~inside]) / _TWO_PI
-    return rows - q_part[:, None] * (grid.weights / (grid.weights @ mu))
+    return (rows - q_part[:, None] * (grid.weights / (grid.weights @ mu)),
+            c.real)
 
 
-def _rows(grid: BoundaryGrid, kind: str, targets) -> np.ndarray:
-    """Rows of the single or double layer at off-boundary targets: the
+def layer_rows_offboundary(grid: BoundaryGrid, targets):
+    """Rows (single, double), each (m, n), mapping nodal densities to the
+    single and double layer at off-boundary targets, from one pass: the
     compensated Cauchy formula where the trapezoid rule would need more than
     the grid's nodes (8 L / d > n, d the distance to the nearest node),
     _layer_weights elsewhere."""
@@ -273,23 +273,11 @@ def _rows(grid: BoundaryGrid, kind: str, targets) -> np.ndarray:
         raise GeometryError("off-boundary evaluation target is not finite")
     diff = _complex(grid.points) - _complex(y)[:, None]
     near = np.abs(diff).min(axis=1) * grid.n < 8.0 * grid.length
-    rows = np.empty((y.shape[0], grid.n))
-    rows[~near] = _layer_weights(grid, kind, y[~near])
+    single, double = np.empty((2, y.shape[0], grid.n))
+    single[~near], double[~near] = _layer_weights(grid, y[~near])
     if near.any():
-        rows[near] = _close_rows(grid, kind, y[near], diff[near])
-    return rows
-
-
-def layer_potential_offboundary(grid: BoundaryGrid, density, kind: str,
-                                targets):
-    """Evaluate the single or double layer of the nodal ``density`` (n,) or
-    (n, k) at off-boundary targets."""
-    return _rows(grid, kind, targets) @ np.asarray(density, dtype=float)
-
-
-def layer_rows_offboundary(grid: BoundaryGrid, kind: str, targets) -> np.ndarray:
-    """Matrix rows mapping nodal density values to off-boundary potentials."""
-    return _rows(grid, kind, targets)
+        single[near], double[near] = _close_rows(grid, y[near], diff[near])
+    return single, double
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +496,27 @@ def _volume_apply(mesh: DomainMesh, targets, terms_fn, *, rows=False,
     for i, y in enumerate(pts):
         rows_near = near_targets is None or near_targets[i]
         rule = _volume_rule(mesh, y, rows_near or values)
-        far_k, far_v = terms_fn(mesh.points[rule.far_idx], y)
-        fine_k, fine_v = (terms_fn(rule.fine_x, y) if rule.fine_w.size
-                          else (None, None))
+        if rows and not rows_near and values:
+            # rows without the near field the value needs: one evaluation at
+            # every node gives the rows on the whole mesh rule and the value
+            # at the far nodes; a node at y, if any, lies under the window's
+            # plateau, so its value is never read
+            with np.errstate(divide="ignore", invalid="ignore"):
+                node_k, node_v = terms_fn(mesh.points, y)
+            out[i] = mesh.weights * node_k
+            far_v = node_v[rule.far_idx]
+            fine_v = terms_fn(rule.fine_x, y)[1] if rule.fine_w.size else None
+        else:
+            far_k, far_v = terms_fn(mesh.points[rule.far_idx], y)
+            fine_k, fine_v = (terms_fn(rule.fine_x, y) if rule.fine_w.size
+                              else (None, None))
+            if rows:
+                out[i, rule.far_idx] = rule.far_w * far_k
+                if fine_k is not None:
+                    _scatter_near(mesh, rule, rule.fine_w * fine_k, out[i])
         if values:
             vals.append(rule.far_w @ far_v
                         + (0.0 if fine_v is None else rule.fine_w @ fine_v))
-        if not rows:
-            continue
-        if not rows_near and values:
-            rule, fine_k = _volume_rule(mesh, y, False), None
-            # the value is not used here, and a mesh node may sit at y
-            with np.errstate(divide="ignore", invalid="ignore"):
-                far_k = terms_fn(mesh.points, y)[0]
-        out[i, rule.far_idx] = rule.far_w * far_k
-        if fine_k is not None:
-            _scatter_near(mesh, rule, rule.fine_w * fine_k, out[i])
     return out, np.asarray(vals) if values else None
 
 

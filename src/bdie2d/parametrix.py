@@ -194,29 +194,17 @@ def double_layer_boundary(grid: BoundaryGrid, field: CoefficientField):
 # ---------------------------------------------------------------------------
 # off-boundary layer potentials
 
-def single_layer_offboundary(grid: BoundaryGrid, field: CoefficientField,
-                             density, targets):
-    a, _ = _boundary_data(field, grid)
-    return laplace.layer_potential_offboundary(grid, np.asarray(density) / a,
-                                               "single", targets)
-
-
-def double_layer_offboundary(grid: BoundaryGrid, field: CoefficientField,
-                             density, targets):
-    density = np.asarray(density, dtype=float)
-    w_part = laplace.layer_potential_offboundary(grid, density, "double",
-                                                 targets)
+def layer_rows_offboundary(grid: BoundaryGrid, field: CoefficientField,
+                           targets):
+    """Rows (V, W) mapping nodal densities to the single and double layer at
+    off-boundary targets, both from one Laplace pass:
+    V = V_L / a and W = W_L - V_L d(ln a)/dn, with a and d(ln a)/dn at the
+    source nodes."""
+    single, double = laplace.layer_rows_offboundary(grid, targets)
+    a, dln = _boundary_data(field, grid)
     if field.is_constant:
-        return w_part  # d(ln a)/dn = 0: no single-layer correction
-    _, dln = _boundary_data(field, grid)
-    return w_part - laplace.layer_potential_offboundary(
-        grid, density * dln, "single", targets)
-
-
-def single_layer_rows_offboundary(grid: BoundaryGrid, field: CoefficientField,
-                                  targets):
-    a, _ = _boundary_data(field, grid)
-    return laplace.layer_rows_offboundary(grid, "single", targets) / a[None, :]
+        return single / a[None, :], double  # d(ln a)/dn = 0
+    return single / a[None, :], double - single * dln[None, :]
 
 
 def conormal_derivative(field: CoefficientField, points, normals, gradients):

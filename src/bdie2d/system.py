@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from . import parametrix
 from .coefficient import CoefficientField
@@ -85,14 +84,6 @@ class BdieSystem:
     def n_bnd(self):
         return self.grid.n
 
-    def preconditioner_matrix(self):
-        """System with the remainder blocks dropped (boundary-only coupling)."""
-        m0 = self.matrix.copy()
-        nd = self.n_dom
-        m0[:nd, :nd] = np.eye(nd)
-        m0[nd:nd + self.n_bnd, :nd] = 0.0
-        return m0
-
 
 @dataclass
 class BdieSolution:
@@ -102,20 +93,25 @@ class BdieSolution:
     u_dom: np.ndarray
     psi: np.ndarray
     multiplier: float
-    solver: str
-    iterations: int
+    iterations: int                # always 0: the solve is direct
     residual: float
 
     def evaluate(self, targets):
         """u(y) = F0(y) - (R u)(y) + (V psi)(y) at targets in the exterior
-        domain, at any distance from the curve.  Non-finite targets, and
+        domain, at any distance from the curve: one point (2,) or a block
+        (m, 2).  Targets of any other shape, non-finite targets, and
         targets inside or on the curve by their mesh radius (rho <= 0),
         raise GeometryError; an on-curve target whose rho rounds above
         zero (within 8 eps |y| of the curve's radial profile) raises
         SingularEvaluationError in the layer terms, before any volume rule
         is built."""
         sys_ = self.system
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
+        targets = np.asarray(targets, dtype=float)
+        if targets.ndim not in (1, 2) or targets.shape[-1] != 2:
+            raise GeometryError(
+                f"evaluation targets have shape {targets.shape}, "
+                "not (2,) or (m, 2)")
+        targets = np.atleast_2d(targets)
         if not np.isfinite(targets).all():
             raise GeometryError("evaluation target is not finite")
         if np.any(sys_.mesh.mesh_coords(targets)[0] <= 0.0):
@@ -134,12 +130,10 @@ def _representation(problem: DirichletProblem, grid: BoundaryGrid,
     field = problem.field
     # layer terms first: their side test rejects on-curve targets before
     # any volume rule is built
-    v_rows = parametrix.single_layer_rows_offboundary(grid, field, targets)
-    w = parametrix.double_layer_offboundary(
-        grid, field, problem.dirichlet(grid.t), targets)
+    v_rows, w_rows = parametrix.layer_rows_offboundary(grid, field, targets)
     r_rows, pf = parametrix.volume_terms(mesh, field, targets, dom_idx,
                                          rho_fn=problem.source)
-    return r_rows, v_rows, pf - w
+    return r_rows, v_rows, pf - w_rows @ problem.dirichlet(grid.t)
 
 
 def _domain_indices(mesh: DomainMesh, field: CoefficientField,
@@ -190,50 +184,27 @@ def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
                       matrix=mat, rhs=rhs, v_matrix=v_mat)
 
 
-def solve(system: BdieSystem, *, method="lu", gmres_tol=1e-12,
-          gmres_maxiter=400) -> BdieSolution:
-    """Solve the assembled system with a direct or preconditioned
-    iterative method."""
+def solve(system: BdieSystem, *, method="lu") -> BdieSolution:
+    """Solve the assembled system by LU; ``method`` may name it, and any
+    other method raises AssemblyError."""
+    if method != "lu":
+        raise AssemblyError(f"unknown solver method {method!r}")
     nd, nb = system.n_dom, system.n_bnd
     mat, rhs = system.matrix, system.rhs
-    iterations = 0
-    if method == "lu":
-        try:
-            with warnings.catch_warnings():
-                # singularity is detected below via the factor diagonal
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(mat)
-        except scipy.linalg.LinAlgError as exc:
-            raise SolverSingularError(str(exc)) from None
-        diag = np.abs(np.diag(lu))
-        if diag.min() <= 1e-14 * max(diag.max(), 1.0):
-            raise SolverSingularError(
-                "system matrix is singular to working precision")
-        x = scipy.linalg.lu_solve((lu, piv), rhs)
-    elif method == "gmres":
-        m0 = system.preconditioner_matrix()
-        try:
-            lu0 = scipy.linalg.lu_factor(m0)
-        except scipy.linalg.LinAlgError as exc:
-            raise SolverSingularError(str(exc)) from None
-        prec = scipy.sparse.linalg.LinearOperator(
-            mat.shape, matvec=lambda v: scipy.linalg.lu_solve(lu0, v))
-        counter = {"n": 0}
-
-        def cb(_):
-            counter["n"] += 1
-
-        x, info = scipy.sparse.linalg.gmres(
-            mat, rhs, M=prec, rtol=gmres_tol, atol=0.0, maxiter=gmres_maxiter,
-            restart=200, callback=cb, callback_type="pr_norm")
-        if info != 0:
-            raise SolverSingularError(
-                f"gmres failed to converge (info={info})")
-        iterations = counter["n"]
-    else:
-        raise AssemblyError(f"unknown solver method {method!r}")
+    try:
+        with warnings.catch_warnings():
+            # singularity is detected below via the factor diagonal
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(mat)
+    except scipy.linalg.LinAlgError as exc:
+        raise SolverSingularError(str(exc)) from None
+    diag = np.abs(np.diag(lu))
+    if diag.min() <= 1e-14 * max(diag.max(), 1.0):
+        raise SolverSingularError(
+            "system matrix is singular to working precision")
+    x = scipy.linalg.lu_solve((lu, piv), rhs)
     residual = float(np.linalg.norm(mat @ x - rhs)
                      / max(np.linalg.norm(rhs), 1e-300))
     return BdieSolution(system=system, u_dom=x[:nd], psi=x[nd:nd + nb],
-                        multiplier=float(x[nd + nb]), solver=method,
-                        iterations=iterations, residual=residual)
+                        multiplier=float(x[nd + nb]), iterations=0,
+                        residual=residual)

@@ -81,10 +81,8 @@ def test_criterion_03_gauss_identities():
             ("ellipse", {"a": 2.0, "b": 1.0}, (0.4, 0.2), (3.5, 1.0))):
         grid = boundary_grid(make_curve(name, **params), 128)
         ones = np.ones(grid.n)
-        v_in = laplace.layer_potential_offboundary(
-            grid, ones, "double", np.array([inner]))[0]
-        v_out = laplace.layer_potential_offboundary(
-            grid, ones, "double", np.array([outer]))[0]
+        v_in, v_out = laplace.layer_rows_offboundary(
+            grid, np.array([inner, outer]))[1] @ ones
         v_on = laplace.double_layer_matrix(grid) @ ones
         worst = max(worst, abs(v_in - 1.0), abs(v_out),
                     float(np.abs(v_on - 0.5).max()))

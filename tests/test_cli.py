@@ -16,7 +16,7 @@ def _write_cfg(tmp_path, payload, name="cfg.yaml"):
 
 def test_default_config_has_documented_sections():
     cfg = cli.default_config()
-    for key in ("case", "seed", "discretization", "solver", "tolerances",
+    for key in ("case", "seed", "discretization", "tolerances",
                 "source_override", "study", "conditioning", "output"):
         assert key in cfg
 
@@ -84,17 +84,6 @@ def test_solve_rejects_bad_truncation_radius_with_status_2(tmp_path):
     assert status == cli.EXIT_CONFIG
     err = json.loads((out / "error.json").read_text())
     assert err["error"]["category"] == "GeometryError"
-
-
-def test_solve_gmres_path(tmp_path):
-    path = _write_cfg(tmp_path, {
-        "discretization": {"n_boundary": 32},
-        "solver": {"method": "gmres"},
-    })
-    out = tmp_path / "out"
-    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
-    summary = json.loads((out / "solve.json").read_text())
-    assert summary["results"]["solver"] == "gmres"
 
 
 def test_verify_command(tmp_path):

@@ -40,24 +40,20 @@ def test_double_layer_of_constant_is_half_on_boundary(circle64):
 def test_gauss_identity_off_boundary(name, params, inner, outer):
     grid = boundary_grid(make_curve(name, **params), 64)
     ones = np.ones(grid.n)
-    v_in = laplace.layer_potential_offboundary(
-        grid, ones, "double", np.array([inner]))
-    v_out = laplace.layer_potential_offboundary(
-        grid, ones, "double", np.array([outer]))
-    assert_allclose(v_in[0], 1.0, atol=1e-12)
-    assert_allclose(v_out[0], 0.0, atol=1e-12)
+    v_in, v_out = laplace.layer_rows_offboundary(
+        grid, np.array([inner, outer]))[1] @ ones
+    assert_allclose(v_in, 1.0, atol=1e-12)
+    assert_allclose(v_out, 0.0, atol=1e-12)
 
 
 def test_single_layer_closed_forms_off_boundary(circle64):
     grid = circle64
     y = np.array([[2.0, 0.0]])
-    ones = np.ones(grid.n)
-    val = laplace.layer_potential_offboundary(
-        grid, ones, "single", y)
+    single = laplace.layer_rows_offboundary(grid, y)[0]
+    val = single @ np.ones(grid.n)
     assert_allclose(val[0], -2 * np.pi * np.log(2.0) / (2 * np.pi),
                     atol=1e-13)
-    cos_val = laplace.layer_potential_offboundary(
-        grid, np.cos(grid.t), "single", y)
+    cos_val = single @ np.cos(grid.t)
     # exterior single layer of cos(n t): cos(n phi) / (2 n r^n)
     assert_allclose(cos_val[0], 1.0 / 4.0, atol=1e-13)
 
@@ -65,17 +61,15 @@ def test_single_layer_closed_forms_off_boundary(circle64):
 def test_double_layer_mode_off_boundary(circle64):
     y = np.array([[2.0, 0.0]])
     dens = np.cos(2 * circle64.t)
-    val = laplace.layer_potential_offboundary(
-        circle64, dens, "double", y)
+    val = laplace.layer_rows_offboundary(circle64, y)[1] @ dens
     # exterior double layer of cos(n t): -cos(n phi) / (2 r^n)
     assert_allclose(val[0], -1.0 / 8.0, atol=1e-13)
 
 
-def test_near_boundary_evaluation_via_upsampling(circle64):
+def test_near_boundary_single_layer_closed_form(circle64):
     d = 1e-3
     y = np.array([[(1.0 + d) * np.cos(0.7), (1.0 + d) * np.sin(0.7)]])
-    val = laplace.layer_potential_offboundary(
-        circle64, np.cos(circle64.t), "single", y)
+    val = laplace.layer_rows_offboundary(circle64, y)[0] @ np.cos(circle64.t)
     exact = np.cos(0.7) / (2.0 * (1.0 + d))
     assert_allclose(val[0], exact, atol=1e-9)
 
@@ -98,12 +92,12 @@ def test_close_evaluation_matches_the_circle_closed_forms(n):
     r = np.concatenate([1.0 + d, 1.0 - d])
     theta = np.linspace(0.2, 6.1, r.size)
     targets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    rows = laplace.layer_rows_offboundary(grid, targets)
     for mode in (0, 1, 3):
         dens = np.cos(mode * grid.t)
         exact = np.array([_circle_layers(mode, *p) for p in zip(r, theta)])
         for kind, col in (("single", 0), ("double", 1)):
-            got = laplace.layer_potential_offboundary(grid, dens, kind,
-                                                      targets)
+            got = rows[col] @ dens
             err = np.abs(got - exact[:, col]) / np.maximum(
                 1.0, np.abs(exact[:, col]))
             assert err.max() <= 1e-14, (mode, kind, err.max())
@@ -139,20 +133,24 @@ def test_kress_weights_match_the_cosine_sum(n):
 def test_base_size_rows_are_the_layer_weights(circle64, kind):
     # 2 and 3 from the circle: 8 L / d < 64, so the trapezoid rows
     targets = np.array([[3.0, 0.0], [0.5, -3.9], [-2.1, 2.1]])
-    assert np.array_equal(laplace.layer_rows_offboundary(circle64, kind, targets),
-                          laplace._layer_weights(circle64, kind, targets))
-    assert np.array_equal(laplace._layer_weights(circle64, kind, targets[1]),
-                          laplace._layer_weights(circle64, kind, targets)[1])
+    col = ("single", "double").index(kind)
+    weights = laplace._layer_weights(circle64, targets)[col]
+    assert np.array_equal(laplace.layer_rows_offboundary(circle64, targets)[col],
+                          weights)
+    assert np.array_equal(laplace._layer_weights(circle64, targets[1])[col],
+                          weights[1])
 
 
 def test_layer_rows_match_applied_potential(circle64):
-    targets = np.array([[2.0, 0.5], [0.2, 0.1], [1.4, -1.2]])
+    # far, inside and near targets: a block gives the potentials that each
+    # target gives alone
+    targets = np.array([[2.0, 0.5], [0.2, 0.1], [1.4, -1.2], [0.99, 0.05]])
     dens = np.cos(circle64.t) + 0.3 * np.sin(2 * circle64.t)
-    for kind in ("single", "double"):
-        rows = laplace.layer_rows_offboundary(circle64, kind, targets)
-        direct = laplace.layer_potential_offboundary(circle64, dens, kind,
-                                                     targets)
-        assert_allclose(rows @ dens, direct, atol=1e-10)
+    block = laplace.layer_rows_offboundary(circle64, targets)
+    for i, y in enumerate(targets):
+        alone = laplace.layer_rows_offboundary(circle64, y)
+        for rows, rows_alone in zip(block, alone):
+            assert_allclose(rows[i] @ dens, rows_alone[0] @ dens, atol=1e-10)
 
 
 @pytest.mark.parametrize("target,error", [
@@ -162,24 +160,19 @@ def test_layer_rows_match_applied_potential(circle64):
 def test_offboundary_rejects_on_curve_and_non_finite_targets(circle64, target,
                                                              error):
     y = np.array([[2.0, 0.5], target])
-    for kind in ("single", "double"):
-        with pytest.raises(error):
-            laplace.layer_rows_offboundary(circle64, kind, y)
-        with pytest.raises(error):
-            laplace.layer_potential_offboundary(
-                circle64, np.cos(circle64.t), kind, y)
+    with pytest.raises(error):
+        laplace.layer_rows_offboundary(circle64, y)
 
 
-def test_a_grid_with_flipped_normals_is_not_upsampled(circle64):
+def test_a_grid_with_flipped_normals_is_rejected_near_the_curve(circle64):
     flipped = dataclasses.replace(circle64, normals=-circle64.normals)
     ones = np.ones(circle64.n)
-    # a base-size target uses the grid's own normals: W 1 = -1 inside
-    assert_allclose(laplace.layer_potential_offboundary(
-        flipped, ones, "double", [[0.05, 0.0]]), [-1.0], atol=1e-12)
-    # an upsampled one would take the curve's normals instead
+    # a trapezoid-rule target uses the grid's own normals: W 1 = -1 inside
+    assert_allclose(laplace.layer_rows_offboundary(
+        flipped, [[0.05, 0.0]])[1] @ ones, [-1.0], atol=1e-12)
+    # a close-evaluated one would take the curve's normals instead
     with pytest.raises(GeometryError):
-        laplace.layer_potential_offboundary(flipped, ones, "double",
-                                            [[0.99, 0.0]])
+        laplace.layer_rows_offboundary(flipped, [[0.99, 0.0]])
 
 
 @pytest.mark.parametrize("v_cap", [np.inf, 0.05], ids=["uncapped", "capped"])

@@ -43,26 +43,24 @@ def test_single_layer_divides_density_by_coefficient(circle64, bump):
 def test_offboundary_layers_reduce_to_laplace(circle64, const):
     targets = np.array([[2.0, 0.0], [0.3, 0.1]])
     dens = np.cos(circle64.t)
-    assert_allclose(
-        parametrix.single_layer_offboundary(circle64, const, dens, targets),
-        laplace.layer_potential_offboundary(circle64, dens, "single",
-                                            targets),
-        atol=1e-14)
-    assert_allclose(
-        parametrix.double_layer_offboundary(circle64, const, dens, targets),
-        laplace.layer_potential_offboundary(circle64, dens, "double",
-                                            targets),
-        atol=1e-14)
+    single, double = laplace.layer_rows_offboundary(circle64, targets)
+    v_rows, w_rows = parametrix.layer_rows_offboundary(circle64, const,
+                                                       targets)
+    assert_allclose(v_rows @ dens, single @ dens, atol=1e-14)
+    assert_allclose(w_rows @ dens, double @ dens, atol=1e-14)
 
 
 def test_offboundary_rows_match_application(circle64, bump):
+    # the rows applied to a density give V rho = V_L(rho / a) and
+    # W rho = W_L rho - V_L(rho d(ln a)/dn)
     targets = np.array([[1.9, 0.4], [0.2, -0.1]])
     dens = np.cos(circle64.t) + 0.5
-    v_rows = parametrix.single_layer_rows_offboundary(circle64, bump, targets)
-    assert_allclose(
-        v_rows @ dens,
-        parametrix.single_layer_offboundary(circle64, bump, dens, targets),
-        atol=1e-10)
+    a, dln = parametrix._boundary_data(bump, circle64)
+    single, double = laplace.layer_rows_offboundary(circle64, targets)
+    v_rows, w_rows = parametrix.layer_rows_offboundary(circle64, bump, targets)
+    assert_allclose(v_rows @ dens, single @ (dens / a), atol=1e-10)
+    assert_allclose(w_rows @ dens, double @ dens - single @ (dens * dln),
+                    atol=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -162,18 +160,17 @@ def test_volume_terms_match_the_kernels_evaluated_apart(curve, bump):
 def test_constant_coefficient_double_layer_is_the_laplace_one(circle64, const,
                                                               monkeypatch):
     targets = np.array([[2.0, 0.5], [0.4, -1.3]])
-    dens = np.cos(circle64.t)
     calls = []
-    layer = laplace.layer_potential_offboundary
+    layer = laplace.layer_rows_offboundary
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         return layer(*args, **kwargs)
 
-    monkeypatch.setattr(laplace, "layer_potential_offboundary", counted)
-    got = parametrix.double_layer_offboundary(circle64, const, dens, targets)
-    assert calls == ["double"]
-    assert np.array_equal(got, layer(circle64, dens, "double", targets))
+    monkeypatch.setattr(laplace, "layer_rows_offboundary", counted)
+    got = parametrix.layer_rows_offboundary(circle64, const, targets)[1]
+    assert len(calls) == 1
+    assert np.array_equal(got, layer(circle64, targets)[1])
 
 
 def test_constant_coefficient_boundary_double_layer_is_the_laplace_one(

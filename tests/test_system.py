@@ -210,6 +210,16 @@ def test_curve_mismatch_rejected(laplace_case):
         assemble_system(laplace_case.problem(), grid, mesh)
 
 
+@pytest.mark.parametrize("targets", [[[2.0, 0.5, 7.0]], [2.0, 0.5, 7.0, 1.0],
+                                     [[[2.0, 0.5]]]],
+                         ids=["three-columns", "flat-four", "three-axes"])
+def test_evaluation_rejects_targets_of_the_wrong_shape(laplace_solution,
+                                                       targets):
+    _, sol = laplace_solution
+    with pytest.raises(GeometryError):
+        sol.evaluate(targets)
+
+
 def test_unknown_solver_method_rejected(laplace_solution):
     sysm, _ = laplace_solution
     with pytest.raises(AssemblyError):
@@ -265,14 +275,6 @@ def test_u_mesh_reconstruction(bump_solution):
     assert np.abs(u_all[far] - exact[far]).max() <= 1e-3
 
 
-def test_gmres_matches_direct_solver(bump_solution):
-    _, sysm, sol_lu = bump_solution
-    sol_gm = solve(sysm, method="gmres")
-    assert sol_gm.iterations > 0
-    assert_allclose(sol_gm.psi, sol_lu.psi, atol=1e-9)
-    assert_allclose(sol_gm.u_dom, sol_lu.u_dom, atol=1e-9)
-
-
 def test_evaluation_is_the_representation_formula(bump_solution):
     case, sysm, sol = bump_solution
     # the support radius plus one (about 5.54) splits these radii: rows of
@@ -281,13 +283,12 @@ def test_evaluation_is_the_representation_formula(bump_solution):
     th = np.linspace(0.4, 5.9, r.size)
     targets = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
     prob, field = sysm.problem, case.field
+    v_rows, w_rows = parametrix.layer_rows_offboundary(sysm.grid, field,
+                                                       targets)
     f0 = (parametrix.volume_potential(sysm.mesh, field, targets,
                                       rho_fn=prob.source)
-          - parametrix.double_layer_offboundary(
-              sysm.grid, field, prob.dirichlet(sysm.grid.t), targets))
+          - w_rows @ prob.dirichlet(sysm.grid.t))
     r_rows = parametrix.remainder_rows(sysm.mesh, field, targets)
-    v_rows = parametrix.single_layer_rows_offboundary(sysm.grid, field,
-                                                      targets)
     expected = (f0 - r_rows[:, sysm.dom_idx] @ sol.u_dom
                 + v_rows @ sol.psi)
     assert_allclose(sol.evaluate(targets), expected, rtol=1e-14, atol=0.0)
@@ -311,3 +312,21 @@ def test_each_target_builds_its_near_field_once(monkeypatch):
     del builds[:]
     solve(sysm).evaluate(np.array([[1.5, 0.2], [-3.0, 1.0], [0.5, 6.0]]))
     assert len(builds) == 3
+
+
+@pytest.mark.parametrize("name", ["laplace-dipole", "bump-dipole"])
+def test_representation_makes_one_offboundary_pass(name, monkeypatch):
+    case = manufactured_case(name)
+    grid = boundary_grid(case.curve, 16)
+    mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 16, m_theta=16)
+    sysm = assemble_system(case.problem(), grid, mesh)
+    passes = []
+    for part in ("_layer_weights", "_close_rows"):
+        def counted(*args, _part=part, _fn=getattr(laplace, part)):
+            passes.append(_part)
+            return _fn(*args)
+        monkeypatch.setattr(laplace, part, counted)
+    # a close-evaluated target and a trapezoid-rule one: both halves
+    targets = np.array([[1.01 * np.cos(0.7), 1.01 * np.sin(0.7)], [8.0, 1.0]])
+    solve(sysm).evaluate(targets)
+    assert sorted(passes) == ["_close_rows", "_layer_weights"]
