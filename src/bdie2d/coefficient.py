@@ -77,11 +77,6 @@ class CoefficientField:
         """Delta(ln a) at the given points."""
         return self.log_derivatives(x)[2]
 
-    def normal_log_derivative(self, points, normals):
-        """d(ln a)/dn = n . grad a / a at boundary points."""
-        a, g, _ = self.eval(points)
-        return np.sum(np.atleast_2d(normals) * g, axis=1) / a
-
     @property
     def is_constant(self) -> bool:
         return self.support_radius == 0.0

@@ -18,18 +18,25 @@ these choices, on the unit circle
     W(1) = 1/2,                      L(cos n t) = (n/2) cos(n t).
 
 Every volume potential over a DomainMesh uses one near/far rule per
-target (``_volume_rule``): a smooth window in the polar angle around the
-target splits the integral into a far part, the mesh's tensor rule
-weighted by (1 - window), and a near part, a local dyadic Gauss grid
-refined toward the singular point and weighted by the window.  That grid
-(``_singular_rect_quadrature``) is built in one array pass over _LEVELS
-rings: ring l is the near rectangle cut to the square of half-side
-scale * 2^-l about the target, minus the next such box, and splits into
-up to four strips of 4x4 Gauss cells; the target lies on the closed
-rectangle and the innermost box is dropped.  Each strip is a tensor grid
-in (rho, theta), so the grid is kept factored: per-axis nodes and
-weights plus an index pair per point.  The rule evaluates everything
-that depends on one coordinate once per distinct value, and the scatter
+target (``_volume_rule``), a floating partition of unity (Bruno &
+Kunyansky, J. Comput. Phys. 169, 2001): a smooth window in the polar
+angle, centred on the mesh column nearest the target, splits the
+integral into a far part, the mesh's tensor rule weighted by
+(1 - window), and a near part weighted by the window.  The window's
+half-width is an even number of columns, so its plateau and its support
+end on column lines.  The near part is integrated on the mesh's own
+cells under the window, one radial panel by one column each
+(``_cell_rule``), on which the nodal interpolant is a polynomial and the
+window smooth.  A cell farther from the target than its longer side gets
+a tensor Gauss rule, and a nearer one is halved toward the target until
+its pieces are that far.  The cells holding the target are cut at it,
+the pieces cut to an aspect ratio of at most 2 there, and each piece with
+the target at a corner gets Duffy's rule (SIAM J. Numer. Anal. 19, 1982)
+with a graded radial variable.  The cells are laid out about the centre
+column, whose angle is added last, so the rows of a ring of targets on a
+circle are rotations of one row.  The rule is kept as its distinct radii
+and angles plus an index pair per point: it evaluates everything that
+depends on one coordinate once per distinct value, and the scatter
 of fine-point values onto the mesh nodes (``_scatter_near``) contracts
 the interpolant one axis at a time, the 4-point angular factor by
 bincounts and the radial factor by a small product per panel (the
@@ -83,6 +90,7 @@ is rejected.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -284,11 +292,12 @@ def layer_rows_offboundary(grid: BoundaryGrid, targets):
 # volume potentials on the domain mesh
 
 # The near-field window spans at least _WIDTH_COLS mesh columns, 0.7 rad
-# and an arc of _WIDTH_PHYS on each side of the target; the dyadic grid
-# is refined _LEVELS times toward it.
+# and an arc of _WIDTH_PHYS on each side of the target, rounded up to an
+# even number of columns (down, to stay within 0.9 pi); its cells take
+# _ORDER Gauss points a side.
 _WIDTH_COLS = 5
 _WIDTH_PHYS = 1.2
-_LEVELS = 26
+_ORDER = 6
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
@@ -302,70 +311,82 @@ def _bump(u: np.ndarray) -> np.ndarray:
     return out
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
-_GL_X01 = 0.5 * (_GL_X + 1.0)
-_GL_W01 = 0.5 * _GL_W
+@functools.cache
+def _reference_rules(order):
+    """The tensor Gauss rule of ``order`` points a side on the unit square,
+    and its Duffy rule singular at the corner (0, 0): each triangle of the
+    diagonal through that corner is the image of the unit square under
+    (s, t) -> (s, s t) or (s t, s), with s = sigma^2 and 2 ``order`` Gauss
+    points in sigma and in t.  Each rule is (x, y, w)."""
+    g, gw = np.polynomial.legendre.leggauss(order)
+    g, gw = 0.5 * (g + 1.0), 0.5 * gw
+    gauss = np.repeat(g, order), np.tile(g, order), np.outer(gw, gw).ravel()
+    d, dw = np.polynomial.legendre.leggauss(2 * order)
+    d, dw = 0.5 * (d + 1.0), 0.5 * dw
+    s, t = np.repeat(d ** 2, d.size), np.tile(d, d.size)
+    w = np.outer(2.0 * d ** 3 * dw, dw).ravel()  # s ds dt
+    return gauss, (np.concatenate([s, s * t]), np.concatenate([s * t, s]),
+                   np.concatenate([w, w]))
 
 
-def _gauss_nodes(x0, x1, n):
-    """Composite 4-point Gauss rules, n[k] equal cells on [x0[k], x1[k]]:
-    nodes and weights, concatenated over k."""
-    size = np.repeat((x1 - x0) / n, n)
-    first = np.repeat(np.cumsum(n) - n, n)
-    orig = np.repeat(x0, n) + size * (np.arange(n.sum()) - first)
-    return ((orig[:, None] + size[:, None] * _GL_X01).ravel(),
-            (size[:, None] * _GL_W01).ravel())
+def _cell_rule(us, vs, target):
+    """Points (u, v) and weights of a quadrature on the tensor cells with
+    the sorted lines ``us`` and ``vs``, for an integrand singular at
+    ``target``.  The target is first clipped to the cells' rectangle, and
+    moved onto a line within 1e-10 cells of it.
 
-
-def _singular_rect_quadrature(rect, center, v_cap=np.inf):
-    """4x4 Gauss cells on a rectangle, dyadically refined toward ``center``.
-
-    ``center`` must lie on the closed rectangle.  With s_l = scale * 2^-l
-    (scale the largest distance from the center to an edge), box l is the
-    rectangle cut to the square of half-side s_l about the center, box 0
-    the rectangle itself.  Ring l, box l minus box l + 1 for l = 0 ..
-    _LEVELS - 1, splits into up to four strips (left, right, bottom, top;
-    the bottom and top ones as wide as box l + 1), each gridded with cells
-    of side about 0.75 s_{l+1}; ``v_cap`` further limits the cell size
-    along the second coordinate so that a window profile living there
-    stays resolved.  Box _LEVELS, around the singular point, is dropped.
-
-    Each strip is a tensor grid, so the rule comes back factored as
-    ((u, wu), (v, wv), (iu, iv)): the strips' Gauss nodes and weights
-    along each coordinate, concatenated level-major and then by strip, and
-    for every point its index pair, point k being (u[iu[k]], v[iv[k]])
-    with weight wu[iu[k]] * wv[iv[k]].  Points run strip by strip, u-major.
+    A piece with the target at a corner and an aspect ratio of at most 2
+    gets the Duffy rule, and one farther from the target than its longer
+    side the Gauss rule.  Any other piece with the target inside it or
+    inside an edge is cut at the target, and the rest are halved along
+    their longer side, until no piece is left.
     """
-    cx, cy = center
-    x0, x1, y0, y1 = rect
-    scale = max(abs(x0 - cx), abs(x1 - cx), abs(y0 - cy), abs(y1 - cy))
-    s = scale * 0.5 ** np.arange(_LEVELS + 1)
-    box = np.stack([np.maximum(x0, cx - s), np.minimum(x1, cx + s),
-                    np.maximum(y0, cy - s), np.minimum(y1, cy + s)], axis=1)
-    box[0] = rect
-    (o0, o1, o2, o3), (i0, i1, i2, i3) = box[:-1].T, box[1:].T
-    # (level, strip, coordinate): left, right, bottom and top strips
-    strips = np.stack([np.stack(side, axis=1) for side in (
-        (o0, i0, o2, o3), (i1, o1, o2, o3), (i0, i1, o2, i2),
-        (i0, i1, i3, o3))], axis=1).reshape(-1, 4)
-    cell = np.repeat(0.75 * s[1:], 4)
-    # an absent strip (box l + 1 reaching a side of box l) has no extent
-    keep = ((strips[:, 1] > strips[:, 0] + 1e-300)
-            & (strips[:, 3] > strips[:, 2] + 1e-300))
-    (sx0, sx1, sy0, sy1), cell = strips[keep].T, cell[keep]
-    # a side within 1e-9 cells of a whole number of cells takes that
-    # number: ceil must not turn roundoff into an extra cell
-    nx = np.maximum(1, np.ceil((sx1 - sx0) / cell - 1e-9)).astype(int)
-    ny = np.maximum(1, np.ceil((sy1 - sy0) / np.minimum(cell, v_cap)
-                               - 1e-9)).astype(int)
-    # strip k pairs each of its 4 nx nodes along u with its 4 ny nodes
-    # along v, which start at v index v0
-    nu, nv = 4 * nx, 4 * ny
-    per_u = np.repeat(nv, nu)
-    v0 = np.repeat(np.cumsum(nv) - nv, nu)
-    iu = np.repeat(np.arange(per_u.size), per_u)
-    iv = np.arange(iu.size) - np.repeat(np.cumsum(per_u) - per_u - v0, per_u)
-    return _gauss_nodes(sx0, sx1, nx), _gauss_nodes(sy0, sy1, ny), (iu, iv)
+    gauss, duffy = _reference_rules(_ORDER)
+    p = []
+    for edges, q in zip((us, vs), target):
+        q = min(max(q, edges[0]), edges[-1])
+        line = edges[np.abs(edges - q).argmin()]
+        p.append(line if abs(line - q) <= 1e-10 * np.diff(edges).min() else q)
+    xs, ys = us - p[0], vs - p[1]
+    # pieces (x0, x1, y0, y1) about the target at the origin
+    pend = np.stack(np.broadcast_arrays(xs[:-1, None], xs[1:, None], ys[:-1],
+                                        ys[1:]), axis=-1).reshape(-1, 4)
+    far, near = [], []
+    while pend.size:
+        x0, x1, y0, y1 = pend.T
+        wx, wy = x1 - x0, y1 - y0
+        wide = np.maximum(wx, wy)
+        gap2 = (np.maximum(np.maximum(x0, -x1), 0.0) ** 2
+                + np.maximum(np.maximum(y0, -y1), 0.0) ** 2)
+        corner = ((x0 == 0.0) | (x1 == 0.0)) & ((y0 == 0.0) | (y1 == 0.0))
+        to_duffy = corner & (wide <= 2.0 * np.minimum(wx, wy))
+        to_gauss = gap2 > wide ** 2
+        near.append(pend[to_duffy])
+        far.append(pend[to_gauss])
+        rest = ~(to_duffy | to_gauss)
+        pend, (x0, x1, y0, y1) = pend[rest], pend[rest].T
+        holds = gap2[rest] == 0.0
+        cut_x = holds & (x0 < 0.0) & (x1 > 0.0)
+        cut_y = holds & (y0 < 0.0) & (y1 > 0.0) & ~cut_x
+        in_x = cut_x | (~cut_y & (wx >= wy)[rest])
+        at = np.where(cut_x | cut_y, 0.0,
+                      np.where(in_x, x0 + x1, y0 + y1) / 2.0)
+        lo, hi = pend.copy(), pend.copy()
+        lo[in_x, 1] = hi[in_x, 0] = at[in_x]
+        lo[~in_x, 3] = hi[~in_x, 2] = at[~in_x]
+        pend = np.concatenate([lo, hi])
+    x0, x1, y0, y1 = np.concatenate(far).T
+    near = np.concatenate(near)
+    # the signed extents of a Duffy piece from the target at its corner
+    dx, dy = near[:, 0] + near[:, 1], near[:, 2] + near[:, 3]
+    (gx, gy, gw), (sx, sy, sw) = gauss, duffy
+    u = np.concatenate([(x0[:, None] + (x1 - x0)[:, None] * gx).ravel(),
+                        (dx[:, None] * sx).ravel()])
+    v = np.concatenate([(y0[:, None] + (y1 - y0)[:, None] * gy).ravel(),
+                        (dy[:, None] * sy).ravel()])
+    w = np.concatenate([((x1 - x0) * (y1 - y0))[:, None] * gw,
+                        np.abs(dx * dy)[:, None] * sw], axis=None)
+    return u + p[0], v + p[1], w
 
 
 class _VolumeRule(NamedTuple):
@@ -382,19 +403,11 @@ class _VolumeRule(NamedTuple):
 
 
 def _volume_rule(mesh: DomainMesh, y, near=True) -> _VolumeRule:
-    """The near/far quadrature rule of a volume integral at target y.
-
-    A C^4 plateau window in the polar angle around the target splits the
-    integral: the far part is the mesh's tensor rule weighted by
-    (1 - window), the near part a Gauss grid over the window's full radial
-    extent, dyadically refined toward y and weighted by the window.  With
-    ``near`` false, or for a target more than 0.5 outside the meshed
-    region, the near part is empty and the far part is the whole mesh
-    rule.  Fine points of zero weight or coincident with y are dropped.
-    The near grid is a union of tensor strips, so everything that depends
-    on one coordinate (window, curve radius, cos and sin) is evaluated once
-    per distinct value and gathered per point.
-    """
+    """The near/far quadrature rule of a volume integral at target y (see
+    the module docstring).  With ``near`` false, or for a target more than
+    0.5 outside the meshed region, the near part is empty and the far part
+    is the whole mesh rule.  The cells are scaled to be physically
+    isotropic at the target."""
     y = np.asarray(y, dtype=float)
     if near:
         rho, theta = mesh.mesh_coords(y)
@@ -408,39 +421,37 @@ def _volume_rule(mesh: DomainMesh, y, near=True) -> _VolumeRule:
         return _VolumeRule(np.arange(mesh.n_nodes), mesh.weights, np.zeros(0),
                            np.zeros(0), empty, empty, np.zeros((0, 2)),
                            np.zeros(0))
-    dtheta = _TWO_PI / mesh.m_theta
+    m = mesh.m_theta
+    dtheta = _TWO_PI / m
     r_y = r_s + span * max(rho_y, 0.0)
-    theta_half = min(0.9 * np.pi, max(_WIDTH_COLS * dtheta, 0.7,
-                                      _WIDTH_PHYS / max(r_y, 1e-3)))
-    # the window varies in theta only; the near rectangle covers the full
-    # radial extent so the far field never sees a radial edge
-    dth = (mesh.theta - theta_y + np.pi) % _TWO_PI - np.pi
-    win = np.tile(_bump(dth / theta_half), mesh.n_r)
+    width = max(_WIDTH_COLS * dtheta, 0.7, _WIDTH_PHYS / max(r_y, 1e-3))
+    # half-width in columns: even, and at most 0.9 pi unless that is 0
+    n_half = 2 * max(1, min(int(np.ceil(width / (2.0 * dtheta))),
+                            9 * m // 40))
+    centre = int(np.rint(theta_y / dtheta))
+    offset = theta_y - centre * dtheta
+    centre %= m
+    # each column's offset from the centre column, in columns
+    cols = (np.arange(m) - centre + m // 2) % m - m // 2
+    win = np.tile(_bump(cols / n_half), mesh.n_r)
     far_idx = np.nonzero(win < 1.0)[0]
     far_w = mesh.weights[far_idx] * (1.0 - win[far_idx])
-    # build the dyadic grid in physically isotropic coordinates
     su, sv = span, max(r_y, 1e-3)
-    (u, wu), (v, wv), (iu, iv) = _singular_rect_quadrature(
-        (0.0, su, (theta_y - theta_half) * sv, (theta_y + theta_half) * sv),
-        (np.clip(rho_y, 0.0, 1.0) * su, theta_y * sv),
-        v_cap=0.125 * theta_half * sv)
-    w = wu[iu] * wv[iv]
-    u, iu_d = np.unique(u, return_inverse=True)
-    v, iv_d = np.unique(v, return_inverse=True)
-    iu, iv = iu_d[iu], iv_d[iv]
-    fine_rho, fine_theta = u / su, v / sv
+    u, v, w = _cell_rule(mesh.breakpoints * su,
+                         np.arange(-n_half, n_half + 1) * (dtheta * sv),
+                         (rho_y * su, offset * sv))
+    fine_rho, iu = np.unique(u / su, return_inverse=True)
+    dth, iv = np.unique(v / sv, return_inverse=True)
+    fine_theta = mesh.theta[centre] + dth
     r_s = mesh.curve.radial_profile(fine_theta)
     span_t = mesh.r_trunc - r_s
     r = r_s[iv] + span_t[iv] * fine_rho[iu]
-    fine_w = (w / (su * sv) * _bump((fine_theta - theta_y) / theta_half)[iv]
+    fine_w = (w / (su * sv) * _bump(dth / (n_half * dtheta))[iv]
               * (span_t[iv] * r))
-    x0, x1 = r * np.cos(fine_theta)[iv], r * np.sin(fine_theta)[iv]
-    keep = (fine_w != 0.0) & ((x0 - y[0]) ** 2 + (x1 - y[1]) ** 2 > 0.0)
-    if not keep.all():
-        iu, iv, fine_w = iu[keep], iv[keep], fine_w[keep]
-        x0, x1 = x0[keep], x1[keep]
     return _VolumeRule(far_idx, far_w, fine_rho, fine_theta, iu, iv,
-                       np.stack([x0, x1], axis=-1), fine_w)
+                       np.stack([r * np.cos(fine_theta)[iv],
+                                 r * np.sin(fine_theta)[iv]], axis=-1),
+                       fine_w)
 
 
 def _scatter_near(mesh: DomainMesh, rule: _VolumeRule, c, row):

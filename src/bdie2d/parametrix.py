@@ -35,9 +35,10 @@ _TWO_PI = 2.0 * np.pi
 
 
 def _boundary_data(field: CoefficientField, grid: BoundaryGrid):
-    a, _, _ = field.eval(grid.points)
-    dln = field.normal_log_derivative(grid.points, grid.normals)
-    return a, dln
+    """a and d(ln a)/dn = n . grad a / a at the boundary nodes, from one
+    evaluation of the coefficient."""
+    a, g, _ = field.eval(grid.points)
+    return a, np.sum(grid.normals * g, axis=1) / a
 
 
 # ---------------------------------------------------------------------------

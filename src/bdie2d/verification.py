@@ -280,11 +280,6 @@ def second_green_identity(case: ManufacturedCase, *, field=None, n=64,
     }
 
 
-def _is_radial(field):
-    g = field.eval(np.array([[0.0, 1.7]]))[1]
-    return abs(g[0, 0]) < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # jump relations
 
@@ -423,20 +418,14 @@ def _weighted_operator_norm(rows, mesh, idx, seed=0, iterations=20):
 
 
 def gaussian_tail_factor(field: CoefficientField, r):
-    """sup over |x| >= r of omega2(x) |grad a(x)|, sampled radially."""
+    """sup over |x| >= r of omega2(x) |grad a(x)|, sampled on 180 rays."""
     s = np.linspace(r, _TAIL_R_MAX, _TAIL_SAMPLES)
-    pts = np.stack([s, np.zeros_like(s)], axis=1)
-    if not _is_radial(field):
-        # fall back to a dense angular scan
-        th = np.linspace(0.0, _TWO_PI, 180, endpoint=False)
-        best = 0.0
-        for tt in th:
-            p = np.stack([s * np.cos(tt), s * np.sin(tt)], axis=1)
-            g = field.eval(p)[1]
-            best = max(best, float(np.max(weight(p) * np.hypot(g[:, 0], g[:, 1]))))
-        return best
-    g = field.eval(pts)[1]
-    return float(np.max(weight(pts) * np.hypot(g[:, 0], g[:, 1])))
+    best = 0.0
+    for tt in np.linspace(0.0, _TWO_PI, 180, endpoint=False):
+        p = np.stack([s * np.cos(tt), s * np.sin(tt)], axis=1)
+        g = field.eval(p)[1]
+        best = max(best, float(np.max(weight(p) * np.hypot(g[:, 0], g[:, 1]))))
+    return best
 
 
 def remainder_norm(field: CoefficientField, mesh, *, rows=None, seed=0):

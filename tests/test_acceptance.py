@@ -131,6 +131,11 @@ def test_criterion_06_variable_coefficient_convergence(bump_convergence):
                    f"finest psi err {err_psi[-1]:.1e}, time={elapsed:.0f}s")
 
 
+def test_bump_dipole_err_psi_at_n64_is_below_1e6(bump_convergence):
+    _, rows, _ = bump_convergence
+    assert rows[1]["N"] == 64 and rows[1]["err_psi"] <= 1e-6, rows[1]
+
+
 def test_criterion_07_third_green_identity():
     probes = vf.default_probes(10)
     ok = True

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bdie2d import parametrix
 from bdie2d.coefficient import (check_conditions, make_coefficient, weight)
 from bdie2d.errors import CoefficientError, UnknownCatalogError
 from bdie2d.geometry import domain_mesh, make_curve
@@ -152,7 +155,8 @@ def test_normal_log_derivative():
     pts = np.array([[1.0, 0.0]])
     normals = np.array([[-1.0, 0.0]])
     a, g, _ = field.eval(pts)
-    assert_allclose(field.normal_log_derivative(pts, normals),
+    nodes = SimpleNamespace(points=pts, normals=normals)
+    assert_allclose(parametrix._boundary_data(field, nodes)[1],
                     -g[0, 0] / a[0])
 
 

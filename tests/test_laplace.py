@@ -175,33 +175,34 @@ def test_a_grid_with_flipped_normals_is_rejected_near_the_curve(circle64):
         laplace.layer_rows_offboundary(flipped, [[0.99, 0.0]])
 
 
-@pytest.mark.parametrize("v_cap", [np.inf, 0.05], ids=["uncapped", "capped"])
-@pytest.mark.parametrize("center", [(0.37, 0.12), (0.0, 0.41), (1.0, -0.3)],
-                         ids=["inside", "edge", "corner"])
-def test_dyadic_rule_integrates_linear_functions(center, v_cap):
-    rect = (0.0, 1.0, -0.3, 0.7)
-    (u, wu), (v, wv), (iu, iv) = laplace._singular_rect_quadrature(
-        rect, center, v_cap)
-    pts, wts = np.stack([u[iu], v[iv]], axis=1), wu[iu] * wv[iv]
-    x0, x1, y0, y1 = rect
-    assert np.all((pts[:, 0] > x0) & (pts[:, 0] < x1)
-                  & (pts[:, 1] > y0) & (pts[:, 1] < y1))
-    # cells no taller than v_cap leave no larger gap between nodes along v
-    assert np.diff(np.unique(pts[:, 1])).max() < v_cap
-    # the rule covers rect minus its part in the innermost dyadic square
-    cx, cy = center
-    s = max(abs(x0 - cx), abs(x1 - cx), abs(y0 - cy), abs(y1 - cy)) \
-        * 2.0 ** -laplace._LEVELS
-    hx0, hx1 = max(x0, cx - s), min(x1, cx + s)
-    hy0, hy1 = max(y0, cy - s), min(y1, cy + s)
-
-    def moments(a0, a1, b0, b1):
-        area = (a1 - a0) * (b1 - b0)
-        return np.array([area, area * (a0 + a1) / 2, area * (b0 + b1) / 2])
-
-    exact = moments(x0, x1, y0, y1) - moments(hx0, hx1, hy0, hy1)
-    got = np.array([wts.sum(), wts @ pts[:, 0], wts @ pts[:, 1]])
-    assert_allclose(got, exact, rtol=1e-13, atol=0.0)
+@pytest.mark.parametrize("target", [
+    (1.9, 0.07), (1.9, 0.0), (None, 0.0), (2.5, 0.2), (0.0, -0.13),
+    (0.0, 0.0), (6.0, 0.11), (2.5 + 1e-13, 0.2 - 1e-13)],
+    ids=["inside", "column-line", "mesh-node", "cell-corner", "rho-0",
+         "rho-0-column-line", "rho-above-1", "near-a-corner"])
+def test_cell_rule_integrates_linear_functions_on_each_cell(ring_mesh,
+                                                            target):
+    # the cells of the bump-dipole N=32 mesh, scaled as _volume_rule does:
+    # radial span 5, 12 columns of width 0.2
+    us = ring_mesh.breakpoints * 5.0
+    vs = np.arange(-6, 7) * 0.2
+    if target[0] is None:
+        target = (ring_mesh.rho[5] * 5.0, target[1])
+    u, v, w = laplace._cell_rule(us, vs, target)
+    # every point lies inside one cell, off its lines
+    iu, iv = np.searchsorted(us, u) - 1, np.searchsorted(vs, v) - 1
+    assert iu.min() >= 0 and iu.max() < us.size - 1
+    assert iv.min() >= 0 and iv.max() < vs.size - 1
+    assert not np.isin(u, us).any() and not np.isin(v, vs).any()
+    n_u, n_v = us.size - 1, vs.size - 1
+    cell = iu * n_v + iv
+    got = np.stack([np.bincount(cell, w * f, minlength=n_u * n_v)
+                    for f in (1.0, u, v)], axis=1)
+    u0, v0 = np.repeat(us[:-1], n_v), np.tile(vs[:-1], n_u)
+    du, dv = np.repeat(np.diff(us), n_v), np.tile(np.diff(vs), n_u)
+    exact = (du * dv)[:, None] * np.stack([np.ones_like(u0), u0 + du / 2,
+                                           v0 + dv / 2], axis=1)
+    assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +226,18 @@ def test_newtonian_potential_radial_oracle(annulus_mesh):
     for k, y in enumerate(targets):
         exact = _radial_newtonian(np.hypot(*y), g, 4.0)
         assert abs(vals[k] - exact) <= 1e-5
+
+
+def test_a_four_column_mesh_gets_a_two_column_window():
+    # 0.9 pi is 1.8 columns here, which rounds down to no even count; the
+    # window keeps two, and no division by a zero width happens
+    mesh = domain_mesh(make_curve("circle"), 4.0, 0.5, m_theta=4)
+    y = np.array([[1.7, 0.9]])
+    with np.errstate(all="raise"):
+        val = laplace.newtonian_potential(
+            mesh, y, g_fn=lambda p: np.exp(-(p[:, 0] ** 2 + p[:, 1] ** 2)))
+    exact = _radial_newtonian(np.hypot(*y[0]), lambda r: np.exp(-r ** 2), 4.0)
+    assert abs(val[0] - exact) <= 0.05 * abs(exact)
 
 
 def test_declared_zero_density_gives_a_zero_potential(annulus_mesh):

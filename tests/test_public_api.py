@@ -1,11 +1,15 @@
-"""Every public function and method of the library has a caller.
+"""Every public function and method of the library has a caller, and
+every private definition a reader.
 
 A public module-level function or method of ``src/bdie2d`` must be named
 somewhere in ``src/bdie2d/*.py`` or ``perfbench/*.py`` outside its own
 definition: as a name, an attribute, or a word of a string constant (the
 benchmark tracer patches methods by name).  Docstrings do not count, and
 neither do the tests: an operator only its own test reaches is dead API.
-Every imported name, in the library and in the tests, is used.
+A private module-level function, class or constant must be read by its
+own module outside its definition, or named as an attribute by a module
+of ``src/bdie2d``.  Every imported name, in the library and in the tests,
+is used.
 """
 
 import ast
@@ -73,6 +77,46 @@ def test_every_public_function_and_method_has_a_caller():
             if refs[node.name] - own == 0:
                 dead.append(f"{path.stem}.{qualname}")
     assert not dead, "public API without a caller: " + ", ".join(dead)
+
+
+def _private_definitions(tree):
+    """(name, node) of the private module-level functions, classes and
+    constants of ``tree``; the node is None for a constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found = [(node.name, node)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found = [(sub.id, None) for target in targets
+                     for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+        else:
+            continue
+        for name, sub in found:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, sub
+
+
+def _loads(node):
+    """Names read under ``node``."""
+    return Counter(sub.id for sub in ast.walk(node)
+                   if isinstance(sub, ast.Name)
+                   and isinstance(sub.ctx, ast.Load))
+
+
+def test_every_private_definition_is_read():
+    trees = {path: ast.parse(path.read_text()) for path in LIBRARY}
+    attributes = Counter(sub.attr for tree in trees.values()
+                         for sub in ast.walk(tree)
+                         if isinstance(sub, ast.Attribute))
+    dead = []
+    for path, tree in trees.items():
+        reads = _loads(tree)
+        for name, node in _private_definitions(tree):
+            own = _loads(node)[name] if node is not None else 0
+            if reads[name] - own + attributes[name] == 0:
+                dead.append(f"{path.stem}.{name}")
+    assert not dead, "private definitions nothing reads: " + ", ".join(dead)
 
 
 def _unused_imports(tree):

@@ -299,19 +299,32 @@ def test_each_target_builds_its_near_field_once(monkeypatch):
     grid = boundary_grid(case.curve, 8)
     mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 8, m_theta=8)
     builds = []
-    build = laplace._singular_rect_quadrature
+    build = laplace._cell_rule
 
     def counted(*args, **kwargs):
-        builds.append(args[1])
+        builds.append(args[2])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(laplace, "_singular_rect_quadrature", counted)
+    monkeypatch.setattr(laplace, "_cell_rule", counted)
     sysm = assemble_system(case.problem(), grid, mesh)
     assert sysm.n_dom > 0
     assert len(builds) == sysm.n_dom + sysm.n_bnd
     del builds[:]
     solve(sysm).evaluate(np.array([[1.5, 0.2], [-3.0, 1.0], [0.5, 6.0]]))
     assert len(builds) == 3
+
+
+def test_a_higher_gauss_order_barely_moves_the_bump_dipole_rows(monkeypatch):
+    # the near rule has converged: two more Gauss points a side in the
+    # cells, and four in the Duffy pieces, move no entry of the
+    # bump-dipole N=32 system by more than 1e-5 of its largest
+    case = manufactured_case("bump-dipole")
+    grid = boundary_grid(case.curve, 32)
+    mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 32, m_theta=32)
+    base = assemble_system(case.problem(), grid, mesh).matrix
+    monkeypatch.setattr(laplace, "_ORDER", laplace._ORDER + 2)
+    raised = assemble_system(case.problem(), grid, mesh).matrix
+    assert np.abs(raised - base).max() <= 1e-5 * np.abs(base).max()
 
 
 @pytest.mark.parametrize("name", ["laplace-dipole", "bump-dipole"])

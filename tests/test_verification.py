@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bdie2d import verification as vf
-from bdie2d.coefficient import make_coefficient
+from bdie2d.coefficient import make_coefficient, weight
 from bdie2d.errors import UnknownCatalogError, VerificationError
 from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
 from bdie2d.system import assemble_system, solve
@@ -140,11 +140,21 @@ def test_gaussian_tail_factor_matches_radial_scan():
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
     r = 2.0
     s = np.linspace(r, 50.0, 200001)
-    from bdie2d.coefficient import weight
     grad_mag = 2.0 * s * np.exp(-s ** 2)
     pts = np.stack([s, np.zeros_like(s)], axis=1)
     expected = np.max(weight(pts) * grad_mag)
     assert_allclose(vf.gaussian_tail_factor(field, r), expected, rtol=1e-6)
+
+
+def test_gaussian_tail_factor_of_an_offset_bump():
+    # centred on the y axis: the supremum lies on the ray toward the centre,
+    # where |grad a| = 2 d exp(-d^2) at distance d = s - 0.5 from it
+    field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0,
+                             center=(0.0, 0.5))
+    s = np.linspace(2.0, 50.0, 200001)
+    pts = np.stack([np.zeros_like(s), s], axis=1)
+    expected = np.max(weight(pts) * 2.0 * (s - 0.5) * np.exp(-(s - 0.5) ** 2))
+    assert_allclose(vf.gaussian_tail_factor(field, 2.0), expected, rtol=1e-6)
 
 
 def test_sobolev_scaling_matrix_is_fourier_multiplier():
