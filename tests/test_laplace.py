@@ -175,6 +175,27 @@ def test_a_grid_with_flipped_normals_is_rejected_near_the_curve(circle64):
         laplace.layer_rows_offboundary(flipped, [[0.99, 0.0]])
 
 
+@pytest.mark.parametrize("v_cap", [np.inf, 0.05], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("center", [(0.37, 0.12), (0.0, 0.41), (1.0, -0.3)],
+                         ids=["inside", "edge", "corner"])
+def test_dyadic_rule_integrates_linear_functions(center, v_cap):
+    # the near-field rule (once a dyadic grid, now the cell rule) on one
+    # rectangle, cut into columns no taller than v_cap when that is finite
+    rect = (0.0, 1.0, -0.3, 0.7)
+    x0, x1, y0, y1 = rect
+    n_v = 1 if np.isinf(v_cap) else int(np.ceil((y1 - y0) / v_cap))
+    u, v, w = laplace._cell_rule(np.array([x0, x1]),
+                                 np.linspace(y0, y1, n_v + 1), center)
+    assert np.all((u > x0) & (u < x1) & (v > y0) & (v < y1))
+    # cells no taller than v_cap leave no larger gap between nodes along v
+    assert np.diff(np.unique(v)).max() < v_cap
+    # the rule covers the whole rectangle
+    area = (x1 - x0) * (y1 - y0)
+    exact = np.array([area, area * (x0 + x1) / 2, area * (y0 + y1) / 2])
+    got = np.array([w.sum(), w @ u, w @ v])
+    assert_allclose(got, exact, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("target", [
     (1.9, 0.07), (1.9, 0.0), (None, 0.0), (2.5, 0.2), (0.0, -0.13),
     (0.0, 0.0), (6.0, 0.11), (2.5 + 1e-13, 0.2 - 1e-13)],
