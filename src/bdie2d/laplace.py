@@ -18,37 +18,40 @@ these choices, on the unit circle
     W(1) = 1/2,                      L(cos n t) = (n/2) cos(n t).
 
 Every volume potential over a DomainMesh uses one near/far rule per
-target (``_volume_rule``), a floating partition of unity (Bruno &
-Kunyansky, J. Comput. Phys. 169, 2001): a smooth window in the polar
-angle, centred on the mesh column nearest the target, splits the
-integral into a far part, the mesh's tensor rule weighted by
-(1 - window), and a near part weighted by the window.  The window's
-half-width is an even number of columns, so its plateau and its support
-end on column lines.  The near part is integrated on the mesh's own
-cells under the window, one radial panel by one column each
-(``_cell_rule``), on which the nodal interpolant is a polynomial and the
-window smooth.  A cell farther from the target than its longer side gets
-a tensor Gauss rule, and a nearer one is halved toward the target until
-its pieces are that far.  The cells holding the target are cut at it,
-the pieces cut to an aspect ratio of at most 2 there, and each piece with
-the target at a corner gets Duffy's rule (SIAM J. Numer. Anal. 19, 1982)
-with a graded radial variable.  The cells are laid out about the centre
-column, whose angle is added last, so the rows of a ring of targets on a
-circle are rotations of one row.  The rule is kept as its distinct radii
-and angles plus an index pair per point: it evaluates everything that
-depends on one coordinate once per distinct value, and the scatter
-of fine-point values onto the mesh nodes (``_scatter_near``) contracts
-the interpolant one axis at a time, the 4-point angular factor by
-bincounts and the radial factor by a small product per panel (the
-sum-factorization of spectral-element codes).  One apply
-(``_volume_apply``) builds that rule once per target and runs it for a row
-kernel, an analytic value integrand, or both: the kernel gives matrix rows
-on nodal densities, the fine points reaching the nodes through that
-scatter (``domain_rows``), and the integrand is sampled at the far nodes
-and fine points (``newtonian_potential``, ``parametrix.remainder_apply``).
-``domain_rows(..., with_values=True)`` does both from the same rule and
-one evaluation per point, which is how ``parametrix.volume_terms`` yields
-the remainder rows and the volume potential of a source together.
+target, a floating partition of unity (Bruno & Kunyansky, J. Comput.
+Phys. 169, 2001): a smooth window in the polar angle, centred on the mesh
+column nearest the target, splits the integral into a far part, the
+mesh's tensor rule weighted by (1 - window), and a near part weighted by
+the window.  The window's half-width is an even number of columns, so its
+plateau and its support end on column lines.  The near part is integrated
+on the mesh's own cells under the window, one radial panel by one column
+each (``_cell_rule``), on which the nodal interpolant is a polynomial and
+the window smooth.  A cell farther from the target than its longer side
+gets a tensor Gauss rule, and a nearer one is halved toward the target
+until its pieces are that far.  The cells holding the target are cut at
+it, the pieces cut to an aspect ratio of at most 2 there, and each piece
+with the target at a corner gets Duffy's rule (SIAM J. Numer. Anal. 19,
+1982) with a graded radial variable.  The cells are laid out about the
+centre column, whose angle is added last, so the rows of a ring of
+targets on a circle are rotations of one row.
+
+The rules are built and run a block of targets at a time (``_blocks``,
+``_volume_apply``), a block holding at most _POINTS points unless it
+holds one target: one cut-and-halve loop cuts the cells of a group of
+targets, every piece carrying its target and its cell; the far part is a
+(block x nodes) product of the weights with the integrand at the nodes
+off each window's plateau; and the integrand runs once per block, with
+one target per point.  The near part reaches the mesh nodes piece by
+piece (``_scatter``): a piece lies in one cell, so its values reach that
+cell's 4 x 4 node stencil through one small product, radial Lagrange
+factor times values times angular Lagrange factor, tensor-factored on a
+Gauss piece (the sum-factorization of spectral-element codes).  The
+kernel gives matrix rows on nodal densities (``domain_rows``) and an
+analytic integrand gives values (``newtonian_potential``,
+``parametrix.remainder_apply``); ``domain_rows(..., with_values=True)``
+does both from the same rule and one evaluation per point, which is how
+``parametrix.volume_terms`` yields the remainder rows and the volume
+potential of a source together.
 
 Both off-boundary layer potentials come from one pass over the targets
 (``layer_rows_offboundary``), as blocks of rows on the boundary grid's own
@@ -96,7 +99,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GeometryError, SingularEvaluationError
-from .geometry import BoundaryGrid, DomainMesh
+from .geometry import BoundaryGrid, DomainMesh, _lagrange_weights
 
 _TWO_PI = 2.0 * np.pi
 
@@ -294,10 +297,12 @@ def layer_rows_offboundary(grid: BoundaryGrid, targets):
 # The near-field window spans at least _WIDTH_COLS mesh columns, 0.7 rad
 # and an arc of _WIDTH_PHYS on each side of the target, rounded up to an
 # even number of columns (down, to stay within 0.9 pi); its cells take
-# _ORDER Gauss points a side.
+# _ORDER Gauss points a side.  A block of targets gives at most _POINTS
+# points to the integrand, unless it holds a single target.
 _WIDTH_COLS = 5
 _WIDTH_PHYS = 1.2
 _ORDER = 6
+_POINTS = 16_000
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
@@ -313,47 +318,68 @@ def _bump(u: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _reference_rules(order):
-    """The tensor Gauss rule of ``order`` points a side on the unit square,
-    and its Duffy rule singular at the corner (0, 0): each triangle of the
-    diagonal through that corner is the image of the unit square under
-    (s, t) -> (s, s t) or (s t, s), with s = sigma^2 and 2 ``order`` Gauss
-    points in sigma and in t.  Each rule is (x, y, w)."""
+    """The Gauss rule of ``order`` points on [0, 1] with the weights of its
+    tensor rule on the unit square, and the Duffy rule on that square
+    singular at the corner (0, 0): each triangle of the diagonal through
+    that corner is the image of the unit square under (s, t) -> (s, s t) or
+    (s t, s), with s = sigma^2 and 2 ``order`` Gauss points in sigma and in
+    t.  The Gauss rule is (x, w), the Duffy rule (x, y, w)."""
     g, gw = np.polynomial.legendre.leggauss(order)
     g, gw = 0.5 * (g + 1.0), 0.5 * gw
-    gauss = np.repeat(g, order), np.tile(g, order), np.outer(gw, gw).ravel()
     d, dw = np.polynomial.legendre.leggauss(2 * order)
     d, dw = 0.5 * (d + 1.0), 0.5 * dw
     s, t = np.repeat(d ** 2, d.size), np.tile(d, d.size)
     w = np.outer(2.0 * d ** 3 * dw, dw).ravel()  # s ds dt
-    return gauss, (np.concatenate([s, s * t]), np.concatenate([s * t, s]),
-                   np.concatenate([w, w]))
+    return (g, np.outer(gw, gw)), (np.concatenate([s, s * t]),
+                                   np.concatenate([s * t, s]),
+                                   np.concatenate([w, w]))
 
 
-def _cell_rule(us, vs, target):
-    """Points (u, v) and weights of a quadrature on the tensor cells with
-    the sorted lines ``us`` and ``vs``, for an integrand singular at
-    ``target``.  The target is first clipped to the cells' rectangle, and
-    moved onto a line within 1e-10 cells of it.
+class _Pieces(NamedTuple):
+    """Quadrature pieces of a block of targets, each inside one cell, with
+    their points: u (n, k, 1) and v (n, 1, k) span a Gauss piece's tensor
+    rule, u and v (n, k, 1) list a Duffy piece's points, and w has the
+    shape they broadcast to."""
 
-    A piece with the target at a corner and an aspect ratio of at most 2
-    gets the Duffy rule, and one farther from the target than its longer
+    cell: np.ndarray    # (n, 3): target, u-cell and v-cell of each piece
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    x: np.ndarray = None  # physical points, w.shape + (2,), once mapped
+
+
+def _cell_rule(us, vs, targets):
+    """Gauss and Duffy pieces (two _Pieces) of a quadrature on the tensor
+    cells of a block of targets, for integrands singular at the targets:
+    target i's cells have the sorted lines us[i] and vs[i].  Each target is
+    first clipped to its cells' rectangle, and moved onto a line within
+    1e-10 cells of it.
+
+    A piece with its target at a corner and an aspect ratio of at most 2
+    gets the Duffy rule, and one farther from its target than its longer
     side the Gauss rule.  Any other piece with the target inside it or
     inside an edge is cut at the target, and the rest are halved along
-    their longer side, until no piece is left.
+    their longer side, until no piece is left.  One loop serves the block.
     """
-    gauss, duffy = _reference_rules(_ORDER)
+    (g, gw), (sx, sy, sw) = _reference_rules(_ORDER)
     p = []
-    for edges, q in zip((us, vs), target):
-        q = min(max(q, edges[0]), edges[-1])
-        line = edges[np.abs(edges - q).argmin()]
-        p.append(line if abs(line - q) <= 1e-10 * np.diff(edges).min() else q)
-    xs, ys = us - p[0], vs - p[1]
-    # pieces (x0, x1, y0, y1) about the target at the origin
-    pend = np.stack(np.broadcast_arrays(xs[:-1, None], xs[1:, None], ys[:-1],
-                                        ys[1:]), axis=-1).reshape(-1, 4)
+    for edges, q in zip((us, vs), np.asarray(targets, dtype=float).T):
+        q = np.clip(q, edges[:, 0], edges[:, -1])
+        line = np.take_along_axis(
+            edges, np.abs(edges - q[:, None]).argmin(axis=1)[:, None], 1)[:, 0]
+        p.append(np.where(np.abs(line - q)
+                          <= 1e-10 * np.diff(edges, axis=1).min(axis=1),
+                          line, q))
+    xs, ys = us - p[0][:, None], vs - p[1][:, None]
+    shape = xs.shape[0], xs.shape[1] - 1, ys.shape[1] - 1
+    # pieces (x0, x1, y0, y1) about their target at the origin; the fifth
+    # column numbers each piece's cell
+    pend = np.stack(np.broadcast_arrays(
+        xs[:, :-1, None], xs[:, 1:, None], ys[:, None, :-1], ys[:, None, 1:],
+        np.arange(np.prod(shape)).reshape(shape)), axis=-1).reshape(-1, 5)
     far, near = [], []
     while pend.size:
-        x0, x1, y0, y1 = pend.T
+        x0, x1, y0, y1, _ = pend.T
         wx, wy = x1 - x0, y1 - y0
         wide = np.maximum(wx, wy)
         gap2 = (np.maximum(np.maximum(x0, -x1), 0.0) ** 2
@@ -364,7 +390,7 @@ def _cell_rule(us, vs, target):
         near.append(pend[to_duffy])
         far.append(pend[to_gauss])
         rest = ~(to_duffy | to_gauss)
-        pend, (x0, x1, y0, y1) = pend[rest], pend[rest].T
+        pend, (x0, x1, y0, y1, _) = pend[rest], pend[rest].T
         holds = gap2[rest] == 0.0
         cut_x = holds & (x0 < 0.0) & (x1 > 0.0)
         cut_y = holds & (y0 < 0.0) & (y1 > 0.0) & ~cut_x
@@ -375,160 +401,197 @@ def _cell_rule(us, vs, target):
         lo[in_x, 1] = hi[in_x, 0] = at[in_x]
         lo[~in_x, 3] = hi[~in_x, 2] = at[~in_x]
         pend = np.concatenate([lo, hi])
-    x0, x1, y0, y1 = np.concatenate(far).T
-    near = np.concatenate(near)
-    # the signed extents of a Duffy piece from the target at its corner
-    dx, dy = near[:, 0] + near[:, 1], near[:, 2] + near[:, 3]
-    (gx, gy, gw), (sx, sy, sw) = gauss, duffy
-    u = np.concatenate([(x0[:, None] + (x1 - x0)[:, None] * gx).ravel(),
-                        (dx[:, None] * sx).ravel()])
-    v = np.concatenate([(y0[:, None] + (y1 - y0)[:, None] * gy).ravel(),
-                        (dy[:, None] * sy).ravel()])
-    w = np.concatenate([((x1 - x0) * (y1 - y0))[:, None] * gw,
-                        np.abs(dx * dy)[:, None] * sw], axis=None)
-    return u + p[0], v + p[1], w
+    (x0, x1, y0, y1, g_cell), (d0, d1, e0, e1, d_cell) = (
+        np.concatenate(part)[:, :, None].transpose(1, 0, 2)
+        for part in (far, near))
+    g_cell, d_cell = (np.stack(np.unravel_index(c[:, 0].astype(int), shape), 1)
+                      for c in (g_cell, d_cell))
+    # the signed extents of a Duffy piece from its target at a corner
+    dx, dy = d0 + d1, e0 + e1
+    dt = d_cell[:, 0, None]
+    gt = g_cell[:, 0, None]
+    return (_Pieces(g_cell, (x0 + (x1 - x0) * g + p[0][gt])[:, :, None],
+                    (y0 + (y1 - y0) * g + p[1][gt])[:, None, :],
+                    ((x1 - x0) * (y1 - y0))[:, :, None] * gw),
+            _Pieces(d_cell, (dx * sx + p[0][dt])[:, :, None],
+                    (dy * sy + p[1][dt])[:, :, None],
+                    (np.abs(dx * dy) * sw)[:, :, None]))
 
 
-class _VolumeRule(NamedTuple):
-    """Near/far quadrature rule of one target (see _volume_rule)."""
+class _Block(NamedTuple):
+    """The near/far rule of a block of targets (see _blocks)."""
 
-    far_idx: np.ndarray     # mesh nodes below the window's plateau
-    far_w: np.ndarray       # their weights times (1 - window)
-    rho: np.ndarray         # distinct scaled radii of the near field, sorted
-    theta: np.ndarray       # distinct angles of the near field, sorted
-    iu: np.ndarray          # each fine point's index into rho
-    iv: np.ndarray          # and into theta
-    fine_x: np.ndarray      # the fine points, physical
-    fine_w: np.ndarray      # their weights times window and Jacobian
-
-
-def _volume_rule(mesh: DomainMesh, y, near=True) -> _VolumeRule:
-    """The near/far quadrature rule of a volume integral at target y (see
-    the module docstring).  With ``near`` false, or for a target more than
-    0.5 outside the meshed region, the near part is empty and the far part
-    is the whole mesh rule.  The cells are scaled to be physically
-    isotropic at the target."""
-    y = np.asarray(y, dtype=float)
-    if near:
-        rho, theta = mesh.mesh_coords(y)
-        rho_y, theta_y = float(rho[0]), float(theta[0])
-        r_s = float(mesh.curve.radial_profile(np.atleast_1d(theta_y))[0])
-        span = mesh.r_trunc - r_s
-        # radial clearance of the target from the meshed region
-        near = not span * max(-rho_y, rho_y - 1.0, 0.0) > 0.5
-    if not near:
-        empty = np.zeros(0, dtype=int)
-        return _VolumeRule(np.arange(mesh.n_nodes), mesh.weights, np.zeros(0),
-                           np.zeros(0), empty, empty, np.zeros((0, 2)),
-                           np.zeros(0))
-    m = mesh.m_theta
-    dtheta = _TWO_PI / m
-    r_y = r_s + span * max(rho_y, 0.0)
-    width = max(_WIDTH_COLS * dtheta, 0.7, _WIDTH_PHYS / max(r_y, 1e-3))
-    # half-width in columns: even, and at most 0.9 pi unless that is 0
-    n_half = 2 * max(1, min(int(np.ceil(width / (2.0 * dtheta))),
-                            9 * m // 40))
-    centre = int(np.rint(theta_y / dtheta))
-    offset = theta_y - centre * dtheta
-    centre %= m
-    # each column's offset from the centre column, in columns
-    cols = (np.arange(m) - centre + m // 2) % m - m // 2
-    win = np.tile(_bump(cols / n_half), mesh.n_r)
-    far_idx = np.nonzero(win < 1.0)[0]
-    far_w = mesh.weights[far_idx] * (1.0 - win[far_idx])
-    su, sv = span, max(r_y, 1e-3)
-    u, v, w = _cell_rule(mesh.breakpoints * su,
-                         np.arange(-n_half, n_half + 1) * (dtheta * sv),
-                         (rho_y * su, offset * sv))
-    fine_rho, iu = np.unique(u / su, return_inverse=True)
-    dth, iv = np.unique(v / sv, return_inverse=True)
-    fine_theta = mesh.theta[centre] + dth
-    r_s = mesh.curve.radial_profile(fine_theta)
-    span_t = mesh.r_trunc - r_s
-    r = r_s[iv] + span_t[iv] * fine_rho[iu]
-    fine_w = (w / (su * sv) * _bump(dth / (n_half * dtheta))[iv]
-              * (span_t[iv] * r))
-    return _VolumeRule(far_idx, far_w, fine_rho, fine_theta, iu, iv,
-                       np.stack([r * np.cos(fine_theta)[iv],
-                                 r * np.sin(fine_theta)[iv]], axis=-1),
-                       fine_w)
+    idx: np.ndarray     # the targets
+    centre: np.ndarray  # their windows' centre columns
+    pairs: tuple        # (target in the block, mesh node) of the far part
+    w_row: np.ndarray   # their weights in the rows
+    w_val: np.ndarray   # and in the values
+    fine: tuple         # _Pieces of scaled radius u and angle v from the
+                        # centre column, with points x; cell[:, 2] counts
+                        # columns from the centre
 
 
-def _scatter_near(mesh: DomainMesh, rule: _VolumeRule, c, row):
-    """Add the fine-point values c, interpolated onto the mesh nodes, to row.
+def _blocks(mesh: DomainMesh, pts, rows_near, values):
+    """The near/far rules of the targets pts, one _Block at a time.
 
-    The interpolant is radial Lagrange times 4-point angular Lagrange, so
-    the scatter goes one axis at a time: the angular factor by bincounts
-    over (radius, window column), then the radial factor as one small
-    product per radial panel on the columns the window touches.
+    A target within 0.5 of the meshed region gets a window (see the module
+    docstring) if it is marked in ``rows_near`` or ``values`` is true, its
+    cells scaled to be physically isotropic at the target; its rows get the
+    near field only if it is marked.  The targets are grouped by the width
+    of their windows.  One _cell_rule call cuts the cells of as many
+    targets of a group as the points per target of the call before allow,
+    and its pieces are split into blocks of at most _POINTS far nodes and
+    fine points, or of one target.
+    """
+    m, n_nodes, dtheta = mesh.m_theta, mesh.n_nodes, _TWO_PI / mesh.m_theta
+    rho, theta = mesh.mesh_coords(pts)
+    r_s = mesh.curve.radial_profile(theta)
+    span = mesh.r_trunc - r_s
+    r_y = np.maximum(r_s + span * np.maximum(rho, 0.0), 1e-3)
+    width = np.maximum(max(_WIDTH_COLS * dtheta, 0.7), _WIDTH_PHYS / r_y)
+    # half-width in columns: even, and at most 0.9 pi unless that is 0; 0
+    # without near field, as for a target 0.5 outside the meshed region
+    halves = 2 * np.maximum(1, np.minimum(
+        np.ceil(width / (2.0 * dtheta)).astype(int), 9 * m // 40))
+    halves[~(rows_near | values)
+           | (span * np.maximum(np.maximum(-rho, rho - 1.0), 0.0) > 0.5)] = 0
+    centres = np.rint(theta / dtheta).astype(int)
+    offsets = theta - centres * dtheta
+    centres %= m
+    order = np.argsort(halves, kind="stable")
+    per_target, start = n_nodes, 0
+    while start < order.size:
+        idx = order[start:start + max(1, _POINTS // per_target)]
+        n_half = halves[idx[0]]
+        idx = idx[halves[idx] == n_half]
+        start += idx.size
+        su, sv = span[idx], r_y[idx]
+        w_row = w_val = np.broadcast_to(mesh.weights, (idx.size, n_nodes))
+        pieces, used = (), np.ones((idx.size, n_nodes), dtype=bool)
+        if n_half:
+            cols = (np.arange(m) - centres[idx, None] + m // 2) % m - m // 2
+            window = np.tile(_bump(cols / n_half), mesh.n_r)
+            w_val = mesh.weights * (1.0 - window)
+            w_row = np.where(rows_near[idx, None], w_val, mesh.weights)
+            # no node under the plateau, unless the rows skip the near field
+            used = (window < 1.0) | ~rows_near[idx, None]
+            pieces = _cell_rule(
+                mesh.breakpoints * su[:, None],
+                np.arange(-n_half, n_half + 1) * (dtheta * sv)[:, None],
+                np.stack([rho[idx] * su, offsets[idx] * sv], axis=1))
+        counts = used.sum(axis=1) + sum(
+            np.bincount(pc.cell[:, 0], minlength=idx.size)
+            * np.prod(pc.w.shape[1:]) for pc in pieces)
+        per_target, lo = int(counts.max()), 0
+        while lo < idx.size:
+            hi = lo + max(1, np.searchsorted(np.cumsum(counts[lo:]), _POINTS,
+                                             side="right"))
+            fine = []
+            for pc in pieces:
+                pc = _Pieces(*(a[(pc.cell[:, 0] >= lo) & (pc.cell[:, 0] < hi)]
+                               for a in pc[:4]))
+                t = pc.cell[:, 0]
+                s_u, s_v = su[t, None, None], sv[t, None, None]
+                f_rho, dth = pc.u / s_u, pc.v / s_v
+                f_theta = mesh.theta[centres[idx[t]], None, None] + dth
+                f_rs = mesh.curve.radial_profile(f_theta)
+                f_span = mesh.r_trunc - f_rs
+                r = f_rs + f_span * f_rho
+                fine.append(_Pieces(
+                    pc.cell - [lo, 0, n_half], f_rho, dth,
+                    (pc.w / (s_u * s_v) * _bump(dth / (n_half * dtheta))
+                     * (f_span * r)),
+                    np.stack([r * np.cos(f_theta), r * np.sin(f_theta)], -1)))
+            ii, jj = np.nonzero(used[lo:hi])
+            yield _Block(idx[lo:hi], centres[idx[lo:hi]], (ii, jj),
+                         w_row[lo:hi][ii, jj], w_val[lo:hi][ii, jj],
+                         tuple(fine))
+            lo = hi
+
+
+def _scatter(mesh: DomainMesh, block: _Block, c, out):
+    """Add the fine-point values c, interpolated onto the mesh nodes, to the
+    block's rows out.
+
+    A piece lies inside one cell, where the interpolant is radial Lagrange
+    on the panel's nodes times 4-point angular Lagrange on the columns
+    around the cell, so its values reach that cell's stencil through one
+    small product: R^T C A for a Gauss piece, with C its values on the
+    tensor rule (the sum-factorization of spectral-element codes), and
+    R^T diag(c) A for a Duffy piece.
     """
     m = mesh.m_theta
-    i_r, w_r = mesh.radial_weights(rule.rho)
-    cols, w_th = mesh.angular_weights(rule.theta)
-    # each angle's first column, counted from the window's (theta sorted)
-    first = (cols[:, 0] - cols[0, 0]) % m
-    n_cols = int(first.max()) + 4
-    key = rule.iu * n_cols + first[rule.iv]
-    size = rule.rho.size * n_cols
-    by_col = sum(np.bincount(key + k, c * w_th[rule.iv, k], minlength=size)
-                 for k in range(4)).reshape(-1, n_cols)
-    if n_cols > m:  # a window reaching round the whole circle
-        by_col[:, :n_cols - m] += by_col[:, m:]
-        n_cols, by_col = m, by_col[:, :m]
-    grid = row.reshape(mesh.n_r, m)
-    window = (cols[0, 0] + np.arange(n_cols)) % m
-    # rho is sorted, so each panel's radii are contiguous
-    start = np.flatnonzero(np.diff(i_r[:, 0], prepend=-1))
-    for s, e in zip(start, np.append(start[1:], i_r.shape[0])):
-        grid[i_r[s, :, None], window] += w_r[s:e].T @ by_col[s:e]
+    n_q = mesh.n_r // (mesh.breakpoints.size - 1)
+    index, stencils = [], []
+    for f in block.fine:
+        n, (t, panel, col) = f.cell.shape[0], f.cell.T
+        values, c = c[:f.w.size].reshape(f.w.shape), c[f.w.size:]
+        rows = panel[:, None] * n_q + np.arange(n_q)
+        cols = col[:, None] + np.arange(-1, 3)
+        radial = _lagrange_weights(f.u.reshape(n, -1), mesh.rho[rows][:, None])
+        # the angular nodes in columns from the cell's first line
+        angular = _lagrange_weights(
+            f.v.reshape(n, -1) / (_TWO_PI / m) - col[:, None],
+            np.arange(-1.0, 3.0))
+        stencils.append(radial.transpose(0, 2, 1)
+                        @ (values @ angular if f.v.shape[1] == 1
+                           else values * angular))
+        index.append(t[:, None, None] * mesh.n_nodes + rows[:, :, None] * m
+                     + (block.centre[t, None] + cols)[:, None, :] % m)
+    out += np.bincount(np.concatenate(index, axis=None),
+                       np.concatenate(stencils, axis=None),
+                       minlength=out.size).reshape(out.shape)
 
 
 def _volume_apply(mesh: DomainMesh, targets, terms_fn, *, rows=False,
                   values=False, near_targets=None):
-    """Run each target's _volume_rule once for a row kernel, an analytic
-    value integrand, or both; returns (rows, values), None for a part not
-    asked for.
+    """Run the targets' near/far rules, a block of targets at a time (see
+    _blocks), for a row kernel, an analytic value integrand, or both;
+    returns (rows, values), None for a part not asked for.
 
-    ``terms_fn(x_points, y)`` returns (kernel, value) at source points x
-    for target y, from one evaluation there; a part not asked for may be
-    None.  With ``rows`` the kernel gives the (m, n_nodes) matrix acting on
-    nodal densities: the far part lands on its nodes and the near part
-    reaches the nodes through mesh interpolation (_scatter_near).  With
-    ``values`` the value integrand is sampled at the far nodes and the
-    fine points; the values hold one integral per target (shape (m,) or
-    (m, k) as the value is (p,) or (p, k)).  ``near_targets`` (one bool
-    per target) limits the rows' near-field quadrature to the marked
-    targets; by default every target gets it, and values always do.  One
-    rule is alive at a time.
+    ``terms_fn(x_points, y_points)`` returns (kernel, value) at source
+    points x for targets y, one per point, from one evaluation there; a
+    part not asked for may be None.  It runs once per block.  With
+    ``rows`` the kernel gives the (m, n_nodes) matrix acting on nodal
+    densities: the far part lands on its nodes and the near part reaches
+    the nodes through mesh interpolation (_scatter).  With ``values`` the
+    value integrand, one number per point, is sampled at the far nodes and
+    the fine points, for one integral per target.  ``near_targets`` (one
+    bool per target) limits the rows' near-field quadrature to the marked
+    targets; by default every target gets it, and values always do.  A
+    non-finite target raises GeometryError.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
+    if not np.isfinite(pts).all():
+        raise GeometryError("volume target is not finite")
+    rows_near = np.ones(pts.shape[0], dtype=bool)
+    if rows and near_targets is not None:
+        rows_near = np.asarray(near_targets, dtype=bool)
     out = np.zeros((pts.shape[0], mesh.n_nodes)) if rows else None
-    vals = []
-    for i, y in enumerate(pts):
-        rows_near = near_targets is None or near_targets[i]
-        rule = _volume_rule(mesh, y, rows_near or values)
-        if rows and not rows_near and values:
-            # rows without the near field the value needs: one evaluation at
-            # every node gives the rows on the whole mesh rule and the value
-            # at the far nodes; a node at y, if any, lies under the window's
-            # plateau, so its value is never read
-            with np.errstate(divide="ignore", invalid="ignore"):
-                node_k, node_v = terms_fn(mesh.points, y)
-            out[i] = mesh.weights * node_k
-            far_v = node_v[rule.far_idx]
-            fine_v = terms_fn(rule.fine_x, y)[1] if rule.fine_w.size else None
-        else:
-            far_k, far_v = terms_fn(mesh.points[rule.far_idx], y)
-            fine_k, fine_v = (terms_fn(rule.fine_x, y) if rule.fine_w.size
-                              else (None, None))
-            if rows:
-                out[i, rule.far_idx] = rule.far_w * far_k
-                if fine_k is not None:
-                    _scatter_near(mesh, rule, rule.fine_w * fine_k, out[i])
+    vals = np.zeros(pts.shape[0]) if values else None
+    for block in _blocks(mesh, pts, rows_near, values):
+        (ii, jj), fine = block.pairs, block.fine
+        t = np.concatenate([ii] + [np.broadcast_to(f.cell[:, :1, None],
+                                                   f.w.shape) for f in fine],
+                           axis=None)
+        w = np.concatenate([block.w_val] + [f.w for f in fine], axis=None)
+        # a node at a target whose rows skip the near field is evaluated
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kernel, value = terms_fn(np.concatenate(
+                [mesh.points[jj]] + [f.x.reshape(-1, 2) for f in fine]),
+                pts[block.idx[t]])
+        if rows:
+            part = np.zeros((block.idx.size, mesh.n_nodes))
+            part[ii, jj] = block.w_row * kernel[:ii.size]
+            if fine:
+                _scatter(mesh, block, (w * kernel
+                                       * rows_near[block.idx[t]])[ii.size:],
+                         part)
+            out[block.idx] = part
         if values:
-            vals.append(rule.far_w @ far_v
-                        + (0.0 if fine_v is None else rule.fine_w @ fine_v))
-    return out, np.asarray(vals) if values else None
+            vals[block.idx] = np.bincount(
+                t, w * np.where(w != 0.0, value, 0.0), minlength=block.idx.size)
+    return out, vals
 
 
 def newtonian_potential(mesh: DomainMesh, targets, *, g_fn):
@@ -550,16 +613,16 @@ def domain_rows(mesh: DomainMesh, targets, kernel_fn, *, near_targets=None,
                 with_values=False):
     """Assemble matrix rows of a volume operator acting on nodal densities.
 
-    ``kernel_fn(x_points, y)`` returns the full integrand factor (kernel
-    times any analytic source-point factors) at source points ``x_points``
-    for target ``y``.  Fine points coincident with y never reach it; a
-    mesh node coincident with y does only when the near field of y is
-    skipped.  ``near_targets`` (one bool per target) limits near-field
-    quadrature to the marked targets.  With ``with_values``, kernel_fn
-    returns (kernel, value) from one evaluation at the points, the value
-    an analytic integrand, and the result is (rows, integrals of the
-    value), both from the same rule of each target; the integrals always
-    get the near field.
+    ``kernel_fn(x_points, y_points)`` returns the full integrand factor
+    (kernel times any analytic source-point factors) at source points
+    ``x_points`` for targets ``y_points``, one per point.  Fine points
+    coincident with a target never reach it; a mesh node coincident with a
+    target does only when the near field of that target is skipped.
+    ``near_targets`` (one bool per target) limits near-field quadrature to
+    the marked targets.  With ``with_values``, kernel_fn returns (kernel,
+    value) from one evaluation at the points, the value an analytic
+    integrand, and the result is (rows, integrals of the value), both from
+    the same rule of each target; the integrals always get the near field.
     """
     fn = kernel_fn if with_values else lambda x, y: (kernel_fn(x, y), None)
     rows, values = _volume_apply(mesh, targets, fn, rows=True,

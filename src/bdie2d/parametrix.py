@@ -66,7 +66,8 @@ def volume_potential(mesh: DomainMesh, field: CoefficientField, targets, *,
 
 
 def remainder_kernel(field: CoefficientField, x, y):
-    """R(x, y) for source points x (m, 2) and a single target y.
+    """R(x, y) for source points x (m, 2) and a target y: one point (2,),
+    or one per source point (m, 2).
 
     Coincident points are safe when the coefficient log-derivatives are
     negligible there (the kernel factor vanishes outside the support);
@@ -79,8 +80,9 @@ def remainder_kernel(field: CoefficientField, x, y):
 
 def _separation(x, y):
     """Columns (z0, z1) of z = x - y, r2 = |z|^2 and P_L(z) = ln(r2) / (4 pi)
-    for source points x and one target y; columns beat (m, 2) broadcasting."""
-    z = (x[:, 0] - y[0], x[:, 1] - y[1])
+    for source points x and a target y, one point or one per source point;
+    columns beat (m, 2) broadcasting."""
+    z = (x[:, 0] - y[..., 0], x[:, 1] - y[..., 1])
     r2 = z[0] ** 2 + z[1] ** 2
     with np.errstate(divide="ignore"):
         return z, r2, np.log(r2) / (2.0 * _TWO_PI)

@@ -175,6 +175,15 @@ def test_a_grid_with_flipped_normals_is_rejected_near_the_curve(circle64):
         laplace.layer_rows_offboundary(flipped, [[0.99, 0.0]])
 
 
+def _rule_points(us, vs, target):
+    """Points (u, v) and weights of the block builder's rule for one target
+    on the cells with the lines us and vs."""
+    pieces = laplace._cell_rule(us[None], vs[None], [target])
+    return (np.concatenate([np.broadcast_to(getattr(pc, name), pc.w.shape)
+                            for pc in pieces], axis=None)
+            for name in ("u", "v", "w"))
+
+
 @pytest.mark.parametrize("v_cap", [np.inf, 0.05], ids=["uncapped", "capped"])
 @pytest.mark.parametrize("center", [(0.37, 0.12), (0.0, 0.41), (1.0, -0.3)],
                          ids=["inside", "edge", "corner"])
@@ -184,8 +193,8 @@ def test_dyadic_rule_integrates_linear_functions(center, v_cap):
     rect = (0.0, 1.0, -0.3, 0.7)
     x0, x1, y0, y1 = rect
     n_v = 1 if np.isinf(v_cap) else int(np.ceil((y1 - y0) / v_cap))
-    u, v, w = laplace._cell_rule(np.array([x0, x1]),
-                                 np.linspace(y0, y1, n_v + 1), center)
+    u, v, w = _rule_points(np.array([x0, x1]), np.linspace(y0, y1, n_v + 1),
+                           center)
     assert np.all((u > x0) & (u < x1) & (v > y0) & (v < y1))
     # cells no taller than v_cap leave no larger gap between nodes along v
     assert np.diff(np.unique(v)).max() < v_cap
@@ -203,13 +212,13 @@ def test_dyadic_rule_integrates_linear_functions(center, v_cap):
          "rho-0-column-line", "rho-above-1", "near-a-corner"])
 def test_cell_rule_integrates_linear_functions_on_each_cell(ring_mesh,
                                                             target):
-    # the cells of the bump-dipole N=32 mesh, scaled as _volume_rule does:
+    # the cells of the bump-dipole N=32 mesh, scaled as _blocks does:
     # radial span 5, 12 columns of width 0.2
     us = ring_mesh.breakpoints * 5.0
     vs = np.arange(-6, 7) * 0.2
     if target[0] is None:
         target = (ring_mesh.rho[5] * 5.0, target[1])
-    u, v, w = laplace._cell_rule(us, vs, target)
+    u, v, w = _rule_points(us, vs, target)
     # every point lies inside one cell, off its lines
     iu, iv = np.searchsorted(us, u) - 1, np.searchsorted(vs, v) - 1
     assert iu.min() >= 0 and iu.max() < us.size - 1
@@ -283,16 +292,17 @@ def test_domain_rows_consistent_with_direct_quadrature(annulus_mesh):
 def _per_point_rows(mesh, targets, kernel, near):
     """domain_rows with a 16-entry interpolation stencil per fine point."""
     rows = np.zeros((len(targets), mesh.n_nodes))
-    for i, y in enumerate(targets):
-        rule = laplace._volume_rule(mesh, y, near[i])
-        rows[i, rule.far_idx] = rule.far_w * kernel(
-            mesh.points[rule.far_idx], y)
-        if rule.fine_w.size:
-            idx, wts = mesh.interpolation(rule.rho[rule.iu],
-                                          rule.theta[rule.iv])
-            np.add.at(rows[i], idx.ravel(),
-                      ((rule.fine_w * kernel(rule.fine_x, y))[:, None]
-                       * wts).ravel())
+    for block in laplace._blocks(mesh, targets, near, False):
+        (ii, jj), y = block.pairs, targets[block.idx]
+        rows[block.idx[ii], jj] = block.w_row * kernel(mesh.points[jj], y[ii])
+        for fine in block.fine:
+            t, rho, dth = (np.broadcast_to(a, fine.w.shape).ravel() for a in
+                           (fine.cell[:, 0, None, None], fine.u, fine.v))
+            idx, wts = mesh.interpolation(rho, mesh.theta[block.centre[t]]
+                                          + dth)
+            np.add.at(rows, (block.idx[t, None], idx),
+                      (fine.w.ravel() * kernel(fine.x.reshape(-1, 2), y[t]))
+                      [:, None] * wts)
     return rows
 
 
@@ -344,3 +354,62 @@ def test_a_roundoff_shift_of_the_target_keeps_its_row(ring_mesh):
         moved = laplace.domain_rows(mesh, targets + shift,
                                     laplace._kernel_value)
         assert np.abs(moved - rows).max() <= 1e-10 * np.abs(rows).max()
+
+
+def _recorded(kernel, calls):
+    """kernel_fn for domain_rows(..., with_values=True) that records the
+    points and targets of each call."""
+    def terms(x, y):
+        calls.append((len(x), len(np.unique(y, axis=0))))
+        p = kernel(x, y) * (1.0 + 0.3 * x[:, 0])
+        return p, p * np.exp(-0.1 * (x[:, 0] ** 2 + x[:, 1] ** 2))
+    return terms
+
+
+@pytest.mark.parametrize("curve,r_trunc", [
+    (("circle", {}), 6.0), (("star", {"alpha": 0.2, "k": 5}), 6.0)],
+    ids=["circle", "star"])
+def test_a_block_of_targets_matches_one_target_at_a_time(curve, r_trunc):
+    mesh = domain_mesh(make_curve(curve[0], **curve[1]), r_trunc,
+                       4 * np.pi / 32, m_theta=32)
+    m, j = mesh.m_theta, 5
+    th = mesh.theta[j] + np.array([0.0, 0.5 * 2 * np.pi / m])
+    targets = np.concatenate([
+        mesh.points[[2 * m + j, 6 * m + 11, 9 * m + 20]],   # mesh nodes
+        mesh.curve.position(th),                 # boundary node; rho = 0
+        [[2.3, 1.1], [-1.7, -2.6], [0.4, 3.3]],  # between columns
+        (r_trunc + 0.7) * np.array([[np.cos(0.4), np.sin(0.4)]]),  # far
+        [[-2.9, 0.6], [1.9, -2.2]]])   # rows skip the near field, values not
+    near = np.ones(len(targets), dtype=bool)
+    near[-2:] = False
+    calls = []
+    rows, values = laplace.domain_rows(
+        mesh, targets, _recorded(laplace._kernel_value, calls),
+        near_targets=near, with_values=True)
+    assert max(n_targets for _, n_targets in calls) > 1
+    for i, y in enumerate(targets):
+        row, value = laplace.domain_rows(
+            mesh, y[None], _recorded(laplace._kernel_value, []),
+            near_targets=near[i:i + 1], with_values=True)
+        assert np.abs(rows[i] - row[0]).max() <= 1e-13 * np.abs(row).max()
+        assert abs(values[i] - value[0]) <= 1e-13 * abs(value[0])
+
+
+def test_no_block_of_several_targets_exceeds_the_point_cap(ring_mesh):
+    calls = []
+    targets = ring_mesh.points[::3]
+    laplace.domain_rows(ring_mesh, targets,
+                        _recorded(laplace._kernel_value, calls),
+                        with_values=True)
+    assert max(n_targets for _, n_targets in calls) > 1
+    assert all(n <= laplace._POINTS or n_targets == 1
+               for n, n_targets in calls)
+    # a target of a 128-column mesh alone exceeds the cap
+    fine_mesh = domain_mesh(make_curve("circle"), 6.0, 4 * np.pi / 128,
+                            m_theta=128)
+    del calls[:]
+    laplace.domain_rows(fine_mesh, fine_mesh.points[[300, 2000]],
+                        _recorded(laplace._kernel_value, calls),
+                        with_values=True)
+    assert [n_targets for _, n_targets in calls] == [1, 1]
+    assert min(n for n, _ in calls) > laplace._POINTS

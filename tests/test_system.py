@@ -125,13 +125,13 @@ def test_star_points_past_the_radial_check_build_no_volume_rule(monkeypatch):
     slipped = on_curve[mesh.mesh_coords(on_curve)[0] > 0.0]
     assert len(slipped) > 0
     rules = []
-    rule = laplace._volume_rule
+    blocks = laplace._blocks
 
     def counted(*args, **kwargs):
         rules.append(args[1])
-        return rule(*args, **kwargs)
+        return blocks(*args, **kwargs)
 
-    monkeypatch.setattr(laplace, "_volume_rule", counted)
+    monkeypatch.setattr(laplace, "_blocks", counted)
     for p in slipped:
         with pytest.raises(SingularEvaluationError):
             sol.evaluate(p[None, :])
@@ -178,13 +178,13 @@ def test_declared_zero_source_builds_no_volume_rule(laplace_case,
     grid = boundary_grid(case.curve, 16)
     mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 16, m_theta=16)
     rules = []
-    rule = laplace._volume_rule
+    blocks = laplace._blocks
 
     def counted(*args, **kwargs):
         rules.append(args[1])
-        return rule(*args, **kwargs)
+        return blocks(*args, **kwargs)
 
-    monkeypatch.setattr(laplace, "_volume_rule", counted)
+    monkeypatch.setattr(laplace, "_blocks", counted)
     assert case.problem().source is None
     sysm = assemble_system(case.problem(), grid, mesh)
     solve(sysm).evaluate(np.array([[1.5, 0.2], [-3.0, 1.0]]))
@@ -302,7 +302,7 @@ def test_each_target_builds_its_near_field_once(monkeypatch):
     build = laplace._cell_rule
 
     def counted(*args, **kwargs):
-        builds.append(args[2])
+        builds.extend(args[2])  # a block of targets
         return build(*args, **kwargs)
 
     monkeypatch.setattr(laplace, "_cell_rule", counted)
