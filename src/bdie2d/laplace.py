@@ -322,11 +322,11 @@ def _reference_rules(order):
     tensor rule on the unit square, and the Duffy rule on that square
     singular at the corner (0, 0): each triangle of the diagonal through
     that corner is the image of the unit square under (s, t) -> (s, s t) or
-    (s t, s), with s = sigma^2 and 2 ``order`` Gauss points in sigma and in
-    t.  The Gauss rule is (x, w), the Duffy rule (x, y, w)."""
+    (s t, s), with s = sigma^2 and ``order`` + 2 Gauss points in sigma and
+    in t.  The Gauss rule is (x, w), the Duffy rule (x, y, w)."""
     g, gw = np.polynomial.legendre.leggauss(order)
     g, gw = 0.5 * (g + 1.0), 0.5 * gw
-    d, dw = np.polynomial.legendre.leggauss(2 * order)
+    d, dw = np.polynomial.legendre.leggauss(order + 2)
     d, dw = 0.5 * (d + 1.0), 0.5 * dw
     s, t = np.repeat(d ** 2, d.size), np.tile(d, d.size)
     w = np.outer(2.0 * d ** 3 * dw, dw).ravel()  # s ds dt

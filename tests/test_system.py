@@ -316,7 +316,7 @@ def test_each_target_builds_its_near_field_once(monkeypatch):
 
 def test_a_higher_gauss_order_barely_moves_the_bump_dipole_rows(monkeypatch):
     # the near rule has converged: two more Gauss points a side in the
-    # cells, and four in the Duffy pieces, move no entry of the
+    # cells and in the Duffy pieces move no entry of the
     # bump-dipole N=32 system by more than 1e-5 of its largest
     case = manufactured_case("bump-dipole")
     grid = boundary_grid(case.curve, 32)
