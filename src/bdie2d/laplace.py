@@ -401,15 +401,13 @@ def _cell_rule(us, vs, targets):
         lo[in_x, 1] = hi[in_x, 0] = at[in_x]
         lo[~in_x, 3] = hi[~in_x, 2] = at[~in_x]
         pend = np.concatenate([lo, hi])
-    (x0, x1, y0, y1, g_cell), (d0, d1, e0, e1, d_cell) = (
-        np.concatenate(part)[:, :, None].transpose(1, 0, 2)
-        for part in (far, near))
-    g_cell, d_cell = (np.stack(np.unravel_index(c[:, 0].astype(int), shape), 1)
-                      for c in (g_cell, d_cell))
+    gauss, duffy = np.concatenate(far), np.concatenate(near)
+    x0, x1, y0, y1 = gauss[:, :4].T[..., None]
     # the signed extents of a Duffy piece from its target at a corner
-    dx, dy = d0 + d1, e0 + e1
-    dt = d_cell[:, 0, None]
-    gt = g_cell[:, 0, None]
+    dx, dy = (duffy[:, [0, 2]] + duffy[:, [1, 3]]).T[..., None]
+    g_cell, d_cell = (np.stack(np.unravel_index(r[:, 4].astype(int), shape), 1)
+                      for r in (gauss, duffy))
+    gt, dt = g_cell[:, :1], d_cell[:, :1]
     return (_Pieces(g_cell, (x0 + (x1 - x0) * g + p[0][gt])[:, :, None],
                     (y0 + (y1 - y0) * g + p[1][gt])[:, None, :],
                     ((x1 - x0) * (y1 - y0))[:, :, None] * gw),
@@ -438,10 +436,10 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
     docstring) if it is marked in ``rows_near`` or ``values`` is true, its
     cells scaled to be physically isotropic at the target; its rows get the
     near field only if it is marked.  The targets are grouped by the width
-    of their windows.  One _cell_rule call cuts the cells of as many
-    targets of a group as the points per target of the call before allow,
-    and its pieces are split into blocks of at most _POINTS far nodes and
-    fine points, or of one target.
+    of their windows, widest first.  One _cell_rule call cuts the cells of
+    as many targets of a group as the points per target of the call before
+    allow (one target at first), and its pieces are split into blocks of at
+    most _POINTS far nodes and fine points, or of one target.
     """
     m, n_nodes, dtheta = mesh.m_theta, mesh.n_nodes, _TWO_PI / mesh.m_theta
     rho, theta = mesh.mesh_coords(pts)
@@ -458,8 +456,8 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
     centres = np.rint(theta / dtheta).astype(int)
     offsets = theta - centres * dtheta
     centres %= m
-    order = np.argsort(halves, kind="stable")
-    per_target, start = n_nodes, 0
+    order = np.argsort(-halves, kind="stable")
+    per_target, start = _POINTS, 0
     while start < order.size:
         idx = order[start:start + max(1, _POINTS // per_target)]
         n_half = halves[idx[0]]
@@ -509,9 +507,9 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
             lo = hi
 
 
-def _scatter(mesh: DomainMesh, block: _Block, c, out):
+def _scatter(mesh: DomainMesh, block: _Block, c, near, out):
     """Add the fine-point values c, interpolated onto the mesh nodes, to the
-    block's rows out.
+    block's rows out of the targets marked in ``near``.
 
     A piece lies inside one cell, where the interpolant is radial Lagrange
     on the panel's nodes times 4-point angular Lagrange on the columns
@@ -533,7 +531,7 @@ def _scatter(mesh: DomainMesh, block: _Block, c, out):
         angular = _lagrange_weights(
             f.v.reshape(n, -1) / (_TWO_PI / m) - col[:, None],
             np.arange(-1.0, 3.0))
-        stencils.append(radial.transpose(0, 2, 1)
+        stencils.append(near[t, None, None] * radial.transpose(0, 2, 1)
                         @ (values @ angular if f.v.shape[1] == 1
                            else values * angular))
         index.append(t[:, None, None] * mesh.n_nodes + rows[:, :, None] * m
@@ -550,16 +548,13 @@ def _volume_apply(mesh: DomainMesh, targets, terms_fn, *, rows=False,
     returns (rows, values), None for a part not asked for.
 
     ``terms_fn(x_points, y_points)`` returns (kernel, value) at source
-    points x for targets y, one per point, from one evaluation there; a
-    part not asked for may be None.  It runs once per block.  With
-    ``rows`` the kernel gives the (m, n_nodes) matrix acting on nodal
-    densities: the far part lands on its nodes and the near part reaches
-    the nodes through mesh interpolation (_scatter).  With ``values`` the
-    value integrand, one number per point, is sampled at the far nodes and
-    the fine points, for one integral per target.  ``near_targets`` (one
-    bool per target) limits the rows' near-field quadrature to the marked
-    targets; by default every target gets it, and values always do.  A
-    non-finite target raises GeometryError.
+    points x for targets y, one per point, from one evaluation per block; a
+    part not asked for may be None.  The kernel gives the (m, n_nodes)
+    matrix acting on nodal densities, the near part reaching the nodes
+    through _scatter; the value integrand, one number per point, gives one
+    integral per target.  ``near_targets`` (one bool per target) limits
+    the rows' near-field quadrature to the marked targets; values always
+    get it.  A non-finite target raises GeometryError.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.isfinite(pts).all():
@@ -584,9 +579,8 @@ def _volume_apply(mesh: DomainMesh, targets, terms_fn, *, rows=False,
             part = np.zeros((block.idx.size, mesh.n_nodes))
             part[ii, jj] = block.w_row * kernel[:ii.size]
             if fine:
-                _scatter(mesh, block, (w * kernel
-                                       * rows_near[block.idx[t]])[ii.size:],
-                         part)
+                _scatter(mesh, block, (w * kernel)[ii.size:],
+                         rows_near[block.idx], part)
             out[block.idx] = part
         if values:
             vals[block.idx] = np.bincount(
