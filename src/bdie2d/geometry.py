@@ -302,15 +302,15 @@ class DomainMesh:
 
 
 def _lagrange_weights(x, nodes):
-    """Lagrange basis values at x (...) on nodes (..., k) broadcasting
-    against x[..., None]: (..., k)."""
+    """Rows of Lagrange basis values: x (m,), nodes (m, k) -> (m, k)."""
+    x = np.asarray(x, dtype=float)[:, None]
     nodes = np.asarray(nodes, dtype=float)
-    diff = np.asarray(x, dtype=float)[..., None] - nodes
-    w = np.ones(diff.shape)
-    for i in range(nodes.shape[-1]):
-        for j in range(nodes.shape[-1]):
+    m, k = nodes.shape
+    w = np.ones((m, k))
+    for i in range(k):
+        for j in range(k):
             if i != j:
-                w[..., i] *= diff[..., j] / (nodes[..., i] - nodes[..., j])
+                w[:, i] *= (x[:, 0] - nodes[:, j]) / (nodes[:, i] - nodes[:, j])
     return w
 
 

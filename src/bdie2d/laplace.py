@@ -99,7 +99,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GeometryError, SingularEvaluationError
-from .geometry import BoundaryGrid, DomainMesh, _lagrange_weights
+from .geometry import BoundaryGrid, DomainMesh
 
 _TWO_PI = 2.0 * np.pi
 
@@ -298,7 +298,8 @@ def layer_rows_offboundary(grid: BoundaryGrid, targets):
 # and an arc of _WIDTH_PHYS on each side of the target, rounded up to an
 # even number of columns (down, to stay within 0.9 pi); its cells take
 # _ORDER Gauss points a side.  A block of targets gives at most _POINTS
-# points to the integrand, unless it holds a single target.
+# points to the integrand, unless it holds a single target, and one rule
+# build serves up to 8 blocks.
 _WIDTH_COLS = 5
 _WIDTH_PHYS = 1.2
 _ORDER = 6
@@ -318,34 +319,40 @@ def _bump(u: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _reference_rules(order):
-    """The Gauss rule of ``order`` points on [0, 1] with the weights of its
-    tensor rule on the unit square, and the Duffy rule on that square
-    singular at the corner (0, 0): each triangle of the diagonal through
-    that corner is the image of the unit square under (s, t) -> (s, s t) or
-    (s t, s), with s = sigma^2 and ``order`` + 2 Gauss points in sigma and
-    in t.  The Gauss rule is (x, w), the Duffy rule (x, y, w)."""
+    """The tensor Gauss rule of ``order`` points a side on the unit square,
+    and its Duffy rule singular at the corner (0, 0): each triangle of the
+    diagonal through that corner is the image of the unit square under
+    (s, t) -> (s, s t) or (s t, s), with s = sigma^2 and ``order`` + 2
+    Gauss points in sigma and in t.  Each rule is (x, y, w), shaped to
+    broadcast: (k, 1), (1, k) and (k, k) for the tensor rule, (k, 1) each
+    for the Duffy rule."""
     g, gw = np.polynomial.legendre.leggauss(order)
     g, gw = 0.5 * (g + 1.0), 0.5 * gw
     d, dw = np.polynomial.legendre.leggauss(order + 2)
     d, dw = 0.5 * (d + 1.0), 0.5 * dw
     s, t = np.repeat(d ** 2, d.size), np.tile(d, d.size)
     w = np.outer(2.0 * d ** 3 * dw, dw).ravel()  # s ds dt
-    return (g, np.outer(gw, gw)), (np.concatenate([s, s * t]),
-                                   np.concatenate([s * t, s]),
-                                   np.concatenate([w, w]))
+    return (g[:, None], g[None, :], np.outer(gw, gw)), tuple(
+        np.concatenate(a)[:, None] for a in ([s, s * t], [s * t, s], [w, w]))
 
 
 class _Pieces(NamedTuple):
-    """Quadrature pieces of a block of targets, each inside one cell, with
-    their points: u (n, k, 1) and v (n, 1, k) span a Gauss piece's tensor
-    rule, u and v (n, k, 1) list a Duffy piece's points, and w has the
-    shape they broadcast to."""
+    """Quadrature pieces of a block of targets, each inside one cell and the
+    image of a reference rule under (s, t) -> (u0 + du s, v0 + dv t), with
+    the piece's target at the origin."""
 
     cell: np.ndarray    # (n, 3): target, u-cell and v-cell of each piece
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    x: np.ndarray = None  # physical points, w.shape + (2,), once mapped
+    origin: np.ndarray  # (n, 2): u0 and v0
+    size: np.ndarray    # (n, 2): du and dv, signed
+
+
+def _points(pieces: _Pieces, rule, p):
+    """Points u and v and weights w of the pieces under the reference rule
+    (see _reference_rules), their targets p (one row each) added back; the
+    three broadcast to the shape of w."""
+    (ru, rv, rw), t = rule, pieces.cell[:, 0, None, None]
+    (u0, v0), (du, dv) = (a.T[..., None, None] for a in pieces[1:])
+    return u0 + du * ru + p[t, 0], v0 + dv * rv + p[t, 1], np.abs(du * dv) * rw
 
 
 def _cell_rule(us, vs, targets):
@@ -353,7 +360,7 @@ def _cell_rule(us, vs, targets):
     cells of a block of targets, for integrands singular at the targets:
     target i's cells have the sorted lines us[i] and vs[i].  Each target is
     first clipped to its cells' rectangle, and moved onto a line within
-    1e-10 cells of it.
+    1e-10 cells of it; returns (targets so moved, pieces).
 
     A piece with its target at a corner and an aspect ratio of at most 2
     gets the Duffy rule, and one farther from its target than its longer
@@ -361,7 +368,6 @@ def _cell_rule(us, vs, targets):
     inside an edge is cut at the target, and the rest are halved along
     their longer side, until no piece is left.  One loop serves the block.
     """
-    (g, gw), (sx, sy, sw) = _reference_rules(_ORDER)
     p = []
     for edges, q in zip((us, vs), np.asarray(targets, dtype=float).T):
         q = np.clip(q, edges[:, 0], edges[:, -1])
@@ -402,18 +408,25 @@ def _cell_rule(us, vs, targets):
         lo[~in_x, 3] = hi[~in_x, 2] = at[~in_x]
         pend = np.concatenate([lo, hi])
     gauss, duffy = np.concatenate(far), np.concatenate(near)
-    x0, x1, y0, y1 = gauss[:, :4].T[..., None]
-    # the signed extents of a Duffy piece from its target at a corner
-    dx, dy = (duffy[:, [0, 2]] + duffy[:, [1, 3]]).T[..., None]
-    g_cell, d_cell = (np.stack(np.unravel_index(r[:, 4].astype(int), shape), 1)
-                      for r in (gauss, duffy))
-    gt, dt = g_cell[:, :1], d_cell[:, :1]
-    return (_Pieces(g_cell, (x0 + (x1 - x0) * g + p[0][gt])[:, :, None],
-                    (y0 + (y1 - y0) * g + p[1][gt])[:, None, :],
-                    ((x1 - x0) * (y1 - y0))[:, :, None] * gw),
-            _Pieces(d_cell, (dx * sx + p[0][dt])[:, :, None],
-                    (dy * sy + p[1][dt])[:, :, None],
-                    (np.abs(dx * dy) * sw)[:, :, None]))
+    cells = (np.stack(np.unravel_index(r[:, 4].astype(int), shape), 1)
+             for r in (gauss, duffy))
+    # a Duffy piece spans the signed extents from its target at a corner
+    return np.stack(p, 1), (
+        _Pieces(next(cells), gauss[:, [0, 2]],
+                gauss[:, [1, 3]] - gauss[:, [0, 2]]),
+        _Pieces(next(cells), np.zeros((duffy.shape[0], 2)),
+                duffy[:, [0, 2]] + duffy[:, [1, 3]]))
+
+
+class _Fine(NamedTuple):
+    """The fine points of one kind of piece in a block."""
+
+    cell: np.ndarray    # (n, 3): target in the block, radial panel, and
+                        # column from the window's centre of each piece
+    u: np.ndarray       # scaled radii, and
+    v: np.ndarray       # angles from the centre column, shaped as by _points
+    w: np.ndarray       # weights times window and Jacobian
+    x: np.ndarray       # physical points, w.shape + (2,)
 
 
 class _Block(NamedTuple):
@@ -424,9 +437,7 @@ class _Block(NamedTuple):
     pairs: tuple        # (target in the block, mesh node) of the far part
     w_row: np.ndarray   # their weights in the rows
     w_val: np.ndarray   # and in the values
-    fine: tuple         # _Pieces of scaled radius u and angle v from the
-                        # centre column, with points x; cell[:, 2] counts
-                        # columns from the centre
+    fine: tuple         # a _Fine per kind of piece, none without near field
 
 
 def _blocks(mesh: DomainMesh, pts, rows_near, values):
@@ -437,9 +448,9 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
     cells scaled to be physically isotropic at the target; its rows get the
     near field only if it is marked.  The targets are grouped by the width
     of their windows, widest first.  One _cell_rule call cuts the cells of
-    as many targets of a group as the points per target of the call before
-    allow (one target at first), and its pieces are split into blocks of at
-    most _POINTS far nodes and fine points, or of one target.
+    as many targets of a group as 8 blocks hold at the points per target of
+    the call before (one target at first), and its pieces are split into
+    blocks of at most _POINTS far nodes and fine points, or of one target.
     """
     m, n_nodes, dtheta = mesh.m_theta, mesh.n_nodes, _TWO_PI / mesh.m_theta
     rho, theta = mesh.mesh_coords(pts)
@@ -457,9 +468,10 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
     offsets = theta - centres * dtheta
     centres %= m
     order = np.argsort(-halves, kind="stable")
+    rules = _reference_rules(_ORDER)
     per_target, start = _POINTS, 0
     while start < order.size:
-        idx = order[start:start + max(1, _POINTS // per_target)]
+        idx = order[start:start + max(1, 8 * _POINTS // per_target)]
         n_half = halves[idx[0]]
         idx = idx[halves[idx] == n_half]
         start += idx.size
@@ -473,31 +485,31 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
             w_row = np.where(rows_near[idx, None], w_val, mesh.weights)
             # no node under the plateau, unless the rows skip the near field
             used = (window < 1.0) | ~rows_near[idx, None]
-            pieces = _cell_rule(
+            p, pieces = _cell_rule(
                 mesh.breakpoints * su[:, None],
                 np.arange(-n_half, n_half + 1) * (dtheta * sv)[:, None],
                 np.stack([rho[idx] * su, offsets[idx] * sv], axis=1))
         counts = used.sum(axis=1) + sum(
-            np.bincount(pc.cell[:, 0], minlength=idx.size)
-            * np.prod(pc.w.shape[1:]) for pc in pieces)
+            np.bincount(pc.cell[:, 0], minlength=idx.size) * rule[2].size
+            for pc, rule in zip(pieces, rules))
         per_target, lo = int(counts.max()), 0
         while lo < idx.size:
             hi = lo + max(1, np.searchsorted(np.cumsum(counts[lo:]), _POINTS,
                                              side="right"))
             fine = []
-            for pc in pieces:
+            for pc, rule in zip(pieces, rules):
                 pc = _Pieces(*(a[(pc.cell[:, 0] >= lo) & (pc.cell[:, 0] < hi)]
-                               for a in pc[:4]))
-                t = pc.cell[:, 0]
-                s_u, s_v = su[t, None, None], sv[t, None, None]
-                f_rho, dth = pc.u / s_u, pc.v / s_v
-                f_theta = mesh.theta[centres[idx[t]], None, None] + dth
+                               for a in pc))
+                u, v, w = _points(pc, rule, p)
+                t = pc.cell[:, 0, None, None]
+                f_rho, dth = u / su[t], v / sv[t]
+                f_theta = mesh.theta[centres[idx[t]]] + dth
                 f_rs = mesh.curve.radial_profile(f_theta)
                 f_span = mesh.r_trunc - f_rs
                 r = f_rs + f_span * f_rho
-                fine.append(_Pieces(
+                fine.append(_Fine(
                     pc.cell - [lo, 0, n_half], f_rho, dth,
-                    (pc.w / (s_u * s_v) * _bump(dth / (n_half * dtheta))
+                    (w / (su[t] * sv[t]) * _bump(dth / (n_half * dtheta))
                      * (f_span * r)),
                     np.stack([r * np.cos(f_theta), r * np.sin(f_theta)], -1)))
             ii, jj = np.nonzero(used[lo:hi])
@@ -505,6 +517,13 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
                          w_row[lo:hi][ii, jj], w_val[lo:hi][ii, jj],
                          tuple(fine))
             lo = hi
+
+
+@functools.cache
+def _monomial_basis(nodes):
+    """The Lagrange basis on the nodes (a tuple) as coefficients of the
+    monomials 1, x, x^2, ..., one column per node."""
+    return np.linalg.inv(np.vander(nodes, increasing=True))
 
 
 def _scatter(mesh: DomainMesh, block: _Block, c, near, out):
@@ -518,24 +537,29 @@ def _scatter(mesh: DomainMesh, block: _Block, c, near, out):
     tensor rule (the sum-factorization of spectral-element codes), and
     R^T diag(c) A for a Duffy piece.
     """
-    m = mesh.m_theta
-    n_q = mesh.n_r // (mesh.breakpoints.size - 1)
+    m, b = mesh.m_theta, mesh.breakpoints
+    n_q = mesh.n_r // (b.size - 1)
+    # the Lagrange bases in local coordinates: across a panel, and in
+    # columns from a cell's first line
+    bases = [_monomial_basis(tuple((mesh.rho[:n_q] - b[0]) / (b[1] - b[0]))),
+             _monomial_basis((-1.0, 0.0, 1.0, 2.0))]
     index, stencils = [], []
     for f in block.fine:
         n, (t, panel, col) = f.cell.shape[0], f.cell.T
         values, c = c[:f.w.size].reshape(f.w.shape), c[f.w.size:]
-        rows = panel[:, None] * n_q + np.arange(n_q)
-        cols = col[:, None] + np.arange(-1, 3)
-        radial = _lagrange_weights(f.u.reshape(n, -1), mesh.rho[rows][:, None])
-        # the angular nodes in columns from the cell's first line
-        angular = _lagrange_weights(
-            f.v.reshape(n, -1) / (_TWO_PI / m) - col[:, None],
-            np.arange(-1.0, 3.0))
+        radial, angular = (
+            (np.vander(x.ravel(), len(basis), increasing=True) @ basis)
+            .reshape(n, -1, len(basis)) for x, basis in zip(
+                ((f.u.reshape(n, -1) - b[panel, None])
+                 / (b[panel + 1] - b[panel])[:, None],
+                 f.v.reshape(n, -1) / (_TWO_PI / m) - col[:, None]), bases))
         stencils.append(near[t, None, None] * radial.transpose(0, 2, 1)
                         @ (values @ angular if f.v.shape[1] == 1
                            else values * angular))
+        rows = panel[:, None] * n_q + np.arange(n_q)
         index.append(t[:, None, None] * mesh.n_nodes + rows[:, :, None] * m
-                     + (block.centre[t, None] + cols)[:, None, :] % m)
+                     + (block.centre[t, None] + col[:, None]
+                        + np.arange(-1, 3))[:, None, :] % m)
     out += np.bincount(np.concatenate(index, axis=None),
                        np.concatenate(stencils, axis=None),
                        minlength=out.size).reshape(out.shape)

@@ -178,10 +178,11 @@ def test_a_grid_with_flipped_normals_is_rejected_near_the_curve(circle64):
 def _rule_points(us, vs, target):
     """Points (u, v) and weights of the block builder's rule for one target
     on the cells with the lines us and vs."""
-    pieces = laplace._cell_rule(us[None], vs[None], [target])
-    return (np.concatenate([np.broadcast_to(getattr(pc, name), pc.w.shape)
-                            for pc in pieces], axis=None)
-            for name in ("u", "v", "w"))
+    p, pieces = laplace._cell_rule(us[None], vs[None], [target])
+    parts = [np.broadcast_arrays(*laplace._points(pc, rule, p)) for pc, rule
+             in zip(pieces, laplace._reference_rules(laplace._ORDER))]
+    return (np.concatenate([part[k] for part in parts], axis=None)
+            for k in range(3))
 
 
 @pytest.mark.parametrize("v_cap", [np.inf, 0.05], ids=["uncapped", "capped"])
