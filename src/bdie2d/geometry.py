@@ -292,7 +292,7 @@ class DomainMesh:
 
         Returns (indices, weights) of shape (m, 4 * _Q), the outer product
         of radial_weights and angular_weights.  No library path calls it:
-        the near-field scatter applies the two factors one axis at a time.
+        the near-field scatter applies the two factors per quadrature piece.
         """
         i_r, w_r = self.radial_weights(rho)
         cols, w_th = self.angular_weights(theta)

@@ -35,23 +35,20 @@ with the target at a corner gets Duffy's rule (SIAM J. Numer. Anal. 19,
 centre column, whose angle is added last, so the rows of a ring of
 targets on a circle are rotations of one row.
 
-The rules are built and run a block of targets at a time (``_blocks``,
-``_volume_apply``), a block holding at most _POINTS points unless it
-holds one target: one cut-and-halve loop cuts the cells of a group of
-targets, every piece carrying its target and its cell; the far part is a
-(block x nodes) product of the weights with the integrand at the nodes
-off each window's plateau; and the integrand runs once per block, with
-one target per point.  The near part reaches the mesh nodes piece by
-piece (``_scatter``): a piece lies in one cell, so its values reach that
-cell's 4 x 4 node stencil through one small product, radial Lagrange
-factor times values times angular Lagrange factor, tensor-factored on a
-Gauss piece (the sum-factorization of spectral-element codes).  The
-kernel gives matrix rows on nodal densities (``domain_rows``) and an
-analytic integrand gives values (``newtonian_potential``,
-``parametrix.remainder_apply``); ``domain_rows(..., with_values=True)``
-does both from the same rule and one evaluation per point, which is how
-``parametrix.volume_terms`` yields the remainder rows and the volume
-potential of a source together.
+The rules are built and run a block of targets at a time (``_blocks``),
+a block giving at most _POINTS points to the integrand unless it holds
+one target: one cut-and-halve loop serves the cells of several blocks,
+each piece carrying its target and cell; the far part is a (block x
+nodes) product; and the integrand runs once per block, one target per
+point.  A piece lies in one cell, so its values reach that cell's 4 x 4
+node stencil through one small product of the radial and angular
+Lagrange factors, tensor-factored on a Gauss piece (``_scatter``; the
+sum-factorization of spectral-element codes).  The kernel gives matrix
+rows on nodal densities (``domain_rows``), an analytic integrand values
+(``newtonian_potential``, ``parametrix.remainder_apply``), and
+``domain_rows(..., with_values=True)`` both from one evaluation per
+point, which is how ``parametrix.volume_terms`` yields the remainder rows
+and the volume potential of a source together.
 
 Both off-boundary layer potentials come from one pass over the targets
 (``layer_rows_offboundary``), as blocks of rows on the boundary grid's own
@@ -366,7 +363,7 @@ def _cell_rule(us, vs, targets):
     gets the Duffy rule, and one farther from its target than its longer
     side the Gauss rule.  Any other piece with the target inside it or
     inside an edge is cut at the target, and the rest are halved along
-    their longer side, until no piece is left.  One loop serves the block.
+    their longer side, until no piece is left, in one loop for all.
     """
     p = []
     for edges, q in zip((us, vs), np.asarray(targets, dtype=float).T):

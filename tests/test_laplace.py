@@ -414,3 +414,9 @@ def test_no_block_of_several_targets_exceeds_the_point_cap(ring_mesh):
                         with_values=True)
     assert [n_targets for _, n_targets in calls] == [1, 1]
     assert min(n for n, _ in calls) > laplace._POINTS
+
+
+def test_a_non_finite_volume_target_is_rejected(ring_mesh):
+    with pytest.raises(GeometryError):
+        laplace.domain_rows(ring_mesh, [[2.0, 0.5], [np.nan, 1.0]],
+                            laplace._kernel_value)

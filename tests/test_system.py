@@ -302,7 +302,7 @@ def test_each_target_builds_its_near_field_once(monkeypatch):
     build = laplace._cell_rule
 
     def counted(*args, **kwargs):
-        builds.extend(args[2])  # a block of targets
+        builds.extend(args[2])  # the targets of one rule build
         return build(*args, **kwargs)
 
     monkeypatch.setattr(laplace, "_cell_rule", counted)
