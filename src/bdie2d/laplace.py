@@ -38,17 +38,18 @@ targets on a circle are rotations of one row.
 The rules are built and run a block of targets at a time (``_blocks``),
 a block giving at most _POINTS points to the integrand unless it holds
 one target: one cut-and-halve loop serves the cells of several blocks,
-each piece carrying its target and cell; the far part is a (block x
-nodes) product; and the integrand runs once per block, one target per
-point.  A piece lies in one cell, so its values reach that cell's 4 x 4
-node stencil through one small product of the radial and angular
-Lagrange factors, tensor-factored on a Gauss piece (``_scatter``; the
-sum-factorization of spectral-element codes).  The kernel gives matrix
-rows on nodal densities (``domain_rows``), an analytic integrand values
-(``newtonian_potential``, ``parametrix.remainder_apply``), and
-``domain_rows(..., with_values=True)`` both from one evaluation per
-point, which is how ``parametrix.volume_terms`` yields the remainder rows
-and the volume potential of a source together.
+each piece carrying its target and cell.  A piece lies in one cell, so
+its values reach that cell's 4 x 4 node stencil through one small
+product of the radial and angular Lagrange factors, tensor-factored on a
+Gauss piece (``_scatter``; the sum-factorization of spectral-element
+codes).  Every volume integrand is a sum of factors of the source point
+x times the kernels P, d1 P and d2 P of x - y (``_kernels``): the
+remainder of the parametrix is -Delta(ln a) P - grad(ln a) . grad_x P,
+its volume potential of f has (f / a) P.  ``domain_rows`` evaluates the
+factors once at the mesh nodes, so a block's far part is a (block x
+nodes) kernel product with them, and once per block at the fine points;
+it gives rows on the unknowns' nodes, integrals, or both from one
+evaluation per point (``parametrix.volume_terms``).
 
 Both off-boundary layer potentials come from one pass over the targets
 (``layer_rows_offboundary``), as blocks of rows on the boundary grid's own
@@ -99,16 +100,6 @@ from .errors import GeometryError, SingularEvaluationError
 from .geometry import BoundaryGrid, DomainMesh
 
 _TWO_PI = 2.0 * np.pi
-
-
-# ---------------------------------------------------------------------------
-# fundamental solution
-
-def _kernel_value(x, y):
-    """P(x - y) for x of shape (m, 2) and a single target y."""
-    z = x - y
-    r2 = z[:, 0] ** 2 + z[:, 1] ** 2
-    return np.log(r2) / (2.0 * _TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -562,84 +553,100 @@ def _scatter(mesh: DomainMesh, block: _Block, c, near, out):
                        minlength=out.size).reshape(out.shape)
 
 
-def _volume_apply(mesh: DomainMesh, targets, terms_fn, *, rows=False,
-                  values=False, near_targets=None):
-    """Run the targets' near/far rules, a block of targets at a time (see
-    _blocks), for a row kernel, an analytic value integrand, or both;
-    returns (rows, values), None for a part not asked for.
+def _kernels(x, y):
+    """(P, d1 P, d2 P) of z = x - y, P(z) = ln|z| / (2 pi) and dk P(z) =
+    z_k / (2 pi |z|^2), for source points x (m, 2) and a target y, one
+    point or one per source point (-inf and nan at z = 0)."""
+    z0, z1 = x[:, 0] - y[..., 0], x[:, 1] - y[..., 1]
+    r2 = z0 ** 2 + z1 ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = _TWO_PI * r2
+        return np.log(r2) / (2.0 * _TWO_PI), z0 / scale, z1 / scale
 
-    ``terms_fn(x_points, y_points)`` returns (kernel, value) at source
-    points x for targets y, one per point, from one evaluation per block; a
-    part not asked for may be None.  The kernel gives the (m, n_nodes)
-    matrix acting on nodal densities, the near part reaching the nodes
-    through _scatter; the value integrand, one number per point, gives one
-    integral per target.  ``near_targets`` (one bool per target) limits
-    the rows' near-field quadrature to the marked targets; values always
-    get it.  A non-finite target raises GeometryError.
+
+def _weighted(w, factors, kernels):
+    """w times the sum of factors times kernels, matched in order, at each
+    point.  A point at its target (z = 0) adds 0, and raises
+    SingularEvaluationError if its weight is nonzero and a factor there
+    exceeds 1e-8 in size."""
+    with np.errstate(invalid="ignore"):
+        value = factors[0] * kernels[0]
+        for f, k in zip(factors[1:], kernels[1:]):
+            value += f * k
+    same = np.isneginf(kernels[0])
+    if same.any():
+        held = same & (w != 0.0)
+        if max(np.abs(f[held]).max(initial=0.0) for f in factors) > 1e-8:
+            raise SingularEvaluationError(
+                "volume integrand evaluated at its target, where a factor "
+                "is not negligible")
+        value[same] = 0.0
+    return w * value
+
+
+def domain_rows(mesh: DomainMesh, targets, factors, *, columns=None,
+                near_targets=None):
+    """Rows on nodal densities and integrals of a volume integrand over the
+    mesh, from the targets' near/far rules (see _blocks): (rows, values),
+    None for a part not asked for.
+
+    The integrand is sum_k f_k(x) K_k(x - y), K = _kernels(x, y).
+    ``factors(x)`` gives (row factors, value factors) at points x (m, 2),
+    each a tuple of 1-3 arrays (m,) matched in order with K, or None for a
+    part not wanted.  It runs once at the mesh nodes, for the far parts of
+    all targets, and once per block at its fine points.  The rows act on
+    nodal densities at the nodes ``columns`` (all by default); values are
+    one integral per target.  ``near_targets`` (one bool per target) limits
+    the rows' near field to the marked targets; values always get it, and
+    only a node can lie at a target whose rows skip it (see _weighted).  A
+    non-finite target raises GeometryError.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.isfinite(pts).all():
         raise GeometryError("volume target is not finite")
+    at_nodes = factors(mesh.points)
+    rows_on, values_on = (part is not None for part in at_nodes)
     rows_near = np.ones(pts.shape[0], dtype=bool)
-    if rows and near_targets is not None:
+    if rows_on and near_targets is not None:
         rows_near = np.asarray(near_targets, dtype=bool)
-    out = np.zeros((pts.shape[0], mesh.n_nodes)) if rows else None
-    vals = np.zeros(pts.shape[0]) if values else None
-    for block in _blocks(mesh, pts, rows_near, values):
-        (ii, jj), fine = block.pairs, block.fine
-        t = np.concatenate([ii] + [np.broadcast_to(f.cell[:, :1, None],
-                                                   f.w.shape) for f in fine],
-                           axis=None)
-        w = np.concatenate([block.w_val] + [f.w for f in fine], axis=None)
-        # a node at a target whose rows skip the near field is evaluated
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kernel, value = terms_fn(np.concatenate(
-                [mesh.points[jj]] + [f.x.reshape(-1, 2) for f in fine]),
-                pts[block.idx[t]])
-        if rows:
+    columns = np.arange(mesh.n_nodes) if columns is None else columns
+    rows = np.zeros((pts.shape[0], len(columns))) if rows_on else None
+    vals = np.zeros(pts.shape[0]) if values_on else None
+    for block in _blocks(mesh, pts, rows_near, values_on):
+        (ii, jj), fine, y = block.pairs, block.fine, pts[block.idx]
+        far = _kernels(mesh.points[jj], y[ii])
+        if fine:
+            t = np.concatenate([np.broadcast_to(f.cell[:, :1, None], f.w.shape)
+                                for f in fine], axis=None)
+            w = np.concatenate([f.w for f in fine], axis=None)
+            x = np.concatenate([f.x.reshape(-1, 2) for f in fine])
+            near, at_fine = _kernels(x, y[t]), factors(x)
+        if rows_on:
             part = np.zeros((block.idx.size, mesh.n_nodes))
-            part[ii, jj] = block.w_row * kernel[:ii.size]
+            part[ii, jj] = _weighted(block.w_row,
+                                     [f[jj] for f in at_nodes[0]], far)
             if fine:
-                _scatter(mesh, block, (w * kernel)[ii.size:],
+                _scatter(mesh, block, _weighted(w, at_fine[0], near),
                          rows_near[block.idx], part)
-            out[block.idx] = part
-        if values:
-            vals[block.idx] = np.bincount(
-                t, w * np.where(w != 0.0, value, 0.0), minlength=block.idx.size)
-    return out, vals
+            rows[block.idx] = part[:, columns]
+        if values_on:
+            c = _weighted(block.w_val, [f[jj] for f in at_nodes[1]], far)
+            if fine:
+                c = np.concatenate([c, _weighted(w, at_fine[1], near)])
+            vals[block.idx] = np.bincount(np.concatenate([ii, t]) if fine
+                                          else ii, c,
+                                          minlength=block.idx.size)
+    return rows, vals
 
 
 def newtonian_potential(mesh: DomainMesh, targets, *, g_fn):
     """Newtonian potential int P(x - y) g(x) dx over the mesh.
 
-    The density ``g_fn(points)`` is evaluated analytically at the
-    quadrature points of each target's near/far rule; ``g_fn`` None
-    declares a zero density, whose potential is zero without any rule.
-    Returns values (m,).
+    The density ``g_fn(points)`` is evaluated analytically at the mesh
+    nodes and at the fine points of each block (see domain_rows);
+    ``g_fn`` None declares a zero density, whose potential is zero without
+    any rule.  Returns values (m,).
     """
     if g_fn is None:
         return np.zeros(np.atleast_2d(targets).shape[0])
-    return _volume_apply(mesh, targets,
-                         lambda x, y: (None, g_fn(x) * _kernel_value(x, y)),
-                         values=True)[1]
-
-
-def domain_rows(mesh: DomainMesh, targets, kernel_fn, *, near_targets=None,
-                with_values=False):
-    """Assemble matrix rows of a volume operator acting on nodal densities.
-
-    ``kernel_fn(x_points, y_points)`` returns the full integrand factor
-    (kernel times any analytic source-point factors) at source points
-    ``x_points`` for targets ``y_points``, one per point.  Fine points
-    coincident with a target never reach it; a mesh node coincident with a
-    target does only when the near field of that target is skipped.
-    ``near_targets`` (one bool per target) limits near-field quadrature to
-    the marked targets.  With ``with_values``, kernel_fn returns (kernel,
-    value) from one evaluation at the points, the value an analytic
-    integrand, and the result is (rows, integrals of the value), both from
-    the same rule of each target; the integrals always get the near field.
-    """
-    fn = kernel_fn if with_values else lambda x, y: (kernel_fn(x, y), None)
-    rows, values = _volume_apply(mesh, targets, fn, rows=True,
-                                 values=with_values, near_targets=near_targets)
-    return (rows, values) if with_values else rows
+    return domain_rows(mesh, targets, lambda x: (None, (g_fn(x),)))[1]

@@ -31,8 +31,6 @@ from . import laplace
 from .coefficient import CoefficientField
 from .geometry import BoundaryGrid, DomainMesh
 
-_TWO_PI = 2.0 * np.pi
-
 
 def _boundary_data(field: CoefficientField, grid: BoundaryGrid):
     """a and d(ln a)/dn = n . grad a / a at the boundary nodes, from one
@@ -44,13 +42,6 @@ def _boundary_data(field: CoefficientField, grid: BoundaryGrid):
 # ---------------------------------------------------------------------------
 # volume potential and remainder
 
-def _scaled_density(field: CoefficientField, rho_fn):
-    """rho / a, None for a declared zero density."""
-    if rho_fn is None:
-        return None
-    return lambda p: rho_fn(p) / field.eval(p)[0]
-
-
 def _zeros(targets, *shape):
     """Zeros with one leading entry per target."""
     return np.zeros((np.atleast_2d(targets).shape[0],) + shape)
@@ -61,48 +52,18 @@ def volume_potential(mesh: DomainMesh, field: CoefficientField, targets, *,
     """Parametrix volume potential of the analytic density
     ``rho_fn(points)`` at given points; ``rho_fn`` None declares a zero
     density, whose potential is zero without any quadrature."""
-    return laplace.newtonian_potential(mesh, targets,
-                                       g_fn=_scaled_density(field, rho_fn))
+    return laplace.newtonian_potential(
+        mesh, targets, g_fn=None if rho_fn is None
+        else lambda p: rho_fn(p) / field.eval(p)[0])
 
 
-def remainder_kernel(field: CoefficientField, x, y):
-    """R(x, y) for source points x (m, 2) and a target y: one point (2,),
-    or one per source point (m, 2).
-
-    Coincident points are safe when the coefficient log-derivatives are
-    negligible there (the kernel factor vanishes outside the support);
-    the evaluation is genuinely singular otherwise and raises.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return _remainder(field.log_derivatives(x)[1:],
-                      *_separation(x, np.asarray(y, dtype=float)))
-
-
-def _separation(x, y):
-    """Columns (z0, z1) of z = x - y, r2 = |z|^2 and P_L(z) = ln(r2) / (4 pi)
-    for source points x and a target y, one point or one per source point;
-    columns beat (m, 2) broadcasting."""
-    z = (x[:, 0] - y[..., 0], x[:, 1] - y[..., 1])
-    r2 = z[0] ** 2 + z[1] ** 2
-    with np.errstate(divide="ignore"):
-        return z, r2, np.log(r2) / (2.0 * _TWO_PI)
-
-
-def _remainder(log_derivatives, z, r2, p_l):
-    """R(x, y) from (grad(ln a), Delta(ln a)) at the source points x and
-    their _separation (z, r2, p_l) from y."""
-    gl, ll = log_derivatives
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -ll * p_l - (gl[:, 0] * z[0] + gl[:, 1] * z[1]) / (_TWO_PI * r2)
-    same = r2 == 0.0
-    if same.any():
-        if np.any(same & ((np.abs(gl).max(axis=1) > 1e-8) | (np.abs(ll) > 1e-8))):
-            from .errors import SingularEvaluationError
-            raise SingularEvaluationError(
-                "remainder kernel evaluated at a coincident point inside "
-                "the coefficient support")
-        out[same] = 0.0
-    return out
+def _remainder_factors(field: CoefficientField, x):
+    """The factors (-Delta(ln a), -d1(ln a), -d2(ln a)) of the remainder
+    kernel R(x, y), matched with laplace's kernel triple (P_L, d1 P_L,
+    d2 P_L) of x - y, and a, at source points x, from one evaluation of the
+    coefficient."""
+    a, gl, ll = field.log_derivatives(x)
+    return (-ll, -gl[:, 0], -gl[:, 1]), a
 
 
 def _near_mask_for_support(field: CoefficientField, targets):
@@ -119,10 +80,9 @@ def remainder_rows(mesh: DomainMesh, field: CoefficientField, targets):
     """Matrix rows of the remainder operator acting on nodal densities."""
     if field.is_constant:
         return _zeros(targets, mesh.n_nodes)
-    near = _near_mask_for_support(field, targets)
     return laplace.domain_rows(
-        mesh, targets, lambda x, y: remainder_kernel(field, x, y),
-        near_targets=near)
+        mesh, targets, lambda x: (_remainder_factors(field, x)[0], None),
+        near_targets=_near_mask_for_support(field, targets))[0]
 
 
 def volume_terms(mesh: DomainMesh, field: CoefficientField, targets,
@@ -138,20 +98,16 @@ def volume_terms(mesh: DomainMesh, field: CoefficientField, targets,
     if field.is_constant:
         return (_zeros(targets, len(columns)),
                 volume_potential(mesh, field, targets, rho_fn=rho_fn))
-    if rho_fn is None:
-        return (remainder_rows(mesh, field, targets)[:, columns],
-                _zeros(targets))
 
-    def terms(x, y):
-        # one coefficient evaluation and one separation serve both kernels
-        a, *log_derivatives = field.log_derivatives(x)
-        z, r2, p_l = _separation(x, y)
-        return _remainder(log_derivatives, z, r2, p_l), rho_fn(x) / a * p_l
+    def factors(x):
+        # one coefficient evaluation serves both integrands
+        row, a = _remainder_factors(field, x)
+        return row, None if rho_fn is None else (rho_fn(x) / a,)
 
     rows, values = laplace.domain_rows(
-        mesh, targets, terms, with_values=True,
+        mesh, targets, factors, columns=columns,
         near_targets=_near_mask_for_support(field, targets))
-    return rows[:, columns], values
+    return rows, _zeros(targets) if values is None else values
 
 
 def remainder_apply(mesh: DomainMesh, field: CoefficientField, targets, *,
@@ -160,10 +116,12 @@ def remainder_apply(mesh: DomainMesh, field: CoefficientField, targets, *,
     given targets."""
     if field.is_constant:
         return _zeros(targets)
-    return laplace._volume_apply(
-        mesh, targets,
-        lambda x, y: (None, remainder_kernel(field, x, y) * rho_fn(x)),
-        values=True)[1]
+
+    def factors(x):
+        rho = rho_fn(x)
+        return None, tuple(f * rho for f in _remainder_factors(field, x)[0])
+
+    return laplace.domain_rows(mesh, targets, factors)[1]
 
 
 def remainder_split(mesh: DomainMesh, rows: np.ndarray, r_split: float):

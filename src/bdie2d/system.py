@@ -165,7 +165,8 @@ def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
     if nd:
         r_dd, v_db, f0_dom = _representation(problem, grid, mesh,
                                              mesh.points[dom_idx], dom_idx)
-        mat[:nd, :nd] = np.eye(nd) + r_dd
+        mat[:nd, :nd] = r_dd
+        mat[range(nd), range(nd)] += 1.0
         mat[:nd, nd:nd + nb] = -v_db
         rhs[:nd] = f0_dom
     # the boundary block: the same volume pass at the boundary nodes, and

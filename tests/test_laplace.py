@@ -285,9 +285,13 @@ def test_domain_rows_consistent_with_direct_quadrature(annulus_mesh):
         * (1.0 + 0.2 * p[:, 0])
     targets = np.array([[1.6, 0.4], [2.5, -1.0]])
     direct = laplace.newtonian_potential(mesh, targets, g_fn=g_fn)
-    rows = laplace.domain_rows(mesh, targets,
-                               lambda x, y: laplace._kernel_value(x, y))
+    rows = laplace.domain_rows(mesh, targets, _unit)[0]
     assert_allclose(rows @ g_fn(mesh.points), direct, atol=2e-5)
+
+
+def _unit(x):
+    """Row factors of the plain Laplace kernel P(x - y)."""
+    return (np.ones(len(x)),), None
 
 
 def _per_point_rows(mesh, targets, kernel, near):
@@ -324,9 +328,11 @@ def test_domain_rows_match_the_per_point_scatter(curve, r_trunc, m_theta):
     near = np.array([True, True, True, False])
 
     def kernel(x, y):
-        return laplace._kernel_value(x, y) * (1.0 + 0.3 * x[:, 0])
+        return laplace._kernels(x, y)[0] * (1.0 + 0.3 * x[:, 0])
 
-    rows = laplace.domain_rows(mesh, targets, kernel, near_targets=near)
+    rows = laplace.domain_rows(
+        mesh, targets, lambda x: ((1.0 + 0.3 * x[:, 0],), None),
+        near_targets=near)[0]
     ref = _per_point_rows(mesh, targets, kernel, near)
     assert np.abs(rows - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -340,7 +346,7 @@ def ring_mesh():
 def test_rows_of_a_circle_ring_are_rotations_of_one_row(ring_mesh):
     mesh = ring_mesh
     targets = mesh.points[5 * mesh.m_theta:6 * mesh.m_theta]
-    rows = laplace.domain_rows(mesh, targets, laplace._kernel_value)
+    rows = laplace.domain_rows(mesh, targets, _unit)[0]
     first = rows[0].reshape(mesh.n_r, mesh.m_theta)
     gap = max(np.abs(np.roll(row.reshape(mesh.n_r, mesh.m_theta), -j, axis=1)
                      - first).max() for j, row in enumerate(rows))
@@ -350,27 +356,40 @@ def test_rows_of_a_circle_ring_are_rotations_of_one_row(ring_mesh):
 def test_a_roundoff_shift_of_the_target_keeps_its_row(ring_mesh):
     mesh = ring_mesh
     targets = mesh.points[5 * mesh.m_theta:6 * mesh.m_theta]
-    rows = laplace.domain_rows(mesh, targets, laplace._kernel_value)
+    rows = laplace.domain_rows(mesh, targets, _unit)[0]
     for shift in ([1e-14, 0.0], [0.0, -1e-14]):
-        moved = laplace.domain_rows(mesh, targets + shift,
-                                    laplace._kernel_value)
+        moved = laplace.domain_rows(mesh, targets + shift, _unit)[0]
         assert np.abs(moved - rows).max() <= 1e-10 * np.abs(rows).max()
 
 
-def _recorded(kernel, calls):
-    """kernel_fn for domain_rows(..., with_values=True) that records the
-    points and targets of each call."""
-    def terms(x, y):
-        calls.append((len(x), len(np.unique(y, axis=0))))
-        p = kernel(x, y) * (1.0 + 0.3 * x[:, 0])
-        return p, p * np.exp(-0.1 * (x[:, 0] ** 2 + x[:, 1] ** 2))
-    return terms
+def _factors(x):
+    """Row factors and value factors of a smooth weight times P(x - y),
+    the value one a Gaussian times the row one."""
+    p = 1.0 + 0.3 * x[:, 0]
+    return (p,), (p * np.exp(-0.1 * (x[:, 0] ** 2 + x[:, 1] ** 2)),)
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """Records (targets, far pairs, fine points) of each block that
+    laplace._blocks yields."""
+    seen, build = [], laplace._blocks
+
+    def recorded(*args):
+        for block in build(*args):
+            seen.append((block.idx.size, block.pairs[0].size,
+                         sum(f.w.size for f in block.fine)))
+            yield block
+
+    monkeypatch.setattr(laplace, "_blocks", recorded)
+    return seen
 
 
 @pytest.mark.parametrize("curve,r_trunc", [
     (("circle", {}), 6.0), (("star", {"alpha": 0.2, "k": 5}), 6.0)],
     ids=["circle", "star"])
-def test_a_block_of_targets_matches_one_target_at_a_time(curve, r_trunc):
+def test_a_block_of_targets_matches_one_target_at_a_time(curve, r_trunc,
+                                                         blocks):
     mesh = domain_mesh(make_curve(curve[0], **curve[1]), r_trunc,
                        4 * np.pi / 32, m_theta=32)
     m, j = mesh.m_theta, 5
@@ -383,40 +402,51 @@ def test_a_block_of_targets_matches_one_target_at_a_time(curve, r_trunc):
         [[-2.9, 0.6], [1.9, -2.2]]])   # rows skip the near field, values not
     near = np.ones(len(targets), dtype=bool)
     near[-2:] = False
-    calls = []
-    rows, values = laplace.domain_rows(
-        mesh, targets, _recorded(laplace._kernel_value, calls),
-        near_targets=near, with_values=True)
-    assert max(n_targets for _, n_targets in calls) > 1
+    rows, values = laplace.domain_rows(mesh, targets, _factors,
+                                       near_targets=near)
+    assert max(n_targets for n_targets, _, _ in blocks) > 1
     for i, y in enumerate(targets):
-        row, value = laplace.domain_rows(
-            mesh, y[None], _recorded(laplace._kernel_value, []),
-            near_targets=near[i:i + 1], with_values=True)
+        row, value = laplace.domain_rows(mesh, y[None], _factors,
+                                         near_targets=near[i:i + 1])
         assert np.abs(rows[i] - row[0]).max() <= 1e-13 * np.abs(row).max()
         assert abs(values[i] - value[0]) <= 1e-13 * abs(value[0])
 
 
-def test_no_block_of_several_targets_exceeds_the_point_cap(ring_mesh):
-    calls = []
+def test_no_block_of_several_targets_exceeds_the_point_cap(ring_mesh,
+                                                           blocks):
     targets = ring_mesh.points[::3]
-    laplace.domain_rows(ring_mesh, targets,
-                        _recorded(laplace._kernel_value, calls),
-                        with_values=True)
-    assert max(n_targets for _, n_targets in calls) > 1
-    assert all(n <= laplace._POINTS or n_targets == 1
-               for n, n_targets in calls)
+    laplace.domain_rows(ring_mesh, targets, _factors)
+    assert max(n_targets for n_targets, _, _ in blocks) > 1
+    assert all(far + fine <= laplace._POINTS or n_targets == 1
+               for n_targets, far, fine in blocks)
     # a target of a 128-column mesh alone exceeds the cap
     fine_mesh = domain_mesh(make_curve("circle"), 6.0, 4 * np.pi / 128,
                             m_theta=128)
-    del calls[:]
-    laplace.domain_rows(fine_mesh, fine_mesh.points[[300, 2000]],
-                        _recorded(laplace._kernel_value, calls),
-                        with_values=True)
-    assert [n_targets for _, n_targets in calls] == [1, 1]
-    assert min(n for n, _ in calls) > laplace._POINTS
+    del blocks[:]
+    laplace.domain_rows(fine_mesh, fine_mesh.points[[300, 2000]], _factors)
+    assert [n_targets for n_targets, _, _ in blocks] == [1, 1]
+    assert min(far + fine for _, far, fine in blocks) > laplace._POINTS
+
+
+def test_each_node_factor_is_evaluated_once_per_pass(ring_mesh, blocks):
+    # the factors run once at the mesh nodes, for the far parts of all
+    # targets, and once per block at its fine points
+    points = []
+
+    def counted(x):
+        points.append(len(x))
+        return _factors(x)
+
+    targets = np.concatenate([ring_mesh.points[::7],
+                              [[2.3, 1.1], [-2.9, 0.6]]])
+    near = np.ones(len(targets), dtype=bool)
+    near[-1] = False   # rows skip the near field, values not
+    laplace.domain_rows(ring_mesh, targets, counted, near_targets=near)
+    assert len(blocks) > 1
+    assert sum(points) == ring_mesh.n_nodes + sum(f for _, _, f in blocks)
+    assert sum(points) < sum(far + fine for _, far, fine in blocks)
 
 
 def test_a_non_finite_volume_target_is_rejected(ring_mesh):
     with pytest.raises(GeometryError):
-        laplace.domain_rows(ring_mesh, [[2.0, 0.5], [np.nan, 1.0]],
-                            laplace._kernel_value)
+        laplace.domain_rows(ring_mesh, [[2.0, 0.5], [np.nan, 1.0]], _unit)

@@ -141,15 +141,11 @@ def test_volume_terms_match_the_kernels_evaluated_apart(curve, bump):
     def rho_fn(p):
         return p[:, 1] * np.exp(-0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
 
-    def apart(x, y):
-        return (parametrix.remainder_kernel(bump, x, y),
-                rho_fn(x) / bump.eval(x)[0] * laplace._kernel_value(x, y))
-
     near = np.hypot(targets[:, 0], targets[:, 1]) <= bump.support_radius + 1.0
     assert not near.all()
-    ref_rows, ref_values = laplace.domain_rows(mesh, targets, apart,
-                                               near_targets=near,
-                                               with_values=True)
+    ref_rows = parametrix.remainder_rows(mesh, bump, targets)
+    ref_values = parametrix.volume_potential(mesh, bump, targets,
+                                             rho_fn=rho_fn)
     rows, values = parametrix.volume_terms(mesh, bump, targets, columns,
                                            rho_fn=rho_fn)
     assert np.abs(rows - ref_rows[:, columns]).max() \
@@ -206,18 +202,31 @@ def test_remainder_kernel_closed_form(bump):
     r = np.hypot(*z)
     expected = (-ll * np.log(r) / (2 * np.pi)
                 - (gl @ z) / (2 * np.pi * r ** 2))
-    assert_allclose(parametrix.remainder_kernel(bump, x, y)[0], expected,
-                    rtol=1e-13)
+    factors = parametrix._remainder_factors(bump, x)[0]
+    got = sum(f * k for f, k in zip(factors, laplace._kernels(x, y)))
+    assert_allclose(got[0], expected, rtol=1e-13)
 
 
-def test_remainder_kernel_coincident_point(bump):
-    # outside the support the kernel factor vanishes: safe zero
-    far = np.array([[30.0, 0.0]])
-    assert parametrix.remainder_kernel(bump, far, far[0])[0] == 0.0
+def test_remainder_kernel_coincident_point(bump_mesh, bump):
+    # a target on a mesh node whose rows skip the near field meets the
+    # node itself in the far part
+    mesh = bump_mesh
+    r = np.hypot(mesh.points[:, 0], mesh.points[:, 1])
+
+    def rows_at(node):
+        return laplace.domain_rows(
+            mesh, mesh.points[node][None],
+            lambda x: (parametrix._remainder_factors(bump, x)[0], None),
+            near_targets=[False])[0]
+
+    # outside the support the kernel factors vanish: safe zero
+    outside = r.argmax()
+    assert r[outside] > bump.support_radius + 1.0
+    row = rows_at(outside)[0]
+    assert np.isfinite(row).all() and row[outside] == 0.0
     # inside the support the kernel is singular
-    near = np.array([[0.5, 0.5]])
     with pytest.raises(SingularEvaluationError):
-        parametrix.remainder_kernel(bump, near, near[0])
+        rows_at(np.nonzero(r < 2.0)[0][0])
 
 
 def test_remainder_rows_vanish_for_constant_coefficient(bump_mesh, const):
