@@ -56,8 +56,9 @@ class CoefficientField:
     def eval(self, x):
         """Return (a, grad a, laplacian a) at the given points."""
         a, g, lap = self.derivatives(np.atleast_2d(np.asarray(x, dtype=float)))
-        if np.any(a <= 0.0):
-            raise CoefficientError("coefficient is nonpositive at a sampled point")
+        if not np.all(a > 0.0):  # False for NaN too
+            raise CoefficientError(
+                "coefficient is nonpositive or NaN at a sampled point")
         return a, g, lap
 
     def log_derivatives(self, x):
@@ -89,8 +90,9 @@ def make_coefficient(name: str, **params) -> CoefficientField:
         c = float(params.pop("value", 1.0))
         if params:
             raise UnknownCatalogError(f"unknown constant parameters {sorted(params)}")
-        if c <= 0:
-            raise CoefficientError("constant coefficient must be positive")
+        if not 0.0 < c < np.inf:
+            raise CoefficientError(
+                "constant coefficient must be positive and finite")
         return CoefficientField(
             lambda x: (np.full(x.shape[0], c), np.zeros_like(x),
                        np.zeros(x.shape[0])),
@@ -102,6 +104,12 @@ def make_coefficient(name: str, **params) -> CoefficientField:
     sigma = float(params.pop("sigma", 1.0))
     if params:
         raise UnknownCatalogError(f"unknown {name} parameters {sorted(params)}")
+    if not (np.isfinite(beta) and np.isfinite(sigma)
+            and center.shape == (2,) and np.isfinite(center).all()):
+        raise CoefficientError(
+            f"{name} needs a finite beta, sigma and 2-d center")
+    if sigma <= 0.0:
+        raise CoefficientError(f"{name} needs sigma > 0, not {sigma}")
     if 1.0 + min(beta, 0.0) <= 0:
         raise CoefficientError(f"{name} makes the coefficient nonpositive")
     c1 = 1.0 + min(beta, 0.0) if beta < 0 else 1.0

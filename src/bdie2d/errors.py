@@ -33,7 +33,7 @@ class AssemblyError(Bdie2dError):
 
 
 class SolverSingularError(Bdie2dError):
-    """System matrix singular to working tolerance."""
+    """System matrix singular to working tolerance, or not finite."""
 
 
 class VerificationError(Bdie2dError):

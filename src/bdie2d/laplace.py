@@ -9,6 +9,15 @@ Boundary operators on a periodic Nystroem grid:
 * hypersingular operator: tangential-derivative (Maue) regularization
   through the single layer.
 
+The (n, n) single- and double-layer matrices are filled _ROWS rows at a
+time (``_row_blocks``), each step of the kernel an in-place operation on
+two (_ROWS, n) scratch blocks that are reused from block to block and
+stay in cache; no whole-matrix temporary is made.  The steps and their
+order are those of the whole-matrix formulas, so the matrices are
+bitwise the same.  The Kress weights are circulant, R[i, j] =
+c[(i - j) mod n], and ``kress_log_weights`` returns them as a read-only
+strided view of c.
+
 Sign conventions follow the package-wide choices: the fundamental
 solution is P(z) = log|z| / (2 pi), every layer potential carries a
 leading minus sign, and normals point into the bounded complement.  With
@@ -100,6 +109,9 @@ from .errors import GeometryError, SingularEvaluationError
 from .geometry import BoundaryGrid, DomainMesh
 
 _TWO_PI = 2.0 * np.pi
+# rows per block of the (n, n) boundary matrices: at n = 512 a block is
+# 256 KB, so its two scratch blocks stay in a core's L2 cache
+_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -118,51 +130,91 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # boundary operators (direct values)
 
+def _row_blocks(n: int):
+    """Row slices of an (n, n) matrix, _ROWS at a time, each with two
+    scratch blocks of its shape, reused from block to block."""
+    scratch = np.empty((2, min(n, _ROWS), n))
+    for s in range(0, n, _ROWS):
+        rows = slice(s, min(s + _ROWS, n))
+        yield rows, scratch[0, :rows.stop - s], scratch[1, :rows.stop - s]
+
+
 def kress_log_weights(grid: BoundaryGrid) -> np.ndarray:
     """Quadrature weights R[i, j] for int_0^{2pi} ln(4 sin^2((t_i - s)/2)) f(s) ds.
 
     R[i, j] = c[(i - j) mod n] is circulant (Kress, Linear Integral
     Equations, 3rd ed., section 12.3), generated by
     c_k = -(2 pi / n_half) sum_{0<m<n_half} cos(m t_k) / m
-    - (pi / n_half^2) cos(n_half t_k), one inverse real FFT.
+    - (pi / n_half^2) cos(n_half t_k), one inverse real FFT.  R is a
+    read-only strided view of c.
     """
     n, n_half = grid.n, grid.n // 2
     spec = np.zeros(n_half + 1)
     spec[1:n_half] = -(np.pi * n / n_half) / np.arange(1, n_half)
     spec[n_half] = -np.pi * n / n_half ** 2
     c = np.fft.irfft(spec, n)
-    k = np.arange(n)
-    return c[(k[:, None] - k[None, :]) % n]
+    # h = (c_1, ..., c_{n-1}, c_0, ..., c_{n-1}): R[i, j] = h[n - 1 + i - j]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((c[1:], c)), n)
+    return windows[:, ::-1]
 
 
 def single_layer_matrix(grid: BoundaryGrid) -> np.ndarray:
     """Direct value of the single layer on the grid (Kress quadrature)."""
-    n = grid.n
-    x = grid.points
-    dt = grid.t[:, None] - grid.t[None, :]
-    d2 = ((x[:, None, 0] - x[None, :, 0]) ** 2
-          + (x[:, None, 1] - x[None, :, 1]) ** 2)
-    s2 = 4.0 * np.sin(dt / 2.0) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smooth = 0.5 * np.log(d2 / s2)
-    np.fill_diagonal(smooth, np.log(grid.speeds))
+    n, t, x = grid.n, grid.t, grid.points
     r_w = kress_log_weights(grid)
-    mat = -(0.5 * r_w + (_TWO_PI / n) * smooth) / _TWO_PI
-    return mat * grid.speeds[None, :]
+    log_speeds = np.log(grid.speeds)
+    mat = np.empty((n, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows, a, b in _row_blocks(n):
+            # smooth = 0.5 ln(|x_i - x_j|^2 / (4 sin^2((t_i - t_j) / 2)))
+            np.square(np.subtract(x[rows, 0, None], x[:, 0], out=a), out=a)
+            np.square(np.subtract(x[rows, 1, None], x[:, 1], out=b), out=b)
+            a += b
+            np.subtract(t[rows, None], t, out=b)
+            b /= 2.0
+            np.square(np.sin(b, out=b), out=b)
+            b *= 4.0
+            a /= b
+            np.log(a, out=a)
+            a *= 0.5
+            np.fill_diagonal(a[:, rows], log_speeds[rows])
+            # -(0.5 R + (2 pi / n) smooth) / (2 pi), times the speeds
+            a *= _TWO_PI / n
+            np.multiply(r_w[rows], 0.5, out=b)
+            b += a
+            np.negative(b, out=b)
+            b /= _TWO_PI
+            np.multiply(b, grid.speeds, out=mat[rows])
+    return mat
 
 
 def double_layer_matrix(grid: BoundaryGrid) -> np.ndarray:
     """Direct value of the double layer (continuous kernel, curvature diagonal)."""
-    x = grid.points
-    zx = x[None, :, 0] - x[:, None, 0]
-    zy = x[None, :, 1] - x[:, None, 1]
-    r2 = zx ** 2 + zy ** 2
-    num = grid.normals[None, :, 0] * zx + grid.normals[None, :, 1] * zy
+    x, nrm = grid.points, grid.normals
+    diagonal = grid.curve.curvature_term(grid.t) / (2.0 * _TWO_PI)
+    mat = np.empty((grid.n, grid.n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ker = -num / (_TWO_PI * r2) * grid.speeds[None, :]
-    kappa_term = grid.curve.curvature_term(grid.t)
-    np.fill_diagonal(ker, kappa_term / (2.0 * _TWO_PI))
-    return ker * (_TWO_PI / grid.n)
+        for rows, a, b in _row_blocks(grid.n):
+            # -n_j . (x_j - x_i) / (2 pi |x_j - x_i|^2) speeds_j, built in
+            # the output rows: the numerator, then divided by 2 pi r^2
+            ker = mat[rows]
+            np.subtract(x[:, 0], x[rows, 0, None], out=a)
+            np.subtract(x[:, 1], x[rows, 1, None], out=b)
+            np.multiply(nrm[:, 0], a, out=ker)
+            b *= nrm[:, 1]
+            ker += b
+            np.square(a, out=a)
+            # b held n_2 z_y: z_y again, cheaper than a third block
+            np.square(np.subtract(x[:, 1], x[rows, 1, None], out=b), out=b)
+            a += b
+            a *= _TWO_PI
+            np.negative(ker, out=ker)
+            ker /= a
+            ker *= grid.speeds
+            np.fill_diagonal(ker[:, rows], diagonal[rows])
+            ker *= _TWO_PI / grid.n
+    return mat
 
 
 def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:

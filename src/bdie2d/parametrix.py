@@ -141,15 +141,18 @@ def remainder_split(mesh: DomainMesh, rows: np.ndarray, r_split: float):
 
 def single_layer_boundary(grid: BoundaryGrid, field: CoefficientField):
     a, _ = _boundary_data(field, grid)
-    return laplace.single_layer_matrix(grid) / a[None, :]
+    mat = laplace.single_layer_matrix(grid)
+    mat /= a  # a fresh matrix: scaled in place
+    return mat
 
 
 def double_layer_boundary(grid: BoundaryGrid, field: CoefficientField):
     if field.is_constant:
         return laplace.double_layer_matrix(grid)  # d(ln a)/dn = 0
     a, dln = _boundary_data(field, grid)
-    return (laplace.double_layer_matrix(grid)
-            - laplace.single_layer_matrix(grid) * dln[None, :])
+    mat = laplace.double_layer_matrix(grid)
+    mat -= laplace.single_layer_matrix(grid) * dln
+    return mat
 
 
 # ---------------------------------------------------------------------------

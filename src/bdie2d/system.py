@@ -167,7 +167,7 @@ def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
                                              mesh.points[dom_idx], dom_idx)
         mat[:nd, :nd] = r_dd
         mat[range(nd), range(nd)] += 1.0
-        mat[:nd, nd:nd + nb] = -v_db
+        np.negative(v_db, out=mat[:nd, nd:nd + nb])
         rhs[:nd] = f0_dom
     # the boundary block: the same volume pass at the boundary nodes, and
     # gamma+ F0 through the double-layer jump relation
@@ -175,7 +175,7 @@ def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
                                        rho_fn=problem.source)
     mat[nd:nd + nb, :nd] = r_bd
     v_mat = parametrix.single_layer_boundary(grid, field)
-    mat[nd:nd + nb, nd:nd + nb] = -v_mat
+    np.negative(v_mat, out=mat[nd:nd + nb, nd:nd + nb])
     mat[nd:nd + nb, nd + nb] = 1.0
     mat[nd + nb, nd:nd + nb] = grid.weights
     phi = problem.dirichlet(grid.t)
@@ -187,23 +187,27 @@ def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
 
 def solve(system: BdieSystem, *, method="lu") -> BdieSolution:
     """Solve the assembled system by LU; ``method`` may name it, and any
-    other method raises AssemblyError."""
+    other method raises AssemblyError.  A singular system, or one with a
+    non-finite entry, raises SolverSingularError."""
     if method != "lu":
         raise AssemblyError(f"unknown solver method {method!r}")
     nd, nb = system.n_dom, system.n_bnd
     mat, rhs = system.matrix, system.rhs
+    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+        raise SolverSingularError(
+            "system matrix or right-hand side is not finite")
     try:
         with warnings.catch_warnings():
             # singularity is detected below via the factor diagonal
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(mat)
+            lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SolverSingularError(str(exc)) from None
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * max(diag.max(), 1.0):
         raise SolverSingularError(
             "system matrix is singular to working precision")
-    x = scipy.linalg.lu_solve((lu, piv), rhs)
+    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
     residual = float(np.linalg.norm(mat @ x - rhs)
                      / max(np.linalg.norm(rhs), 1e-300))
     return BdieSolution(system=system, u_dom=x[:nd], psi=x[nd:nd + nb],

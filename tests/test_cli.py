@@ -28,6 +28,16 @@ def test_load_config_merges_partial_override(tmp_path):
     assert cfg["case"] == "laplace-dipole"
 
 
+def test_conditioning_rejects_a_zero_width_bump_with_status_2(tmp_path):
+    path = _write_cfg(tmp_path, {"conditioning": {
+        "coefficient": {"kind": "gaussian_bump", "sigma": 0.0}}})
+    out = tmp_path / "out"
+    status = cli.main(["conditioning", "--config", path, "--out", str(out)])
+    assert status == cli.EXIT_CONFIG == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"]["category"] == "CoefficientError"
+
+
 def test_unknown_key_rejected(tmp_path):
     path = _write_cfg(tmp_path, {"meshiness": 3})
     with pytest.raises(ConfigError):

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bdie2d import parametrix
-from bdie2d.coefficient import (check_conditions, make_coefficient, weight)
+from bdie2d.coefficient import (CoefficientField, check_conditions,
+                                make_coefficient, weight)
 from bdie2d.errors import CoefficientError, UnknownCatalogError
 from bdie2d.geometry import domain_mesh, make_curve
 
@@ -131,9 +132,36 @@ def test_nonpositive_coefficient_rejected():
     with pytest.raises(CoefficientError):
         make_coefficient("constant", value=-1.0)
     # declared bounds must be consistent
-    from bdie2d.coefficient import CoefficientField
     with pytest.raises(CoefficientError):
         CoefficientField(field.derivatives, c1=2.0, c2=1.0)
+
+
+def test_a_nan_coefficient_value_is_rejected():
+    def derivatives(x):
+        a = np.where(x[:, 0] > 0.0, np.nan, 1.0)
+        return a, np.zeros_like(x), np.zeros(x.shape[0])
+
+    field = CoefficientField(derivatives, c1=1.0, c2=1.0)
+    field.eval(np.array([[-1.0, 0.0]]))
+    with pytest.raises(CoefficientError):
+        field.eval(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("name", ["gaussian_bump", "compact_bump"])
+@pytest.mark.parametrize("params", [
+    {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": np.nan}, {"sigma": np.inf},
+    {"beta": np.nan}, {"beta": np.inf}, {"center": (0.0, np.nan)},
+    {"center": (0.0, 0.0, 0.0)},
+])
+def test_bump_parameters_must_be_finite_with_positive_sigma(name, params):
+    with pytest.raises(CoefficientError):
+        make_coefficient(name, **params)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_constant_is_rejected(value):
+    with pytest.raises(CoefficientError):
+        make_coefficient("constant", value=value)
 
 
 def test_unknown_coefficient_raises():

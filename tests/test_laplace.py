@@ -125,8 +125,53 @@ def _kress_weights_by_cosine_sum(grid):
 def test_kress_weights_match_the_cosine_sum(n):
     grid = boundary_grid(make_curve("star", alpha=0.2, k=5), n)
     ref = _kress_weights_by_cosine_sum(grid)
-    assert_allclose(laplace.kress_log_weights(grid), ref, rtol=0.0,
-                    atol=1e-13 * np.abs(ref).max())
+    weights = laplace.kress_log_weights(grid)
+    assert not weights.flags.writeable
+    assert_allclose(weights, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+
+def _single_layer_by_formula(grid):
+    """The single layer built on whole (n, n) arrays: the reference for
+    the row blocks, which keep its operations and their order."""
+    x = grid.points
+    dt = grid.t[:, None] - grid.t[None, :]
+    d2 = ((x[:, None, 0] - x[None, :, 0]) ** 2
+          + (x[:, None, 1] - x[None, :, 1]) ** 2)
+    s2 = 4.0 * np.sin(dt / 2.0) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smooth = 0.5 * np.log(d2 / s2)
+    np.fill_diagonal(smooth, np.log(grid.speeds))
+    r_w = laplace.kress_log_weights(grid)
+    mat = -(0.5 * r_w + (2 * np.pi / grid.n) * smooth) / (2 * np.pi)
+    return mat * grid.speeds[None, :]
+
+
+def _double_layer_by_formula(grid):
+    """The double layer built on whole (n, n) arrays."""
+    x = grid.points
+    zx = x[None, :, 0] - x[:, None, 0]
+    zy = x[None, :, 1] - x[:, None, 1]
+    r2 = zx ** 2 + zy ** 2
+    num = grid.normals[None, :, 0] * zx + grid.normals[None, :, 1] * zy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ker = -num / (2 * np.pi * r2) * grid.speeds[None, :]
+    kappa_term = grid.curve.curvature_term(grid.t)
+    np.fill_diagonal(ker, kappa_term / (2.0 * 2 * np.pi))
+    return ker * (2 * np.pi / grid.n)
+
+
+# n below, at, off a multiple of, and above the 64-row block
+@pytest.mark.parametrize("n", [8, 64, 130, 512])
+@pytest.mark.parametrize("name,params", [("circle", {}),
+                                         ("ellipse", {"a": 2.0, "b": 1.0}),
+                                         ("star", {"alpha": 0.2, "k": 5})])
+def test_row_blocks_are_bitwise_the_whole_matrix_formulas(name, params, n):
+    grid = boundary_grid(make_curve(name, **params), n)
+    single = laplace.single_layer_matrix(grid)
+    assert np.array_equal(single, _single_layer_by_formula(grid))
+    assert single.flags.writeable and single.flags.owndata
+    assert np.array_equal(laplace.double_layer_matrix(grid),
+                          _double_layer_by_formula(grid))
 
 
 @pytest.mark.parametrize("kind", ["single", "double"])

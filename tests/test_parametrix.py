@@ -175,6 +175,20 @@ def test_constant_coefficient_boundary_double_layer_is_the_laplace_one(
                           laplace.double_layer_matrix(circle64))
 
 
+def test_in_place_scalings_alias_nothing(circle64, bump):
+    slm = laplace.single_layer_matrix(circle64)
+    first = parametrix.single_layer_boundary(circle64, bump)
+    assert np.array_equal(parametrix.single_layer_boundary(circle64, bump),
+                          first)
+    assert np.array_equal(laplace.single_layer_matrix(circle64), slm)
+    dln = parametrix._boundary_data(bump, circle64)[1]
+    assert np.array_equal(
+        parametrix.double_layer_boundary(circle64, bump),
+        laplace.double_layer_matrix(circle64)
+        - laplace.single_layer_matrix(circle64) * dln[None, :])
+    assert np.array_equal(laplace.single_layer_matrix(circle64), slm)
+
+
 @pytest.mark.parametrize("name,calls", [("laplace-dipole", 1),
                                         ("bump-dipole", 2)])
 def test_single_layer_matrices_per_assembly(name, calls, monkeypatch):

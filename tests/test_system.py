@@ -237,6 +237,18 @@ def test_singular_matrix_detected(laplace_solution):
         solve(broken)
 
 
+@pytest.mark.parametrize("part", ["matrix", "rhs"])
+def test_non_finite_system_is_rejected(laplace_solution, part):
+    import copy
+
+    sysm, _ = laplace_solution
+    broken = copy.copy(sysm)
+    setattr(broken, part, getattr(sysm, part).copy())
+    getattr(broken, part)[3] = np.nan
+    with pytest.raises(SolverSingularError, match="not finite"):
+        solve(broken)
+
+
 @pytest.fixture(scope="module")
 def bump_solution():
     case = manufactured_case("bump-dipole")
