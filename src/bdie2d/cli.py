@@ -12,6 +12,7 @@ geometry error, 3 compatibility (mean-zero) rejection, 4 singular system.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -72,6 +73,25 @@ def load_config(path):
     if user is None:
         user = {}
     return _merge(defaults, user)
+
+
+def _value(cfg, key, convert, default=None):
+    """The config value at the dotted ``key`` through ``convert``, or
+    ``default`` for a null value when one is given; a value that does not
+    convert raises ConfigError naming the key."""
+    from .errors import ConfigError
+
+    value = functools.reduce(lambda d, k: d[k], key.split("."), cfg)
+    try:
+        return default if value is None and default is not None \
+            else convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key}: {value!r} does not convert "
+                          f"({exc})") from None
+
+
+def _each(convert):
+    return lambda values: [convert(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +162,9 @@ def _problem_from_config(cfg, case):
     if section["kind"] is None:
         return case.problem(), False
     if section["kind"] == "gaussian_blob":
-        amp = float(section["amplitude"])
-        center = np.asarray(section["center"], dtype=float)
-        sigma = float(section["sigma"])
+        amp = _value(cfg, "source_override.amplitude", float)
+        center = np.array(_value(cfg, "source_override.center", _each(float)))
+        sigma = _value(cfg, "source_override.sigma", float)
 
         def source(p):
             d = p - center
@@ -162,12 +182,10 @@ def _discretize(cfg, case):
 
     from .geometry import boundary_grid, domain_mesh
 
-    disc = cfg["discretization"]
-    n = int(disc["n_boundary"])
-    h = float(disc["h"]) if disc["h"] is not None else 4.0 * np.pi / n
-    m_theta = int(disc["m_theta"]) if disc["m_theta"] is not None else n
-    r_trunc = float(disc["r_trunc"]) if disc["r_trunc"] is not None \
-        else case.r_trunc
+    n = _value(cfg, "discretization.n_boundary", int)
+    h = _value(cfg, "discretization.h", float, 4.0 * np.pi / n)
+    m_theta = _value(cfg, "discretization.m_theta", int, n)
+    r_trunc = _value(cfg, "discretization.r_trunc", float, case.r_trunc)
     grid = boundary_grid(case.curve, n)
     mesh = domain_mesh(case.curve, r_trunc, h, m_theta=m_theta)
     return grid, mesh
@@ -204,7 +222,7 @@ def cmd_solve(cfg, out_dir):
     t0 = time.perf_counter()
     sysm = bdsys.assemble_system(
         problem, grid, mesh,
-        compatibility_tol=float(cfg["tolerances"]["compatibility"]))
+        compatibility_tol=_value(cfg, "tolerances.compatibility", float))
     timings["assembly_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     sol = bdsys.solve(sysm)
@@ -237,13 +255,13 @@ def cmd_verify(cfg, out_dir):
 
     case = _case_from_config(cfg)
     grid, mesh = _discretize(cfg, case)
-    study = cfg["study"]
     timings = {}
     t0 = time.perf_counter()
     report = {"case": case.name, "consistency": case.validate()}
 
-    probes = verification.default_probes(int(study["n_probes"]),
-                                         seed=int(cfg["seed"]))
+    seed = _value(cfg, "seed", int)
+    probes = verification.default_probes(
+        _value(cfg, "study.n_probes", int), seed=seed)
     green = verification.green_identity_residuals(
         case, probes, n=grid.n, h=mesh.h, r_trunc=mesh.r_trunc)
     report["green_identity"] = {
@@ -271,11 +289,11 @@ def cmd_verify(cfg, out_dir):
     t0 = time.perf_counter()
     rows = parametrix.remainder_rows(mesh, case.field, mesh.points)
     report["remainder_norm"] = verification.remainder_norm(
-        case.field, mesh, rows=rows, seed=int(cfg["seed"]))
+        case.field, mesh, rows=rows, seed=seed)
     if not case.field.is_constant:
         report["remainder_split"] = verification.split_decay_study(
-            case.field, mesh, [float(r) for r in study["radii"]],
-            seed=int(cfg["seed"]), rows=rows)
+            case.field, mesh, _value(cfg, "study.radii", _each(float)),
+            seed=seed, rows=rows)
     timings["remainder_s"] = time.perf_counter() - t0
 
     max_jump = max(max(j.values()) for j in jumps.values())
@@ -302,7 +320,7 @@ def cmd_convergence(cfg, out_dir):
     from . import verification
 
     case = _case_from_config(cfg)
-    n_values = [int(n) for n in cfg["study"]["n_values"]]
+    n_values = _value(cfg, "study.n_values", _each(int))
     t0 = time.perf_counter()
     rows = verification.convergence_study(case, n_values)
     elapsed = time.perf_counter() - t0
@@ -327,16 +345,15 @@ def cmd_conditioning(cfg, out_dir):
     from .geometry import boundary_grid, domain_mesh, make_curve
     from .system import DirichletProblem
 
-    section = cfg["conditioning"]
-    coef = dict(section["coefficient"])
-    kind = coef.pop("kind")
-    if "center" in coef:
-        coef["center"] = tuple(float(c) for c in coef["center"])
-    field = make_coefficient(kind, **coef)
+    kind = cfg["conditioning"]["coefficient"]["kind"]
+    # a constant coefficient takes none of the bumps' parameters
+    field = make_coefficient(kind, **({} if kind == "constant" else {
+        k: _value(cfg, "conditioning.coefficient." + k, convert) for k, convert
+        in (("beta", float), ("sigma", float), ("center", _each(float)))}))
     curve = make_curve("circle")
-    mesh_n = int(section["mesh_n"])
-    mesh = domain_mesh(curve, float(section["r_trunc"]), 4.0 * np.pi / mesh_n,
-                       m_theta=mesh_n)
+    mesh_n = _value(cfg, "conditioning.mesh_n", int)
+    mesh = domain_mesh(curve, _value(cfg, "conditioning.r_trunc", float),
+                       4.0 * np.pi / mesh_n, m_theta=mesh_n)
 
     def factory(n):
         grid = boundary_grid(curve, n)
@@ -347,7 +364,7 @@ def cmd_conditioning(cfg, out_dir):
 
     t0 = time.perf_counter()
     rows = verification.conditioning_study(
-        factory, [int(n) for n in section["n_values"]])
+        factory, _value(cfg, "conditioning.n_values", _each(int)))
     elapsed = time.perf_counter() - t0
     write_csv(out_dir, "conditioning.csv",
               ["N", "cond_M", "sigma_min_V"], rows)

@@ -15,6 +15,7 @@ mesh construction relies on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -213,10 +214,24 @@ def boundary_grid(curve: CurveParametrization, n: int) -> BoundaryGrid:
                         normals=normals, speeds=speeds, weights=weights)
 
 
-# the _Q-point Gauss-Legendre rule on [0, 1] of every radial panel
+# the nodal interpolant's one setting: the Gauss-Legendre order of every
+# radial panel, and the angular stencil's columns from a cell's first line
 _Q = 4
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_Q)
-_GX, _GW = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
+_STENCIL = np.arange(-1, 3)
+
+
+@functools.cache
+def _monomial_basis(nodes):
+    """The Lagrange basis on the nodes (a tuple) as coefficients of the
+    monomials 1, x, x^2, ..., one column per node."""
+    return np.linalg.inv(np.vander(nodes, increasing=True))
+
+
+def _lagrange(s, nodes):
+    """The Lagrange basis on ``nodes`` at the points s: s.shape + (k,)."""
+    basis = _monomial_basis(tuple(nodes))
+    return (np.vander(s.ravel(), len(basis), increasing=True)
+            @ basis).reshape(s.shape + (len(basis),))
 
 
 @dataclass
@@ -225,8 +240,10 @@ class DomainMesh:
 
     Tensor structure: ``m_theta`` equispaced polar angles (trapezoid rule)
     times composite Gauss-Legendre nodes in the scaled radial coordinate
-    rho in [0, 1], with r = r_curve(theta) + (r_trunc - r_curve(theta)) rho.
-    Node index = i_r * m_theta + j_theta.
+    rho in [0, 1], with r = r_curve(theta) + (r_trunc - r_curve(theta)) rho
+    (``physical``).  Node index = i_r * m_theta + j_theta.  The nodal
+    interpolant on a cell, one panel by one column, is ``radial_factors``
+    times ``angular_factors``; ``interpolation`` locates the cells.
     """
 
     curve: CurveParametrization
@@ -242,17 +259,21 @@ class DomainMesh:
     weights: np.ndarray = field(default=None)   # (n_nodes,)
 
     def __post_init__(self):
-        n_r = self.rho.shape[0]
-        rr = self.r_curve[None, :] + (self.r_trunc - self.r_curve[None, :]) * self.rho[:, None]
-        xx = rr * np.cos(self.theta)[None, :]
-        yy = rr * np.sin(self.theta)[None, :]
-        self.points = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        dtheta = _TWO_PI / self.m_theta
-        w = (self.rho_weights[:, None]
-             * (self.r_trunc - self.r_curve)[None, :] * rr * dtheta)
-        self.weights = w.ravel()
-        self.n_r = n_r
-        self.n_nodes = n_r * self.m_theta
+        self.n_r = self.rho.shape[0]
+        self.n_nodes = self.n_r * self.m_theta
+        points, span, rr = self.physical(self.rho[:, None], self.theta)
+        self.points = points.reshape(-1, 2)
+        self.weights = (self.rho_weights[:, None] * span * rr
+                        * (_TWO_PI / self.m_theta)).ravel()
+
+    def physical(self, rho, theta):
+        """The map to physical points at scaled coordinates (rho, theta),
+        broadcast together: the points, shape + (2,), the span
+        r_trunc - r_curve(theta) and the radius r."""
+        r_s = self.curve.radial_profile(theta)
+        span = self.r_trunc - r_s
+        r = r_s + span * rho
+        return np.stack([r * np.cos(theta), r * np.sin(theta)], -1), span, r
 
     def mesh_coords(self, points):
         """Map physical points to (rho, theta); rho < 0 means inside Omega^-."""
@@ -263,83 +284,66 @@ class DomainMesh:
         rho = (r - r_s) / (self.r_trunc - r_s)
         return rho, theta
 
-    def radial_weights(self, rho):
-        """Radial factor of the nodal interpolant at scaled radii rho (m,).
+    def radial_factors(self, s):
+        """Radial factor of the interpolant at s, the coordinate across a
+        panel (0 and 1 at its breakpoints): the node offsets (q,) in the
+        panel and their Lagrange weights s.shape + (q,)."""
+        b = self.breakpoints
+        q = self.n_r // (b.size - 1)
+        return np.arange(q), _lagrange(s, (self.rho[:q] - b[0]) / (b[1] - b[0]))
 
-        Returns the radial node indices (m, _Q) of each point's panel and
-        the Lagrange weights (m, _Q) on that panel's Gauss nodes; rho
-        outside [0, 1] uses the end panels.
-        """
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        panel = np.clip(np.searchsorted(self.breakpoints, rho, side="right") - 1,
-                        0, len(self.breakpoints) - 2)
-        i_r = panel[:, None] * _Q + np.arange(_Q)[None, :]
-        return i_r, _lagrange_weights(rho, self.rho[i_r])
-
-    def angular_weights(self, theta):
-        """Angular factor of the nodal interpolant at angles theta (m,).
-
-        Returns the columns (m, 4) around each angle and their 4-point
-        Lagrange weights (m, 4).
-        """
-        theta = np.atleast_1d(np.asarray(theta, dtype=float)) % _TWO_PI
-        dtheta = _TWO_PI / self.m_theta
-        j = np.floor(theta / dtheta).astype(int)[:, None] + np.arange(-1, 3)
-        return j % self.m_theta, _lagrange_weights(theta, j * dtheta)
+    def angular_factors(self, s):
+        """Angular factor of the interpolant at s, in columns from a cell's
+        first line: the stencil's column offsets from that line and their
+        Lagrange weights s.shape + (k,)."""
+        return _STENCIL, _lagrange(s, _STENCIL.astype(float))
 
     def interpolation(self, rho, theta):
-        """Nodal interpolation weights at scaled coordinates.
-
-        Returns (indices, weights) of shape (m, 4 * _Q), the outer product
-        of radial_weights and angular_weights.  No library path calls it:
-        the near-field scatter applies the two factors per quadrature piece.
-        """
-        i_r, w_r = self.radial_weights(rho)
-        cols, w_th = self.angular_weights(theta)
-        m = i_r.shape[0]
-        return ((i_r[:, :, None] * self.m_theta + cols[:, None, :]).reshape(m, -1),
-                (w_r[:, :, None] * w_th[:, None, :]).reshape(m, -1))
-
-
-def _lagrange_weights(x, nodes):
-    """Rows of Lagrange basis values: x (m,), nodes (m, k) -> (m, k)."""
-    x = np.asarray(x, dtype=float)[:, None]
-    nodes = np.asarray(nodes, dtype=float)
-    m, k = nodes.shape
-    w = np.ones((m, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                w[:, i] *= (x[:, 0] - nodes[:, j]) / (nodes[:, i] - nodes[:, j])
-    return w
+        """Nodal interpolation weights at scaled coordinates (m,), rho
+        outside [0, 1] in the end panels: (indices, weights) of shape
+        (m, q k), the outer product of the factors of each point's cell."""
+        rho = np.atleast_1d(np.asarray(rho, dtype=float))
+        theta = np.atleast_1d(np.asarray(theta, dtype=float)) % _TWO_PI
+        b, dtheta = self.breakpoints, _TWO_PI / self.m_theta
+        panel = np.clip(np.searchsorted(b, rho, side="right") - 1,
+                        0, b.size - 2)
+        col = np.floor(theta / dtheta)
+        i_r, w_r = self.radial_factors(
+            (rho - b[panel]) / (b[panel + 1] - b[panel]))
+        j, w_th = self.angular_factors(theta / dtheta - col)
+        i_r = panel[:, None] * i_r.size + i_r
+        cols = (col.astype(int)[:, None] + j) % self.m_theta
+        return ((i_r[:, :, None] * self.m_theta
+                 + cols[:, None, :]).reshape(rho.size, -1),
+                (w_r[:, :, None] * w_th[:, None, :]).reshape(rho.size, -1))
 
 
 def domain_mesh(curve: CurveParametrization, r_trunc: float, h: float, *,
-                m_theta: Optional[int] = None,
-                n_panels: Optional[int] = None) -> DomainMesh:
+                m_theta: Optional[int] = None) -> DomainMesh:
     """Build the truncated-exterior quadrature mesh."""
-    if h <= 0:
-        raise DiscretizationError("mesh spacing h must be positive")
+    if not 0.0 < h < np.inf:
+        raise DiscretizationError(f"mesh spacing {h} is not positive and finite")
     if curve.radial_profile is None:
         raise GeometryError("domain meshing requires a star-shaped curve "
                             "with a radial profile")
     circ = curve.circumradius()
-    if r_trunc <= circ:
-        raise GeometryError(
-            f"truncation radius {r_trunc} must exceed the curve circumradius {circ:.6g}")
+    if not circ < r_trunc < np.inf:
+        raise GeometryError(f"truncation radius {r_trunc} must be finite and "
+                            f"exceed the curve circumradius {circ:.6g}")
     if m_theta is None:
         m_theta = max(16, 2 * int(np.ceil(np.pi * circ / h)))
     theta = _TWO_PI * np.arange(m_theta) / m_theta
     r_curve = np.asarray(curve.radial_profile(theta), dtype=float)
     span_min = float((r_trunc - r_curve).min())
-    if n_panels is None:
-        n_panels = max(1, int(np.ceil((r_trunc - r_curve.min()) / (_Q * h))))
-        # keep the innermost Gauss node clear of the boundary (> h/10)
-        cap = int(np.floor(10.0 * float(_GX[0]) * span_min / h))
-        n_panels = max(1, min(n_panels, cap))
+    gx, gw = np.polynomial.legendre.leggauss(_Q)
+    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+    n_panels = max(1, int(np.ceil((r_trunc - r_curve.min()) / (_Q * h))))
+    # keep the innermost Gauss node clear of the boundary (> h/10)
+    cap = int(np.floor(10.0 * float(gx[0]) * span_min / h))
+    n_panels = max(1, min(n_panels, cap))
     breakpoints = np.linspace(0.0, 1.0, n_panels + 1)
-    rho = (breakpoints[:-1, None] + np.diff(breakpoints)[:, None] * _GX[None, :]).ravel()
-    rho_w = (np.diff(breakpoints)[:, None] * _GW[None, :]).ravel()
+    rho = (breakpoints[:-1, None] + np.diff(breakpoints)[:, None] * gx).ravel()
+    rho_w = (np.diff(breakpoints)[:, None] * gw).ravel()
     mesh = DomainMesh(curve=curve, r_trunc=r_trunc, h=h, m_theta=m_theta,
                       breakpoints=breakpoints, rho=rho, rho_weights=rho_w,
                       theta=theta, r_curve=r_curve)

@@ -48,9 +48,9 @@ The rules are built and run a block of targets at a time (``_blocks``),
 a block giving at most _POINTS points to the integrand unless it holds
 one target: one cut-and-halve loop serves the cells of several blocks,
 each piece carrying its target and cell.  A piece lies in one cell, so
-its values reach that cell's 4 x 4 node stencil through one small
-product of the radial and angular Lagrange factors, tensor-factored on a
-Gauss piece (``_scatter``; the sum-factorization of spectral-element
+its values reach that cell's node stencil through one small product of
+the mesh's radial and angular interpolation factors, tensor-factored on
+a Gauss piece (``_scatter``; the sum-factorization of spectral-element
 codes).  Every volume integrand is a sum of factors of the source point
 x times the kernels P, d1 P and d2 P of x - y (``_kernels``): the
 remainder of the parametrix is -Delta(ln a) P - grad(ln a) . grad_x P,
@@ -494,9 +494,8 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
     """
     m, n_nodes, dtheta = mesh.m_theta, mesh.n_nodes, _TWO_PI / mesh.m_theta
     rho, theta = mesh.mesh_coords(pts)
-    r_s = mesh.curve.radial_profile(theta)
-    span = mesh.r_trunc - r_s
-    r_y = np.maximum(r_s + span * np.maximum(rho, 0.0), 1e-3)
+    _, span, r_y = mesh.physical(np.maximum(rho, 0.0), theta)
+    r_y = np.maximum(r_y, 1e-3)
     width = np.maximum(max(_WIDTH_COLS * dtheta, 0.7), _WIDTH_PHYS / r_y)
     # half-width in columns: even, and at most 0.9 pi unless that is 0; 0
     # without near field, as for a target 0.5 outside the meshed region
@@ -543,15 +542,12 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
                 u, v, w = _points(pc, rule, p)
                 t = pc.cell[:, 0, None, None]
                 f_rho, dth = u / su[t], v / sv[t]
-                f_theta = mesh.theta[centres[idx[t]]] + dth
-                f_rs = mesh.curve.radial_profile(f_theta)
-                f_span = mesh.r_trunc - f_rs
-                r = f_rs + f_span * f_rho
+                x, f_span, r = mesh.physical(
+                    f_rho, mesh.theta[centres[idx[t]]] + dth)
                 fine.append(_Fine(
                     pc.cell - [lo, 0, n_half], f_rho, dth,
                     (w / (su[t] * sv[t]) * _bump(dth / (n_half * dtheta))
-                     * (f_span * r)),
-                    np.stack([r * np.cos(f_theta), r * np.sin(f_theta)], -1)))
+                     * (f_span * r)), x))
             ii, jj = np.nonzero(used[lo:hi])
             yield _Block(idx[lo:hi], centres[idx[lo:hi]], (ii, jj),
                          w_row[lo:hi][ii, jj], w_val[lo:hi][ii, jj],
@@ -559,47 +555,34 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
             lo = hi
 
 
-@functools.cache
-def _monomial_basis(nodes):
-    """The Lagrange basis on the nodes (a tuple) as coefficients of the
-    monomials 1, x, x^2, ..., one column per node."""
-    return np.linalg.inv(np.vander(nodes, increasing=True))
-
-
 def _scatter(mesh: DomainMesh, block: _Block, c, near, out):
     """Add the fine-point values c, interpolated onto the mesh nodes, to the
     block's rows out of the targets marked in ``near``.
 
-    A piece lies inside one cell, where the interpolant is radial Lagrange
-    on the panel's nodes times 4-point angular Lagrange on the columns
-    around the cell, so its values reach that cell's stencil through one
-    small product: R^T C A for a Gauss piece, with C its values on the
-    tensor rule (the sum-factorization of spectral-element codes), and
-    R^T diag(c) A for a Duffy piece.
+    A piece lies inside one cell, its own (never located from its points,
+    which may lie a few ulps outside it), where the interpolant is the
+    product of the mesh's radial and angular factors, so its values reach
+    that cell's stencil through one small product: R^T C A for a Gauss
+    piece, with C its values on the tensor rule (the sum-factorization of
+    spectral-element codes), and R^T diag(c) A for a Duffy piece.
     """
     m, b = mesh.m_theta, mesh.breakpoints
-    n_q = mesh.n_r // (b.size - 1)
-    # the Lagrange bases in local coordinates: across a panel, and in
-    # columns from a cell's first line
-    bases = [_monomial_basis(tuple((mesh.rho[:n_q] - b[0]) / (b[1] - b[0]))),
-             _monomial_basis((-1.0, 0.0, 1.0, 2.0))]
     index, stencils = [], []
     for f in block.fine:
         n, (t, panel, col) = f.cell.shape[0], f.cell.T
         values, c = c[:f.w.size].reshape(f.w.shape), c[f.w.size:]
-        radial, angular = (
-            (np.vander(x.ravel(), len(basis), increasing=True) @ basis)
-            .reshape(n, -1, len(basis)) for x, basis in zip(
-                ((f.u.reshape(n, -1) - b[panel, None])
-                 / (b[panel + 1] - b[panel])[:, None],
-                 f.v.reshape(n, -1) / (_TWO_PI / m) - col[:, None]), bases))
+        i_r, radial = mesh.radial_factors(
+            (f.u.reshape(n, -1) - b[panel, None])
+            / (b[panel + 1] - b[panel])[:, None])
+        j, angular = mesh.angular_factors(
+            f.v.reshape(n, -1) / (_TWO_PI / m) - col[:, None])
         stencils.append(near[t, None, None] * radial.transpose(0, 2, 1)
                         @ (values @ angular if f.v.shape[1] == 1
                            else values * angular))
-        rows = panel[:, None] * n_q + np.arange(n_q)
+        rows = panel[:, None] * i_r.size + i_r
         index.append(t[:, None, None] * mesh.n_nodes + rows[:, :, None] * m
-                     + (block.centre[t, None] + col[:, None]
-                        + np.arange(-1, 3))[:, None, :] % m)
+                     + (block.centre[t, None] + col[:, None] + j)[:, None, :]
+                     % m)
     out += np.bincount(np.concatenate(index, axis=None),
                        np.concatenate(stencils, axis=None),
                        minlength=out.size).reshape(out.shape)

@@ -78,11 +78,8 @@ def _near_mask_for_support(field: CoefficientField, targets):
 
 def remainder_rows(mesh: DomainMesh, field: CoefficientField, targets):
     """Matrix rows of the remainder operator acting on nodal densities."""
-    if field.is_constant:
-        return _zeros(targets, mesh.n_nodes)
-    return laplace.domain_rows(
-        mesh, targets, lambda x: (_remainder_factors(field, x)[0], None),
-        near_targets=_near_mask_for_support(field, targets))[0]
+    return volume_terms(mesh, field, targets, np.arange(mesh.n_nodes),
+                        rho_fn=None)[0]
 
 
 def volume_terms(mesh: DomainMesh, field: CoefficientField, targets,
@@ -166,8 +163,6 @@ def layer_rows_offboundary(grid: BoundaryGrid, field: CoefficientField,
     source nodes."""
     single, double = laplace.layer_rows_offboundary(grid, targets)
     a, dln = _boundary_data(field, grid)
-    if field.is_constant:
-        return single / a[None, :], double  # d(ln a)/dn = 0
     return single / a[None, :], double - single * dln[None, :]
 
 

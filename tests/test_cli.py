@@ -96,6 +96,40 @@ def test_solve_rejects_bad_truncation_radius_with_status_2(tmp_path):
     assert err["error"]["category"] == "GeometryError"
 
 
+@pytest.mark.parametrize("disc,category", [
+    ({"r_trunc": float("inf")}, "GeometryError"),
+    ({"r_trunc": float("nan")}, "GeometryError"),
+    ({"h": float("nan")}, "DiscretizationError"),
+    ({"h": float("inf")}, "DiscretizationError")],
+    ids=["r_trunc-inf", "r_trunc-nan", "h-nan", "h-inf"])
+def test_solve_rejects_a_non_finite_mesh_size_with_status_2(tmp_path, disc,
+                                                            category):
+    path = _write_cfg(tmp_path, {"discretization": disc})
+    out = tmp_path / "out"
+    status = cli.main(["solve", "--config", path, "--out", str(out)])
+    assert status == cli.EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["category"] == category
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("solve", {"discretization": {"n_boundary": "abc"}},
+     "discretization.n_boundary"),
+    ("convergence", {"study": {"n_values": [16, "x"]}}, "study.n_values"),
+    ("conditioning", {"conditioning": {"coefficient": {"beta": "big"}}},
+     "conditioning.coefficient.beta")],
+    ids=["solve", "convergence", "conditioning"])
+def test_a_value_of_the_wrong_type_exits_with_config_status(tmp_path, command,
+                                                            payload, key):
+    path = _write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    status = cli.main([command, "--config", path, "--out", str(out)])
+    assert status == cli.EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["category"] == "ConfigError"
+    assert key in err["error"]["message"]
+
+
 def test_verify_command(tmp_path):
     path = _write_cfg(tmp_path, {"discretization": {"n_boundary": 32}})
     out = tmp_path / "out"
@@ -133,6 +167,18 @@ def test_conditioning_command_csv_schema(tmp_path):
     assert header == ["N", "cond_M", "sigma_min_V"]
     report = json.loads((out / "conditioning.json").read_text())
     assert report["results"]["max_cond_ratio"] <= 2.0
+
+
+def test_conditioning_runs_with_a_constant_coefficient(tmp_path):
+    path = _write_cfg(tmp_path, {"conditioning": {
+        "n_values": [16, 32], "mesh_n": 32,
+        "coefficient": {"kind": "constant"}}})
+    out = tmp_path / "out"
+    status = cli.main(["conditioning", "--config", path, "--out", str(out)])
+    assert status == cli.EXIT_OK
+    with open(out / "conditioning.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == ["16", "32"]
 
 
 def test_selftest_passes_and_is_deterministic(tmp_path, capsys):

@@ -158,22 +158,42 @@ def test_truncation_radius_must_exceed_circumradius():
         domain_mesh(make_curve("ellipse", a=2.0, b=1.0), 1.5, 0.1)
 
 
-def test_explicit_panel_count_guards_inner_node_distance():
-    with pytest.raises(DiscretizationError):
-        domain_mesh(make_curve("circle"), 3.0, 0.5, n_panels=200)
+def test_a_coarse_spacing_guards_inner_node_distance():
+    # one radial panel is the fewest, and its innermost node lies within h/10
+    for h in (1.5, 2.0):
+        with pytest.raises(DiscretizationError):
+            domain_mesh(make_curve("circle"), 3.0, h)
+
+
+@pytest.mark.parametrize("h,r_trunc,error", [
+    (np.nan, 3.0, DiscretizationError), (np.inf, 3.0, DiscretizationError),
+    (0.2, np.inf, GeometryError), (0.2, np.nan, GeometryError)])
+def test_a_non_finite_spacing_or_truncation_radius_raises(h, r_trunc, error):
+    with pytest.raises(error):
+        domain_mesh(make_curve("circle"), r_trunc, h)
 
 
 def test_interpolation_is_the_outer_product_of_its_factors():
     mesh = domain_mesh(make_curve("star", alpha=0.2, k=5), 3.0, 0.2)
+    b, dtheta = mesh.breakpoints, 2 * np.pi / mesh.m_theta
+    # at their own nodes the factors are the identity
+    i_r, w_r = mesh.radial_factors((mesh.rho[:4] - b[0]) / (b[1] - b[0]))
+    j, _ = mesh.angular_factors(np.zeros(1))
+    assert_allclose(w_r, np.eye(4), atol=1e-13)
+    assert_allclose(mesh.angular_factors(j.astype(float))[1], np.eye(j.size),
+                    atol=1e-13)
+    # at points inside a cell, interpolation is the cell's factor product
     rng = np.random.default_rng(6)
-    rho = np.concatenate([mesh.breakpoints, [-0.1, 1.1],
-                          rng.uniform(0.0, 1.0, 40)])
-    theta = rng.uniform(-1.0, 7.0, rho.size)
-    i_r, w_r = mesh.radial_weights(rho)
-    cols, w_th = mesh.angular_weights(theta)
-    idx, wts = mesh.interpolation(rho, theta)
-    assert np.array_equal(
-        idx, (i_r[:, :, None] * mesh.m_theta
-              + cols[:, None, :]).reshape(rho.size, -1))
-    assert np.array_equal(
-        wts, (w_r[:, :, None] * w_th[:, None, :]).reshape(rho.size, -1))
+    panel = rng.integers(0, b.size - 1, 40)
+    col = rng.integers(0, mesh.m_theta, 40)
+    s_r, s_t = rng.uniform(0.0, 1.0, (2, 40))
+    idx, wts = mesh.interpolation(b[panel] + s_r * (b[panel + 1] - b[panel]),
+                                  (col + s_t) * dtheta)
+    i_r, w_r = mesh.radial_factors(s_r)
+    j, w_th = mesh.angular_factors(s_t)
+    rows = panel[:, None] * i_r.size + i_r
+    cols = (col[:, None] + j) % mesh.m_theta
+    assert np.array_equal(idx, (rows[:, :, None] * mesh.m_theta
+                                + cols[:, None, :]).reshape(40, -1))
+    assert_allclose(wts, (w_r[:, :, None] * w_th[:, None, :]).reshape(40, -1),
+                    rtol=1e-12, atol=1e-13)

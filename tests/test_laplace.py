@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from bdie2d import laplace
+from bdie2d import geometry, laplace
 from bdie2d.errors import GeometryError, SingularEvaluationError
 from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
 
@@ -356,10 +356,21 @@ def _per_point_rows(mesh, targets, kernel, near):
     return rows
 
 
-@pytest.mark.parametrize("curve,r_trunc,m_theta", [
-    (("circle", {}), 4.0, 32), (("star", {"alpha": 0.2, "k": 5}), 3.0, 24),
-    (("circle", {}), 4.0, 8)], ids=["circle", "star", "circle-8-columns"])
-def test_domain_rows_match_the_per_point_scatter(curve, r_trunc, m_theta):
+@pytest.mark.parametrize("curve,r_trunc,m_theta,order", [
+    (("circle", {}), 4.0, 32, 4),
+    (("star", {"alpha": 0.2, "k": 5}), 3.0, 24, 4),
+    (("circle", {}), 4.0, 8, 4),
+    (("circle", {}), 4.0, 32, 6),
+    (("star", {"alpha": 0.2, "k": 5}), 3.0, 24, 6)],
+    ids=["circle", "star", "circle-8-columns", "circle-6-point",
+         "star-6-point"])
+def test_domain_rows_match_the_per_point_scatter(curve, r_trunc, m_theta,
+                                                 order, monkeypatch):
+    # the interpolant is the mesh's: its panel order and angular stencil
+    # are set in geometry alone
+    monkeypatch.setattr(geometry, "_Q", order)
+    monkeypatch.setattr(geometry, "_STENCIL",
+                        np.arange(1 - order // 2, 1 + order // 2))
     mesh = domain_mesh(make_curve(curve[0], **curve[1]), r_trunc,
                        4 * np.pi / m_theta, m_theta=m_theta)
     j = m_theta // 3
