@@ -90,6 +90,13 @@ def _value(cfg, key, convert, default=None):
                           f"({exc})") from None
 
 
+def _integer(value):
+    """int(value); a fractional float raises rather than truncating."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _each(convert):
     return lambda values: [convert(v) for v in values]
 
@@ -155,7 +162,7 @@ def _case_from_config(cfg):
 def _problem_from_config(cfg, case):
     import numpy as np
 
-    from .errors import UnknownCatalogError
+    from .errors import ConfigError, UnknownCatalogError
     from .system import DirichletProblem
 
     section = cfg["source_override"]
@@ -165,14 +172,17 @@ def _problem_from_config(cfg, case):
         amp = _value(cfg, "source_override.amplitude", float)
         center = np.array(_value(cfg, "source_override.center", _each(float)))
         sigma = _value(cfg, "source_override.sigma", float)
+        if not (np.isfinite(amp) and 0.0 < sigma < np.inf
+                and center.shape == (2,) and np.isfinite(center).all()):
+            raise ConfigError("gaussian_blob needs a finite amplitude, a "
+                              "finite sigma > 0 and a finite 2-d center")
 
         def source(p):
             d = p - center
             return amp * np.exp(-(d[:, 0] ** 2 + d[:, 1] ** 2) / sigma ** 2)
 
         problem = DirichletProblem(case.curve, case.field, source,
-                                   case.dirichlet,
-                                   name=f"{case.name}+gaussian_blob")
+                                   case.dirichlet)
         return problem, True
     raise UnknownCatalogError(f"unknown source override {section['kind']!r}")
 
@@ -182,9 +192,9 @@ def _discretize(cfg, case):
 
     from .geometry import boundary_grid, domain_mesh
 
-    n = _value(cfg, "discretization.n_boundary", int)
+    n = _value(cfg, "discretization.n_boundary", _integer)
     h = _value(cfg, "discretization.h", float, 4.0 * np.pi / n)
-    m_theta = _value(cfg, "discretization.m_theta", int, n)
+    m_theta = _value(cfg, "discretization.m_theta", _integer, n)
     r_trunc = _value(cfg, "discretization.r_trunc", float, case.r_trunc)
     grid = boundary_grid(case.curve, n)
     mesh = domain_mesh(case.curve, r_trunc, h, m_theta=m_theta)
@@ -259,18 +269,17 @@ def cmd_verify(cfg, out_dir):
     t0 = time.perf_counter()
     report = {"case": case.name, "consistency": case.validate()}
 
-    seed = _value(cfg, "seed", int)
+    seed = _value(cfg, "seed", _integer)
     probes = verification.default_probes(
-        _value(cfg, "study.n_probes", int), seed=seed)
-    green = verification.green_identity_residuals(
-        case, probes, n=grid.n, h=mesh.h, r_trunc=mesh.r_trunc)
+        _value(cfg, "study.n_probes", _integer), seed=seed)
+    green = verification.green_identity_residuals(case, probes, grid, mesh)
     report["green_identity"] = {
         "max_interior_residual": green["max_interior_residual"],
         "max_trace_residual": green["max_trace_residual"],
         "flux_balance": green["flux_balance"],
     }
     report["second_green_identity"] = verification.second_green_identity(
-        case, n=grid.n, r_trunc=mesh.r_trunc)
+        case, grid, mesh)
     timings["green_identities_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -320,7 +329,7 @@ def cmd_convergence(cfg, out_dir):
     from . import verification
 
     case = _case_from_config(cfg)
-    n_values = _value(cfg, "study.n_values", _each(int))
+    n_values = _value(cfg, "study.n_values", _each(_integer))
     t0 = time.perf_counter()
     rows = verification.convergence_study(case, n_values)
     elapsed = time.perf_counter() - t0
@@ -351,7 +360,7 @@ def cmd_conditioning(cfg, out_dir):
         k: _value(cfg, "conditioning.coefficient." + k, convert) for k, convert
         in (("beta", float), ("sigma", float), ("center", _each(float)))}))
     curve = make_curve("circle")
-    mesh_n = _value(cfg, "conditioning.mesh_n", int)
+    mesh_n = _value(cfg, "conditioning.mesh_n", _integer)
     mesh = domain_mesh(curve, _value(cfg, "conditioning.r_trunc", float),
                        4.0 * np.pi / mesh_n, m_theta=mesh_n)
 
@@ -359,12 +368,12 @@ def cmd_conditioning(cfg, out_dir):
         grid = boundary_grid(curve, n)
         problem = DirichletProblem(curve, field,
                                    lambda p: np.zeros(p.shape[0]),
-                                   np.cos, name="conditioning")
+                                   np.cos)
         return problem, grid, mesh
 
     t0 = time.perf_counter()
     rows = verification.conditioning_study(
-        factory, _value(cfg, "conditioning.n_values", _each(int)))
+        factory, _value(cfg, "conditioning.n_values", _each(_integer)))
     elapsed = time.perf_counter() - t0
     write_csv(out_dir, "conditioning.csv",
               ["N", "cond_M", "sigma_min_V"], rows)

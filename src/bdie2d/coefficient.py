@@ -43,13 +43,11 @@ class CoefficientField:
     negligible (0 for constants, inf if unbounded).
     """
 
-    def __init__(self, derivatives, c1, c2, support_radius=np.inf,
-                 name="coefficient"):
+    def __init__(self, derivatives, c1, c2, support_radius=np.inf):
         self.derivatives = derivatives
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.support_radius = float(support_radius)
-        self.name = name
         if not (0.0 < self.c1 <= self.c2):
             raise CoefficientError("declared bounds must satisfy 0 < C1 <= C2")
 
@@ -96,7 +94,7 @@ def make_coefficient(name: str, **params) -> CoefficientField:
         return CoefficientField(
             lambda x: (np.full(x.shape[0], c), np.zeros_like(x),
                        np.zeros(x.shape[0])),
-            c1=c, c2=c, support_radius=0.0, name=f"constant({c})")
+            c1=c, c2=c, support_radius=0.0)
     if name not in ("gaussian_bump", "compact_bump"):
         raise UnknownCatalogError(f"unknown coefficient name {name!r}")
     beta = float(params.pop("beta", 1.0 if name == "gaussian_bump" else 0.5))
@@ -134,8 +132,7 @@ def make_coefficient(name: str, **params) -> CoefficientField:
         mag = 2.0 * abs(beta) * s / sigma2 * np.exp(-s ** 2 / sigma2)
         below = np.nonzero(mag < _TAIL_TOL)[0]
         r_a = float(np.hypot(*center) + (s[below[0]] if below.size else np.inf))
-        return CoefficientField(derivatives, c1=c1, c2=c2, support_radius=r_a,
-                                name=f"gaussian_bump(beta={beta},sigma={sigma})")
+        return CoefficientField(derivatives, c1=c1, c2=c2, support_radius=r_a)
     p = 6  # a = 1 + beta (1 - s^2)^p inside |x - c| < sigma, C^(p-1) at the seam
     g_scale = -2.0 * p * beta / sigma2
 
@@ -157,8 +154,7 @@ def make_coefficient(name: str, **params) -> CoefficientField:
         return a, g, lap
 
     return CoefficientField(derivatives, c1=c1, c2=c2,
-                            support_radius=float(np.hypot(*center) + sigma),
-                            name=f"compact_bump(beta={beta},sigma={sigma})")
+                            support_radius=float(np.hypot(*center) + sigma))
 
 
 @dataclass(frozen=True)

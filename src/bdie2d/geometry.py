@@ -38,16 +38,15 @@ class CurveParametrization:
     """
 
     def __init__(self, position, derivative, second_derivative,
-                 radial_profile=None, name="curve"):
+                 radial_profile=None):
         self.position = position
         self.derivative = derivative
         self.second_derivative = second_derivative
         self.radial_profile = radial_profile
-        self.name = name
         self._validate()
 
-    def _validate(self, n_check: int = 256):
-        t = np.linspace(0.0, _TWO_PI, n_check, endpoint=False)
+    def _validate(self):
+        t = np.linspace(0.0, _TWO_PI, 256, endpoint=False)
         x = self.position(t)
         dx = self.derivative(t)
         speed = np.hypot(dx[:, 0], dx[:, 1])
@@ -128,7 +127,6 @@ def make_curve(name: str, **params) -> CurveParametrization:
             derivative=lambda t: r0 * np.stack([-np.sin(t), np.cos(t)], axis=-1),
             second_derivative=lambda t: -r0 * np.stack([np.cos(t), np.sin(t)], axis=-1),
             radial_profile=lambda th: np.full_like(np.asarray(th, dtype=float), r0),
-            name=f"circle(r={r0})",
         )
     if name == "ellipse":
         a = float(params.pop("a", 2.0))
@@ -143,7 +141,6 @@ def make_curve(name: str, **params) -> CurveParametrization:
             second_derivative=lambda t: np.stack([-a * np.cos(t), -b * np.sin(t)], axis=-1),
             radial_profile=lambda th: a * b / np.sqrt(
                 (b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2),
-            name=f"ellipse(a={a},b={b})",
         )
     if name == "star":
         alpha = float(params.pop("alpha", 0.2))
@@ -178,8 +175,7 @@ def make_curve(name: str, **params) -> CurveParametrization:
                              ddr * np.sin(t) + 2 * dr * np.cos(t) - r * np.sin(t)],
                             axis=-1)
 
-        return CurveParametrization(pos, dpos, ddpos, radial_profile=rad,
-                                    name=f"star(alpha={alpha},k={k})")
+        return CurveParametrization(pos, dpos, ddpos, radial_profile=rad)
     raise UnknownCatalogError(f"unknown curve name {name!r}")
 
 
@@ -332,6 +328,9 @@ def domain_mesh(curve: CurveParametrization, r_trunc: float, h: float, *,
                             f"exceed the curve circumradius {circ:.6g}")
     if m_theta is None:
         m_theta = max(16, 2 * int(np.ceil(np.pi * circ / h)))
+    if m_theta < _STENCIL.size:  # the angular stencil would wrap onto itself
+        raise DiscretizationError(f"m_theta {m_theta} is below the angular "
+                                  f"stencil's {_STENCIL.size} columns")
     theta = _TWO_PI * np.arange(m_theta) / m_theta
     r_curve = np.asarray(curve.radial_profile(theta), dtype=float)
     span_min = float((r_trunc - r_curve).min())

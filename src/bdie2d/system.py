@@ -44,7 +44,6 @@ class DirichletProblem:
     field: CoefficientField
     source: object
     dirichlet: object
-    name: str = "problem"
 
     def source_values(self, points):
         """f at the given points, zeros for a declared zero source."""
@@ -53,8 +52,10 @@ class DirichletProblem:
         return self.source(points)
 
     def check_compatibility(self, mesh: DomainMesh, tol=1e-6):
-        """Discrete zero-mean requirement on f; returns the integral."""
+        """Discrete zero-mean requirement on a finite f; returns the integral."""
         f = self.source_values(mesh.points)
+        if not np.isfinite(f).all():
+            raise CompatibilityError("volume source is not finite on the mesh")
         total = float(np.sum(mesh.weights * f))
         scale = float(np.sum(mesh.weights * np.abs(f)))
         if abs(total) > tol * max(scale, 1.0):
@@ -74,7 +75,6 @@ class BdieSystem:
     dom_idx: np.ndarray            # mesh node indices carrying u unknowns
     matrix: np.ndarray
     rhs: np.ndarray
-    v_matrix: np.ndarray           # boundary single layer (direct value)
 
     @property
     def n_dom(self):
@@ -174,15 +174,15 @@ def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
     r_bd, pf = parametrix.volume_terms(mesh, field, grid.points, dom_idx,
                                        rho_fn=problem.source)
     mat[nd:nd + nb, :nd] = r_bd
-    v_mat = parametrix.single_layer_boundary(grid, field)
-    np.negative(v_mat, out=mat[nd:nd + nb, nd:nd + nb])
+    np.negative(parametrix.single_layer_boundary(grid, field),
+                out=mat[nd:nd + nb, nd:nd + nb])
     mat[nd:nd + nb, nd + nb] = 1.0
     mat[nd + nb, nd:nd + nb] = grid.weights
     phi = problem.dirichlet(grid.t)
     w_direct = parametrix.double_layer_boundary(grid, field) @ phi
     rhs[nd:nd + nb] = pf - (-0.5 * phi + w_direct) - phi
     return BdieSystem(problem=problem, grid=grid, mesh=mesh, dom_idx=dom_idx,
-                      matrix=mat, rhs=rhs, v_matrix=v_mat)
+                      matrix=mat, rhs=rhs)
 
 
 def solve(system: BdieSystem, *, method="lu") -> BdieSolution:

@@ -46,22 +46,21 @@ class ManufacturedCase:
     source: object           # f = div(a grad u), closed form; None: f = 0
     dirichlet: object        # phi0(t) on the curve parameter
     psi_exact: object        # T+ u(t) on the curve parameter
-    decay_class: str
     r_trunc: float
 
     def problem(self):
         return DirichletProblem(self.curve, self.field, self.source,
-                                self.dirichlet, name=self.name)
+                                self.dirichlet)
 
-    def validate(self, *, n_points=20, seed=1234, tol=1e-6):
+    def validate(self):
         """Cross-check the closed-form data against finite differences.
 
         Verifies f = div(a grad u) at random exterior points, the decay of
         u, and the mean-zero properties of f and psi.
         """
-        rng = np.random.default_rng(seed)
-        r = rng.uniform(1.5, 4.0, n_points)
-        th = rng.uniform(0.0, _TWO_PI, n_points)
+        rng = np.random.default_rng(1234)
+        r = rng.uniform(1.5, 4.0, 20)
+        th = rng.uniform(0.0, _TWO_PI, 20)
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
         h = 5e-4
         e1 = np.array([h, 0.0])
@@ -80,7 +79,7 @@ class ManufacturedCase:
         f = source_values(pts)
         scale = max(float(np.abs(f).max()), 1.0)
         fd_err = float(np.abs(au_fd - f).max()) / scale
-        if fd_err > tol:
+        if fd_err > 1e-6:
             raise VerificationError(
                 f"closed-form source disagrees with finite differences "
                 f"({fd_err:.2e} relative)")
@@ -110,7 +109,7 @@ def _dipole_grad(pts):
                      -2.0 * pts[:, 0] * pts[:, 1] / r2 ** 2], axis=1)
 
 
-def manufactured_case(name, **params) -> ManufacturedCase:
+def manufactured_case(name) -> ManufacturedCase:
     """Catalog of exact exterior solutions.
 
     "laplace-dipole": a = 1 and the decaying harmonic dipole u = x1/|x|^2
@@ -128,14 +127,11 @@ def manufactured_case(name, **params) -> ManufacturedCase:
         return ManufacturedCase(
             name=name, curve=curve, field=field,
             exact_u=_dipole_u, exact_grad=_dipole_grad, source=None,
-            dirichlet=np.cos, psi_exact=np.cos,
-            decay_class="O(1/r)", r_trunc=params.pop("r_trunc", 3.0))
+            dirichlet=np.cos, psi_exact=np.cos, r_trunc=3.0)
     if name in ("bump-dipole", "star-bump-dipole"):
         if name == "star-bump-dipole":
             curve = make_curve("star", alpha=0.2, k=5)
-        beta = params.pop("beta", 1.0)
-        sigma = params.pop("sigma", 1.0)
-        field = make_coefficient("gaussian_bump", beta=beta, sigma=sigma)
+        field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
 
         def source(p):
             ga, gu = field.eval(p)[1], _dipole_grad(p)
@@ -151,8 +147,7 @@ def manufactured_case(name, **params) -> ManufacturedCase:
         return ManufacturedCase(
             name=name, curve=curve, field=field,
             exact_u=_dipole_u, exact_grad=_dipole_grad, source=source,
-            dirichlet=dirichlet, psi_exact=psi_exact,
-            decay_class="O(1/r)", r_trunc=params.pop("r_trunc", 6.0))
+            dirichlet=dirichlet, psi_exact=psi_exact, r_trunc=6.0)
     if name == "zero":
         field = make_coefficient("constant", value=1.0)
         zfun = lambda p: np.zeros(np.atleast_2d(p).shape[0])
@@ -160,8 +155,7 @@ def manufactured_case(name, **params) -> ManufacturedCase:
             name=name, curve=curve, field=field,
             exact_u=zfun, exact_grad=lambda p: np.zeros_like(np.atleast_2d(p)),
             source=None, dirichlet=np.zeros_like,
-            psi_exact=np.zeros_like,
-            decay_class="zero", r_trunc=params.pop("r_trunc", 3.0))
+            psi_exact=np.zeros_like, r_trunc=3.0)
     raise UnknownCatalogError(f"unknown manufactured case {name!r}")
 
 
@@ -176,19 +170,15 @@ def default_probes(n_probes=10, r_min=1.2, r_max=4.0, seed=7):
 # ---------------------------------------------------------------------------
 # Green identities
 
-def green_identity_residuals(case: ManufacturedCase, points, *, n=64,
-                             h=None, r_trunc=None):
-    """Residual of the representation identity built from exact data.
+def green_identity_residuals(case: ManufacturedCase, points, grid, mesh):
+    """Residual of the representation identity built from exact data, on
+    the given boundary grid and domain mesh.
 
     Checks u + R u - V (T+ u) + W (gamma+ u) = (volume potential of f) at
     the given exterior points, plus its trace form on the boundary nodes,
     and reports the flux balance between f and the conormal density.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    grid = boundary_grid(case.curve, n)
-    r_t = case.r_trunc if r_trunc is None else r_trunc
-    mesh = domain_mesh(case.curve, r_t, 4 * np.pi / n if h is None else h,
-                       m_theta=n)
     psi = case.psi_exact(grid.t)
     phi = case.dirichlet(grid.t)
     v_rows, w_rows = parametrix.layer_rows_offboundary(grid, case.field, pts)
@@ -214,23 +204,21 @@ def green_identity_residuals(case: ManufacturedCase, points, *, n=64,
         "trace_residuals": trace,
         "max_trace_residual": float(np.abs(trace).max()),
         "flux_balance": flux,
-        "n": n,
-        "r_trunc": r_t,
     }
 
 
-def second_green_identity(case: ManufacturedCase, *, field=None, n=64,
-                          r_trunc=None):
-    """Second Green identity for the pair (u, quadrupole) on the truncated
-    domain; the outer-ring boundary term is reported, not assumed zero.
+def second_green_identity(case: ManufacturedCase, grid, mesh):
+    """Second Green identity for the pair (u, quadrupole) on the domain of
+    the given boundary grid and domain mesh, truncated at the mesh's
+    radius; the outer-ring boundary term is reported, not assumed zero.
 
     The second member v = (x1^2 - x2^2)/|x|^4 is harmonic and decays like
     |x|^-2, so every term is individually nonzero for a generic coefficient.
-    ``field`` may override the case coefficient (the catalog solutions are
-    harmonic, so their source under any coefficient is grad a . grad u);
-    an off-center coefficient makes the identity non-trivial.
+    The source of u is taken as grad a . grad u for the case coefficient
+    (the catalog solutions are harmonic), so a case whose ``field`` is
+    replaced by an off-center coefficient makes the identity non-trivial.
     """
-    field = case.field if field is None else field
+    field = case.field
 
     def v_fn(p):
         r2 = p[:, 0] ** 2 + p[:, 1] ** 2
@@ -253,9 +241,7 @@ def second_green_identity(case: ManufacturedCase, *, field=None, n=64,
         _, ga, _ = field.eval(p)
         return np.sum(ga * case.exact_grad(p), axis=1)
 
-    grid = boundary_grid(case.curve, n)
-    r_t = case.r_trunc if r_trunc is None else r_trunc
-    mesh = domain_mesh(case.curve, r_t, 4 * np.pi / n, m_theta=n)
+    r_t = mesh.r_trunc
     u = case.exact_u
     lhs = float(np.sum(mesh.weights * (v_fn(mesh.points) * f_u(mesh.points)
                                        - u(mesh.points) * av_fn(mesh.points))))
@@ -396,7 +382,7 @@ def convergence_study(case: ManufacturedCase, n_values):
 # ---------------------------------------------------------------------------
 # remainder split decay
 
-def _weighted_operator_norm(rows, mesh, idx, seed=0, iterations=20):
+def _weighted_operator_norm(rows, mesh, idx, seed):
     """Operator norm in the weighted discrete L2 norm via power iteration
     on the normal operator."""
     w = mesh.weights[idx]
@@ -407,7 +393,7 @@ def _weighted_operator_norm(rows, mesh, idx, seed=0, iterations=20):
     v = rng.standard_normal(b.shape[1])
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iterations):
+    for _ in range(20):
         v = b.T @ (b @ v)
         nrm = np.linalg.norm(v)
         if nrm == 0.0:
@@ -505,11 +491,12 @@ def conditioning_study(problem_factory, n_values):
     for n in n_values:
         problem, grid, mesh = problem_factory(n)
         sysm = assemble_system(problem, grid, mesh)
+        nd, nb = sysm.n_dom, sysm.n_bnd
         rows.append({
             "N": n,
             "cond_M": weighted_system_condition(sysm),
-            "sigma_min_V": single_layer_sigma_min(sysm.v_matrix,
-                                                  sysm.grid.weights),
+            "sigma_min_V": single_layer_sigma_min(
+                -sysm.matrix[nd:nd + nb, nd:nd + nb], sysm.grid.weights),
         })
     for prev, cur in zip(rows, rows[1:]):
         cur["cond_ratio"] = cur["cond_M"] / prev["cond_M"]

@@ -4,8 +4,9 @@ import json
 import pytest
 import yaml
 
-from bdie2d import cli
+from bdie2d import cli, verification
 from bdie2d.errors import ConfigError
+from bdie2d.geometry import boundary_grid, domain_mesh
 
 
 def _write_cfg(tmp_path, payload, name="cfg.yaml"):
@@ -117,8 +118,11 @@ def test_solve_rejects_a_non_finite_mesh_size_with_status_2(tmp_path, disc,
      "discretization.n_boundary"),
     ("convergence", {"study": {"n_values": [16, "x"]}}, "study.n_values"),
     ("conditioning", {"conditioning": {"coefficient": {"beta": "big"}}},
-     "conditioning.coefficient.beta")],
-    ids=["solve", "convergence", "conditioning"])
+     "conditioning.coefficient.beta"),
+    # int() would truncate 2.5 to 2 and solve on that mesh
+    ("solve", {"discretization": {"n_boundary": 32, "m_theta": 2.5}},
+     "discretization.m_theta")],
+    ids=["solve", "convergence", "conditioning", "solve-fractional-int"])
 def test_a_value_of_the_wrong_type_exits_with_config_status(tmp_path, command,
                                                             payload, key):
     path = _write_cfg(tmp_path, payload)
@@ -128,6 +132,53 @@ def test_a_value_of_the_wrong_type_exits_with_config_status(tmp_path, command,
     err = json.loads((out / "error.json").read_text())
     assert err["error"]["category"] == "ConfigError"
     assert key in err["error"]["message"]
+
+
+@pytest.mark.parametrize("m_theta", [0, -4, 2])
+def test_solve_rejects_too_few_angular_columns_with_status_2(tmp_path,
+                                                            m_theta):
+    path = _write_cfg(tmp_path, {"discretization": {"n_boundary": 32,
+                                                    "m_theta": m_theta}})
+    out = tmp_path / "out"
+    status = cli.main(["solve", "--config", path, "--out", str(out)])
+    assert status == cli.EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["category"] == "DiscretizationError"
+
+
+@pytest.mark.parametrize("blob", [
+    {"center": [1.0, 2.0, 3.0]}, {"center": [1.5, float("inf")]},
+    {"amplitude": float("nan")}, {"sigma": 0.0}, {"sigma": float("nan")}],
+    ids=["center-3d", "center-inf", "amplitude-nan", "sigma-zero",
+         "sigma-nan"])
+def test_solve_rejects_a_bad_gaussian_blob_with_status_2(tmp_path, blob):
+    path = _write_cfg(tmp_path, {
+        "discretization": {"n_boundary": 32},
+        "source_override": {"kind": "gaussian_blob", **blob},
+    })
+    out = tmp_path / "out"
+    status = cli.main(["solve", "--config", path, "--out", str(out)])
+    assert status == cli.EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["category"] == "ConfigError"
+
+
+def test_verify_checks_the_configured_mesh(tmp_path):
+    disc = {"n_boundary": 32, "h": 0.3, "m_theta": 48}
+    path = _write_cfg(tmp_path, {"case": "bump-dipole",
+                                 "discretization": disc})
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "verify.json").read_text())["results"]
+    cfg = cli.default_config()
+    case = verification.manufactured_case("bump-dipole")
+    probes = verification.default_probes(cfg["study"]["n_probes"],
+                                          seed=cfg["seed"])
+    green = verification.green_identity_residuals(
+        case, probes, boundary_grid(case.curve, 32),
+        domain_mesh(case.curve, case.r_trunc, 0.3, m_theta=48))
+    assert (report["green_identity"]["max_interior_residual"]
+            == green["max_interior_residual"])
 
 
 def test_verify_command(tmp_path):

@@ -173,6 +173,14 @@ def test_a_non_finite_spacing_or_truncation_radius_raises(h, r_trunc, error):
         domain_mesh(make_curve("circle"), r_trunc, h)
 
 
+@pytest.mark.parametrize("m_theta", [-2, 0, 1, 3])
+def test_fewer_columns_than_the_angular_stencil_raise(m_theta):
+    # a 4-column stencil on fewer columns wraps onto itself
+    with pytest.raises(DiscretizationError):
+        domain_mesh(make_curve("circle"), 3.0, 0.4, m_theta=m_theta)
+    assert domain_mesh(make_curve("circle"), 3.0, 0.4, m_theta=4).m_theta == 4
+
+
 def test_interpolation_is_the_outer_product_of_its_factors():
     mesh = domain_mesh(make_curve("star", alpha=0.2, k=5), 3.0, 0.2)
     b, dtheta = mesh.breakpoints, 2 * np.pi / mesh.m_theta

@@ -138,3 +138,75 @@ def test_no_unused_imports():
               for path in LIBRARY + TESTS if path.name != "__init__.py"
               for name in _unused_imports(ast.parse(path.read_text()))]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+# Defaulted parameters kept on purpose although no library or benchmark
+# call passes them.
+_SETTER_EXEMPT = {
+    # the console entry point reads sys.argv; tests pass their own argv
+    ("main", "argv"),
+    # only acceptance criterion 01 forces domain rows for a constant a
+    ("assemble_system", "force_domain_rows"),
+}
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter name, positional index or None) of every
+    defaulted parameter of the module-level functions and the methods of
+    module-level classes of ``tree``; a method's index skips its ``self``
+    and ``__init__`` is called by its class name."""
+    defs = [(node.name, node, False) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs += [(node.name if item.name == "__init__" else item.name,
+                      item, not any(isinstance(d, ast.Name)
+                                    and d.id == "staticmethod"
+                                    for d in item.decorator_list))
+                     for item in node.body if isinstance(item, ast.FunctionDef)]
+    for callee, node, bound in defs:
+        args = node.args
+        positional = (args.posonlyargs + args.args)[int(bound):]
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            yield callee, arg.arg, index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield callee, arg.arg, None
+
+
+def _passed_parameters(trees):
+    """{callee name: (positional count, keyword names)} over every call,
+    where a ``*`` or ``**`` argument passes every position or keyword."""
+    passed = {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            count, keywords = passed.get(name, (0, set()))
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                count = float("inf")
+            count = max(count, len(call.args))
+            keywords |= {k.arg for k in call.keywords}
+            passed[name] = (count, keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_has_a_setter():
+    passed = _passed_parameters(ast.parse(path.read_text())
+                                for path in CALLERS)
+    unset = []
+    for path in LIBRARY:
+        for callee, param, index in _defaulted_parameters(
+                ast.parse(path.read_text())):
+            count, keywords = passed.get(callee, (0, set()))
+            if (callee, param) in _SETTER_EXEMPT or param in keywords \
+                    or None in keywords \
+                    or (index is not None and index < count):
+                continue
+            unset.append(f"{path.stem}.{callee}({param}=)")
+    assert not unset, "defaulted parameters nothing sets: " + ", ".join(unset)

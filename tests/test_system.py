@@ -203,6 +203,17 @@ def test_nonzero_mean_source_rejected(laplace_case):
         assemble_system(problem, grid, mesh)
 
 
+def test_a_non_finite_source_is_rejected(laplace_case):
+    # NaN passes a mean-zero comparison, so it is checked on its own
+    case = laplace_case
+    problem = DirichletProblem(case.curve, case.field,
+                               lambda p: np.full(len(p), np.nan),
+                               case.dirichlet)
+    mesh = domain_mesh(case.curve, 3.0, 4 * np.pi / 32, m_theta=32)
+    with pytest.raises(CompatibilityError, match="not finite"):
+        problem.check_compatibility(mesh)
+
+
 def test_curve_mismatch_rejected(laplace_case):
     grid = boundary_grid(make_curve("circle"), 32)
     mesh = domain_mesh(make_curve("circle"), 3.0, 4 * np.pi / 32)

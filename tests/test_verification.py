@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -54,9 +56,17 @@ def test_default_probes_are_deterministic_and_exterior():
     assert np.all((r >= 1.2) & (r <= 4.0))
 
 
+def _tied(case, n):
+    """The boundary grid and domain mesh tied to N: h = 4 pi / N and
+    m_theta = N."""
+    return (boundary_grid(case.curve, n),
+            domain_mesh(case.curve, case.r_trunc, 4 * np.pi / n, m_theta=n))
+
+
 def test_green_identity_exact_for_harmonic_case():
     case = vf.manufactured_case("laplace-dipole")
-    res = vf.green_identity_residuals(case, vf.default_probes(), n=32)
+    res = vf.green_identity_residuals(case, vf.default_probes(),
+                                      *_tied(case, 32))
     assert res["max_interior_residual"] <= 1e-10
     assert res["max_trace_residual"] <= 1e-10
     assert abs(res["flux_balance"]) <= 1e-12
@@ -65,17 +75,18 @@ def test_green_identity_exact_for_harmonic_case():
 def test_green_identity_converges_for_variable_coefficient():
     case = vf.manufactured_case("bump-dipole")
     probes = vf.default_probes(4)
-    r32 = vf.green_identity_residuals(case, probes, n=32)
-    r64 = vf.green_identity_residuals(case, probes, n=64)
+    r32 = vf.green_identity_residuals(case, probes, *_tied(case, 32))
+    r64 = vf.green_identity_residuals(case, probes, *_tied(case, 64))
     assert r64["max_interior_residual"] < r32["max_interior_residual"]
     assert r64["max_interior_residual"] <= 5e-5
 
 
 def test_second_green_identity_nontrivial_for_offcenter_coefficient():
-    case = vf.manufactured_case("laplace-dipole")
     field = make_coefficient("gaussian_bump", beta=0.8, sigma=1.2,
                              center=(0.6, 0.4))
-    res = vf.second_green_identity(case, field=field, n=64, r_trunc=6.0)
+    case = dataclasses.replace(vf.manufactured_case("laplace-dipole"),
+                               field=field, r_trunc=6.0)
+    res = vf.second_green_identity(case, *_tied(case, 64))
     assert abs(res["boundary_term"]) > 0.01
     assert abs(res["residual"]) <= 1e-4
 
