@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -224,10 +223,16 @@ def _monomial_basis(nodes):
 
 
 def _lagrange(s, nodes):
-    """The Lagrange basis on ``nodes`` at the points s: s.shape + (k,)."""
+    """The Lagrange basis on ``nodes`` at the points s: s.shape + (k,).
+    The powers of s are the products of np.vander(s, k, increasing=True),
+    taken a whole column at a time rather than accumulated along rows of
+    k."""
     basis = _monomial_basis(tuple(nodes))
-    return (np.vander(s.ravel(), len(basis), increasing=True)
-            @ basis).reshape(s.shape + (len(basis),))
+    powers = np.empty((s.size, len(basis)))
+    powers[:, 0] = 1.0
+    for k in range(1, len(basis)):
+        np.multiply(powers[:, k - 1], s.ravel(), out=powers[:, k])
+    return (powers @ basis).reshape(s.shape + (len(basis),))
 
 
 @dataclass
@@ -315,8 +320,9 @@ class DomainMesh:
 
 
 def domain_mesh(curve: CurveParametrization, r_trunc: float, h: float, *,
-                m_theta: Optional[int] = None) -> DomainMesh:
-    """Build the truncated-exterior quadrature mesh."""
+                m_theta: int) -> DomainMesh:
+    """Build the truncated-exterior quadrature mesh: m_theta columns, and
+    radial panels of about _Q h."""
     if not 0.0 < h < np.inf:
         raise DiscretizationError(f"mesh spacing {h} is not positive and finite")
     if curve.radial_profile is None:
@@ -326,8 +332,6 @@ def domain_mesh(curve: CurveParametrization, r_trunc: float, h: float, *,
     if not circ < r_trunc < np.inf:
         raise GeometryError(f"truncation radius {r_trunc} must be finite and "
                             f"exceed the curve circumradius {circ:.6g}")
-    if m_theta is None:
-        m_theta = max(16, 2 * int(np.ceil(np.pi * circ / h)))
     if m_theta < _STENCIL.size:  # the angular stencil would wrap onto itself
         raise DiscretizationError(f"m_theta {m_theta} is below the angular "
                                   f"stencil's {_STENCIL.size} columns")

@@ -44,21 +44,29 @@ with the target at a corner gets Duffy's rule (SIAM J. Numer. Anal. 19,
 centre column, whose angle is added last, so the rows of a ring of
 targets on a circle are rotations of one row.
 
-The rules are built and run a block of targets at a time (``_blocks``),
-a block giving at most _POINTS points to the integrand unless it holds
-one target: one cut-and-halve loop serves the cells of several blocks,
-each piece carrying its target and cell.  A piece lies in one cell, so
-its values reach that cell's node stencil through one small product of
-the mesh's radial and angular interpolation factors, tensor-factored on
-a Gauss piece (``_scatter``; the sum-factorization of spectral-element
-codes).  Every volume integrand is a sum of factors of the source point
-x times the kernels P, d1 P and d2 P of x - y (``_kernels``): the
-remainder of the parametrix is -Delta(ln a) P - grad(ln a) . grad_x P,
-its volume potential of f has (f / a) P.  ``domain_rows`` evaluates the
-factors once at the mesh nodes, so a block's far part is a (block x
-nodes) kernel product with them, and once per block at the fine points;
-it gives rows on the unknowns' nodes, integrals, or both from one
-evaluation per point (``parametrix.volume_terms``).
+The rules are built a block of consecutive targets at a time
+(``_blocks``), one cut-and-halve loop serving the cells of several
+targets, each piece carrying its target and cell.  A Gauss piece depends
+only on its cell and its place in the cell, and the targets of a block
+hold most of theirs in common (at N = 32 one in five is distinct), so a
+block keys its Gauss pieces by cell and cell-local extents and keeps each
+distinct one once (``_shared``), with the (target, piece) pairs that use
+it.  The near field then runs piece by piece (``_near_terms``): a piece is
+built once (``_built``: its points, their Jacobian weights, the
+integrand's factors times those weights, and the mesh's radial and
+angular interpolation factors there), and a pair costs only the kernels
+at the piece's points, the window at its angles and one small product
+onto the node stencil of the piece's cell, R^T C A on a Gauss piece (the
+sum-factorization of spectral-element codes) and R^T diag(c) A on a Duffy
+piece, which serves its own target alone.  Every volume integrand is a
+sum of factors of the source point x times the kernels P, d1 P and d2 P
+of x - y (``_kernels``): the remainder of the parametrix is
+-Delta(ln a) P - grad(ln a) . grad_x P, its volume potential of f has
+(f / a) P.  ``domain_rows`` evaluates the factors once at the mesh nodes,
+so the far part is a (targets x nodes) kernel product with them, and
+once at each distinct piece, at most _POINTS points at a time; it gives
+rows on the unknowns' nodes, integrals, or both from one evaluation per
+point (``parametrix.volume_terms``).
 
 Both off-boundary layer potentials come from one pass over the targets
 (``layer_rows_offboundary``), as blocks of rows on the boundary grid's own
@@ -337,13 +345,14 @@ def layer_rows_offboundary(grid: BoundaryGrid, targets):
 # The near-field window spans at least _WIDTH_COLS mesh columns, 0.7 rad
 # and an arc of _WIDTH_PHYS on each side of the target, rounded up to an
 # even number of columns (down, to stay within 0.9 pi); its cells take
-# _ORDER Gauss points a side.  A block of targets gives at most _POINTS
-# points to the integrand, unless it holds a single target, and one rule
-# build serves up to 8 blocks.
+# _ORDER Gauss points a side.  At most _POINTS points reach the integrand
+# or the kernels at a time, and a block shares the Gauss pieces of its
+# targets up to _SHARED of them.
 _WIDTH_COLS = 5
 _WIDTH_PHYS = 1.2
 _ORDER = 6
 _POINTS = 16_000
+_SHARED = 2 ** 14
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
@@ -458,26 +467,31 @@ def _cell_rule(us, vs, targets):
                 duffy[:, [0, 2]] + duffy[:, [1, 3]]))
 
 
-class _Fine(NamedTuple):
-    """The fine points of one kind of piece in a block."""
+_NO_PIECES = _Pieces(np.zeros((0, 3), dtype=int), np.zeros((0, 2)),
+                     np.zeros((0, 2)))
 
-    cell: np.ndarray    # (n, 3): target in the block, radial panel, and
-                        # column from the window's centre of each piece
-    u: np.ndarray       # scaled radii, and
-    v: np.ndarray       # angles from the centre column, shaped as by _points
-    w: np.ndarray       # weights times window and Jacobian
-    x: np.ndarray       # physical points, w.shape + (2,)
+
+class _Near(NamedTuple):
+    """The pieces of one kind (Gauss or Duffy) in a block: each distinct
+    piece once, as the piece of one target that holds it, and the (target,
+    piece) pairs that use them, sorted by piece."""
+
+    pieces: _Pieces     # the distinct pieces; cell[:, 0] is the target in
+                        # the block whose piece it is
+    target: np.ndarray  # (k,) each pair's target in the block,
+    piece: np.ndarray   # its piece,
+    col: np.ndarray     # and the piece's column from the target's centre
 
 
 class _Block(NamedTuple):
-    """The near/far rule of a block of targets (see _blocks)."""
+    """The near/far rules of a run of targets (see _blocks)."""
 
     idx: np.ndarray     # the targets
     centre: np.ndarray  # their windows' centre columns
-    pairs: tuple        # (target in the block, mesh node) of the far part
-    w_row: np.ndarray   # their weights in the rows
-    w_val: np.ndarray   # and in the values
-    fine: tuple         # a _Fine per kind of piece, none without near field
+    half: np.ndarray    # and half-widths in columns, 0 without near field
+    p: np.ndarray       # (targets, 2) the targets as _cell_rule moved them
+    scale: np.ndarray   # (targets, 2) the scales (span, r_y) of their cells
+    near: tuple         # a _Near per kind of piece
 
 
 def _blocks(mesh: DomainMesh, pts, rows_near, values):
@@ -485,14 +499,14 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
 
     A target within 0.5 of the meshed region gets a window (see the module
     docstring) if it is marked in ``rows_near`` or ``values`` is true, its
-    cells scaled to be physically isotropic at the target; its rows get the
-    near field only if it is marked.  The targets are grouped by the width
-    of their windows, widest first.  One _cell_rule call cuts the cells of
-    as many targets of a group as 8 blocks hold at the points per target of
-    the call before (one target at first), and its pieces are split into
-    blocks of at most _POINTS far nodes and fine points, or of one target.
+    cells scaled to be physically isotropic at the target.  The targets
+    are taken widest window first, in the given order within a width.  One
+    _cell_rule call cuts the cells of as many targets of one width as 8
+    _POINTS points hold at the points per target of the call before, and a
+    block gathers the calls of consecutive targets until it holds _SHARED
+    Gauss pieces, each distinct one once (_shared).
     """
-    m, n_nodes, dtheta = mesh.m_theta, mesh.n_nodes, _TWO_PI / mesh.m_theta
+    m, dtheta = mesh.m_theta, _TWO_PI / mesh.m_theta
     rho, theta = mesh.mesh_coords(pts)
     _, span, r_y = mesh.physical(np.maximum(rho, 0.0), theta)
     r_y = np.maximum(r_y, 1e-3)
@@ -506,117 +520,229 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
     centres = np.rint(theta / dtheta).astype(int)
     offsets = theta - centres * dtheta
     centres %= m
+    scale = np.stack([span, r_y], axis=1)
     order = np.argsort(-halves, kind="stable")
     rules = _reference_rules(_ORDER)
     per_target, start = _POINTS, 0
     while start < order.size:
-        idx = order[start:start + max(1, 8 * _POINTS // per_target)]
-        n_half = halves[idx[0]]
-        idx = idx[halves[idx] == n_half]
-        start += idx.size
-        su, sv = span[idx], r_y[idx]
-        w_row = w_val = np.broadcast_to(mesh.weights, (idx.size, n_nodes))
-        pieces, used = (), np.ones((idx.size, n_nodes), dtype=bool)
-        if n_half:
-            cols = (np.arange(m) - centres[idx, None] + m // 2) % m - m // 2
-            window = np.tile(_bump(cols / n_half), mesh.n_r)
-            w_val = mesh.weights * (1.0 - window)
-            w_row = np.where(rows_near[idx, None], w_val, mesh.weights)
-            # no node under the plateau, unless the rows skip the near field
-            used = (window < 1.0) | ~rows_near[idx, None]
+        calls, n_gauss = [], 0
+        while start < order.size and n_gauss < _SHARED:
+            idx = order[start:start + max(1, 8 * _POINTS // per_target)]
+            n_half = halves[idx[0]]
+            idx = idx[halves[idx] == n_half] if n_half else order[start:]
+            start += idx.size
+            if not n_half:  # the rest, all without near field
+                calls.append((idx, np.zeros((idx.size, 2)),
+                              (_NO_PIECES, _NO_PIECES)))
+                continue
+            su, sv = span[idx], r_y[idx]
             p, pieces = _cell_rule(
                 mesh.breakpoints * su[:, None],
                 np.arange(-n_half, n_half + 1) * (dtheta * sv)[:, None],
                 np.stack([rho[idx] * su, offsets[idx] * sv], axis=1))
-        counts = used.sum(axis=1) + sum(
-            np.bincount(pc.cell[:, 0], minlength=idx.size) * rule[2].size
-            for pc, rule in zip(pieces, rules))
-        per_target, lo = int(counts.max()), 0
-        while lo < idx.size:
-            hi = lo + max(1, np.searchsorted(np.cumsum(counts[lo:]), _POINTS,
-                                             side="right"))
-            fine = []
-            for pc, rule in zip(pieces, rules):
-                pc = _Pieces(*(a[(pc.cell[:, 0] >= lo) & (pc.cell[:, 0] < hi)]
-                               for a in pc))
-                u, v, w = _points(pc, rule, p)
-                t = pc.cell[:, 0, None, None]
-                f_rho, dth = u / su[t], v / sv[t]
-                x, f_span, r = mesh.physical(
-                    f_rho, mesh.theta[centres[idx[t]]] + dth)
-                fine.append(_Fine(
-                    pc.cell - [lo, 0, n_half], f_rho, dth,
-                    (w / (su[t] * sv[t]) * _bump(dth / (n_half * dtheta))
-                     * (f_span * r)), x))
-            ii, jj = np.nonzero(used[lo:hi])
-            yield _Block(idx[lo:hi], centres[idx[lo:hi]], (ii, jj),
-                         w_row[lo:hi][ii, jj], w_val[lo:hi][ii, jj],
-                         tuple(fine))
-            lo = hi
+            per_target = max(1, int(sum(
+                np.bincount(pc.cell[:, 0], minlength=idx.size) * rule[2].size
+                for pc, rule in zip(pieces, rules)).max()))
+            n_gauss += pieces[0].cell.shape[0]
+            calls.append((idx, p, pieces))
+        idx = np.concatenate([call[0] for call in calls])
+        block = _Block(idx, centres[idx], halves[idx],
+                       np.concatenate([call[1] for call in calls]),
+                       scale[idx], ())
+        first = np.cumsum([0] + [call[0].size for call in calls])
+        gauss, duffy = [_Pieces(*(np.concatenate(a) for a in zip(*(
+            (pc[k].cell + [s, 0, 0], pc[k].origin, pc[k].size)
+            for (_, _, pc), s in zip(calls, first)))))
+            for k in range(2)]
+        calls = None
+        t, cell = duffy.cell[:, 0], duffy.cell[:, 2]
+        block = block._replace(near=(
+            _shared(mesh, block, gauss),
+            _Near(duffy, t, np.arange(t.size), cell - block.half[t])))
+        gauss = None  # only the distinct pieces stay while the block is used
+        yield block
 
 
-def _scatter(mesh: DomainMesh, block: _Block, c, near, out):
-    """Add the fine-point values c, interpolated onto the mesh nodes, to the
-    block's rows out of the targets marked in ``near``.
+def _shared(mesh: DomainMesh, block: _Block, pieces: _Pieces) -> _Near:
+    """The _Near of a block's Gauss pieces: pieces in the same cell, a
+    radial panel by an absolute column, with the same cell-local extents to
+    2^-40 of a cell side are one piece, up to rounding."""
+    t, panel, col = pieces.cell.T
+    col = col - block.half[t]
+    b, dtheta = mesh.breakpoints, _TWO_PI / mesh.m_theta
+    side = np.stack([b[panel + 1] - b[panel],
+                     np.full(t.size, dtheta)], axis=1)
+    start = (pieces.origin + block.p[t]) / block.scale[t] - np.stack(
+        [b[panel], col * dtheta], axis=1)
+    key = np.column_stack([
+        panel * mesh.m_theta + (block.centre[t] + col) % mesh.m_theta,
+        np.rint(np.concatenate([start, pieces.size / block.scale[t]], axis=1)
+                / np.tile(side, 2) * 2.0 ** 40).astype(np.int64)])
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    new = np.ones(t.size, dtype=bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    return _Near(_Pieces(*(a[order[new]] for a in pieces)), t[order],
+                 np.cumsum(new) - 1, col[order])
+
+
+def _far(mesh: DomainMesh, centre, half, rows_near):
+    """The far part of the rules of targets with the window centres and
+    half-widths given: (target, mesh node) pairs, and their weights in the
+    rows and in the values.  No node under a window's plateau takes part,
+    unless the target's rows skip the near field."""
+    m = mesh.m_theta
+    cols = (np.arange(m) - centre[:, None] + m // 2) % m - m // 2
+    window = np.tile(_bump(cols / np.maximum(half, 1)[:, None])
+                     * (half > 0)[:, None], mesh.n_r)
+    w_val = mesh.weights * (1.0 - window)
+    w_row = np.where(rows_near[:, None], w_val, mesh.weights)
+    ii, jj = np.nonzero((window < 1.0) | ~rows_near[:, None])
+    return ii, jj, w_row[ii, jj], w_val[ii, jj]
+
+
+class _Built(NamedTuple):
+    """Distinct pieces of one kind, built once for all their targets."""
+
+    x: np.ndarray        # physical points, w.shape + (2,)
+    fw: tuple            # row factors and value factors (lists, or None)
+                         # times the Jacobian weights, each w.shape
+    s: np.ndarray        # angles in columns from the cell's first line
+    radial: np.ndarray   # (pieces, q, a) radial factors, transposed
+    angular: np.ndarray  # (pieces, b, k) angular factors
+    column: np.ndarray   # (pieces, q, k) the stencil's columns in the
+                         # rows, -1 for a node outside them
+
+
+def _built(mesh: DomainMesh, block: _Block, pieces: _Pieces, rule, factors,
+           column_of):
+    """Points, weighted factors and interpolation factors of the pieces.
 
     A piece lies inside one cell, its own (never located from its points,
     which may lie a few ulps outside it), where the interpolant is the
-    product of the mesh's radial and angular factors, so its values reach
-    that cell's stencil through one small product: R^T C A for a Gauss
-    piece, with C its values on the tensor rule (the sum-factorization of
-    spectral-element codes), and R^T diag(c) A for a Duffy piece.
+    product of the mesh's radial and angular factors: a Gauss piece's
+    values C on its tensor rule reach the cell's node stencil as R^T C A
+    (the sum-factorization of spectral-element codes), a Duffy piece's as
+    R^T diag(c) A.
     """
     m, b = mesh.m_theta, mesh.breakpoints
-    index, stencils = [], []
-    for f in block.fine:
-        n, (t, panel, col) = f.cell.shape[0], f.cell.T
-        values, c = c[:f.w.size].reshape(f.w.shape), c[f.w.size:]
-        i_r, radial = mesh.radial_factors(
-            (f.u.reshape(n, -1) - b[panel, None])
-            / (b[panel + 1] - b[panel])[:, None])
-        j, angular = mesh.angular_factors(
-            f.v.reshape(n, -1) / (_TWO_PI / m) - col[:, None])
-        stencils.append(near[t, None, None] * radial.transpose(0, 2, 1)
-                        @ (values @ angular if f.v.shape[1] == 1
-                           else values * angular))
-        rows = panel[:, None] * i_r.size + i_r
-        index.append(t[:, None, None] * mesh.n_nodes + rows[:, :, None] * m
-                     + (block.centre[t, None] + col[:, None] + j)[:, None, :]
-                     % m)
-    out += np.bincount(np.concatenate(index, axis=None),
-                       np.concatenate(stencils, axis=None),
-                       minlength=out.size).reshape(out.shape)
+    n, (t, panel, col) = pieces.cell.shape[0], pieces.cell.T
+    col = col - block.half[t]
+    u, v, w = _points(pieces, rule, block.p)
+    su, sv = (block.scale[t, k, None, None] for k in (0, 1))
+    f_rho, dth = u / su, v / sv
+    x, f_span, r = mesh.physical(
+        f_rho, mesh.theta[block.centre[t]][:, None, None] + dth)
+    w = w / (su * sv) * (f_span * r)
+    s = dth / (_TWO_PI / m) - col[:, None, None]
+    i_r, radial = mesh.radial_factors((f_rho.reshape(n, -1) - b[panel, None])
+                                      / (b[panel + 1] - b[panel])[:, None])
+    j, angular = mesh.angular_factors(s.reshape(n, -1))
+    nodes = ((panel[:, None] * i_r.size + i_r)[:, :, None] * m
+             + (block.centre[t, None] + col[:, None] + j)[:, None, :] % m)
+    return _Built(x, tuple(None if part is None else
+                           [f.reshape(w.shape) * w for f in part]
+                           for part in factors(x.reshape(-1, 2))),
+                  s, radial.transpose(0, 2, 1), angular, column_of[nodes])
 
 
 def _kernels(x, y):
     """(P, d1 P, d2 P) of z = x - y, P(z) = ln|z| / (2 pi) and dk P(z) =
-    z_k / (2 pi |z|^2), for source points x (m, 2) and a target y, one
-    point or one per source point (-inf and nan at z = 0)."""
-    z0, z1 = x[:, 0] - y[..., 0], x[:, 1] - y[..., 1]
+    z_k / (2 pi |z|^2), for source points x (..., 2) and targets y
+    broadcast against them (-inf and nan at z = 0)."""
+    z0, z1 = x[..., 0] - y[..., 0], x[..., 1] - y[..., 1]
     r2 = z0 ** 2 + z1 ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = _TWO_PI * r2
         return np.log(r2) / (2.0 * _TWO_PI), z0 / scale, z1 / scale
 
 
-def _weighted(w, factors, kernels):
+# the largest factor that a point at its own target may carry (_weighted)
+_AT_TARGET = 1e-8
+
+
+def _weighted(w, factors, kernels, singular):
     """w times the sum of factors times kernels, matched in order, at each
-    point.  A point at its target (z = 0) adds 0, and raises
-    SingularEvaluationError if its weight is nonzero and a factor there
-    exceeds 1e-8 in size."""
+    point.  Where a point may lie at its target (``singular``), a point
+    there (z = 0) adds 0, and raises SingularEvaluationError if its weight
+    is nonzero and a factor there exceeds _AT_TARGET in size."""
     with np.errstate(invalid="ignore"):
         value = factors[0] * kernels[0]
         for f, k in zip(factors[1:], kernels[1:]):
             value += f * k
-    same = np.isneginf(kernels[0])
-    if same.any():
-        held = same & (w != 0.0)
-        if max(np.abs(f[held]).max(initial=0.0) for f in factors) > 1e-8:
-            raise SingularEvaluationError(
-                "volume integrand evaluated at its target, where a factor "
-                "is not negligible")
-        value[same] = 0.0
+    if singular:
+        same = np.isneginf(kernels[0])
+        if same.any():
+            held = same & (w != 0.0)
+            if max(np.abs(f[held]).max(initial=0.0)
+                   for f in factors) > _AT_TARGET:
+                raise SingularEvaluationError(
+                    "volume integrand evaluated at its target, where a "
+                    "factor is not negligible")
+            value[same] = 0.0
     return w * value
+
+
+class _Sums(NamedTuple):
+    """The outputs of domain_rows, summed in place."""
+
+    rows: np.ndarray       # (targets, columns), or None
+    vals: np.ndarray       # (targets,), or None
+    column_of: np.ndarray  # each node's column in rows, -1 off them
+    near: np.ndarray       # the targets whose rows get the near field
+
+
+def _far_terms(mesh: DomainMesh, block: _Block, y, at_nodes, out: _Sums):
+    """Add the far parts of a block's rules, with the factors at_nodes at
+    the mesh nodes, to out: at most _POINTS (target, node) pairs at a
+    time."""
+    near, step = out.near[block.idx], max(1, _POINTS // mesh.n_nodes)
+    for lo in range(0, block.idx.size, step):
+        t = slice(lo, lo + step)
+        ii, jj, w_row, w_val = _far(mesh, block.centre[t], block.half[t],
+                                    near[t])
+        far = _kernels(mesh.points[jj], y[t][ii])
+        if out.rows is not None:
+            on = out.column_of[jj] >= 0
+            out.rows[block.idx[t][ii[on]], out.column_of[jj[on]]] = _weighted(
+                w_row, [f[jj] for f in at_nodes[0]], far, True)[on]
+        if out.vals is not None:
+            out.vals[block.idx[t]] += np.bincount(
+                ii, _weighted(w_val, [f[jj] for f in at_nodes[1]], far, True),
+                minlength=y[t].shape[0])
+
+
+def _near_terms(mesh: DomainMesh, block: _Block, y, kind: _Near, rule,
+                factors, out: _Sums, pieces: slice):
+    """Add the near parts of the ``pieces`` of one kind to out: each piece
+    built once (_built), then its pairs, as many at a time as pieces.  A
+    Gauss piece never holds its target, as _cell_rule leaves a gap wider
+    than the piece; at a Duffy piece _weighted checks for a point on the
+    target, with the factors times their weights."""
+    built = _built(mesh, block, _Pieces(*(c[pieces] for c in kind.pieces)),
+                   rule, factors, out.column_of)
+    tensor = built.s.shape[1] == 1
+    size = pieces.stop - pieces.start
+    first, end = np.searchsorted(kind.piece, [pieces.start, pieces.stop])
+    for lo in range(first, end, size):
+        pr = slice(lo, min(lo + size, end))
+        t, pl = kind.target[pr], kind.piece[pr] - pieces.start
+        near = _kernels(built.x[pl], y[t, None, None])
+        win = _bump((kind.col[pr, None, None] + built.s[pl])
+                    / block.half[t, None, None])
+        if out.rows is not None:
+            c = _weighted(win, [f[pl] for f in built.fw[0]], near, not tensor)
+            stencil = built.radial[pl] @ (c @ built.angular[pl] if tensor
+                                          else c * built.angular[pl])
+            cols = built.column[pl]
+            on = (cols >= 0) & out.near[block.idx[t], None, None]
+            np.add.at(out.rows.reshape(-1),
+                      (block.idx[t, None, None] * out.rows.shape[1]
+                       + cols)[on], stencil[on])
+        if out.vals is not None:
+            c = _weighted(win, [f[pl] for f in built.fw[1]], near, not tensor)
+            np.add.at(out.vals, block.idx[t],
+                      c.reshape(t.size, -1).sum(axis=1))
 
 
 def domain_rows(mesh: DomainMesh, targets, factors, *, columns=None,
@@ -629,12 +755,13 @@ def domain_rows(mesh: DomainMesh, targets, factors, *, columns=None,
     ``factors(x)`` gives (row factors, value factors) at points x (m, 2),
     each a tuple of 1-3 arrays (m,) matched in order with K, or None for a
     part not wanted.  It runs once at the mesh nodes, for the far parts of
-    all targets, and once per block at its fine points.  The rows act on
-    nodal densities at the nodes ``columns`` (all by default); values are
-    one integral per target.  ``near_targets`` (one bool per target) limits
-    the rows' near field to the marked targets; values always get it, and
-    only a node can lie at a target whose rows skip it (see _weighted).  A
-    non-finite target raises GeometryError.
+    all targets, and once at each distinct piece of a block, at most
+    _POINTS points at a time.  The rows act on nodal densities at the
+    nodes ``columns`` (all by default); values are one integral per
+    target.  ``near_targets`` (one bool per target) limits the rows' near
+    field to the marked targets; values always get it, and only a node can
+    lie at a target whose rows skip it (see _weighted).  A non-finite
+    target raises GeometryError.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.isfinite(pts).all():
@@ -645,33 +772,19 @@ def domain_rows(mesh: DomainMesh, targets, factors, *, columns=None,
     if rows_on and near_targets is not None:
         rows_near = np.asarray(near_targets, dtype=bool)
     columns = np.arange(mesh.n_nodes) if columns is None else columns
-    rows = np.zeros((pts.shape[0], len(columns))) if rows_on else None
-    vals = np.zeros(pts.shape[0]) if values_on else None
+    out = _Sums(np.zeros((pts.shape[0], len(columns))) if rows_on else None,
+                np.zeros(pts.shape[0]) if values_on else None,
+                np.full(mesh.n_nodes, -1), rows_near)
+    out.column_of[columns] = np.arange(len(columns))
     for block in _blocks(mesh, pts, rows_near, values_on):
-        (ii, jj), fine, y = block.pairs, block.fine, pts[block.idx]
-        far = _kernels(mesh.points[jj], y[ii])
-        if fine:
-            t = np.concatenate([np.broadcast_to(f.cell[:, :1, None], f.w.shape)
-                                for f in fine], axis=None)
-            w = np.concatenate([f.w for f in fine], axis=None)
-            x = np.concatenate([f.x.reshape(-1, 2) for f in fine])
-            near, at_fine = _kernels(x, y[t]), factors(x)
-        if rows_on:
-            part = np.zeros((block.idx.size, mesh.n_nodes))
-            part[ii, jj] = _weighted(block.w_row,
-                                     [f[jj] for f in at_nodes[0]], far)
-            if fine:
-                _scatter(mesh, block, _weighted(w, at_fine[0], near),
-                         rows_near[block.idx], part)
-            rows[block.idx] = part[:, columns]
-        if values_on:
-            c = _weighted(block.w_val, [f[jj] for f in at_nodes[1]], far)
-            if fine:
-                c = np.concatenate([c, _weighted(w, at_fine[1], near)])
-            vals[block.idx] = np.bincount(np.concatenate([ii, t]) if fine
-                                          else ii, c,
-                                          minlength=block.idx.size)
-    return rows, vals
+        y = pts[block.idx]
+        _far_terms(mesh, block, y, at_nodes, out)
+        for kind, rule in zip(block.near, _reference_rules(_ORDER)):
+            size = max(1, _POINTS // rule[2].size)
+            for a in range(0, kind.pieces.cell.shape[0], size):
+                _near_terms(mesh, block, y, kind, rule, factors, out,
+                            slice(a, a + size))
+    return out.rows, out.vals
 
 
 def newtonian_potential(mesh: DomainMesh, targets, *, g_fn):

@@ -67,13 +67,18 @@ def _remainder_factors(field: CoefficientField, x):
 
 
 def _near_mask_for_support(field: CoefficientField, targets):
-    """Targets whose remainder rows need local quadrature: those within 1
-    of the coefficient support."""
+    """Targets whose remainder rows need local quadrature: those inside the
+    coefficient support, and those outside it where a factor of the
+    remainder still exceeds what laplace allows at a point on its target
+    (laplace._AT_TARGET), as far-only rows would meet it there."""
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.isfinite(field.support_radius):
         return None
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    return r <= field.support_radius + 1.0
+    near = np.hypot(pts[:, 0], pts[:, 1]) <= field.support_radius
+    if not near.all():
+        factors = _remainder_factors(field, pts[~near])[0]
+        near[~near] = np.abs(factors).max(axis=0) > laplace._AT_TARGET
+    return near
 
 
 def remainder_rows(mesh: DomainMesh, field: CoefficientField, targets):

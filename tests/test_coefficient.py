@@ -190,7 +190,7 @@ def test_normal_log_derivative():
 
 def test_condition_report_for_decaying_coefficient():
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
-    mesh = domain_mesh(make_curve("circle"), 6.0, 0.2)
+    mesh = domain_mesh(make_curve("circle"), 6.0, 0.2, m_theta=32)
     report = check_conditions(field, mesh)
     assert report.passed
     d = report.as_dict()
@@ -200,7 +200,7 @@ def test_condition_report_for_decaying_coefficient():
 
 def test_condition_report_flags_slow_decay():
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=4.0)
-    mesh = domain_mesh(make_curve("circle"), 3.0, 0.2)
+    mesh = domain_mesh(make_curve("circle"), 3.0, 0.2, m_theta=32)
     report = check_conditions(field, mesh)
     assert not report.decay_ok
     assert not report.passed

@@ -75,13 +75,13 @@ def test_degenerate_curves_raise():
 
 def test_mesh_weights_integrate_annulus_area():
     curve = make_curve("circle")
-    mesh = domain_mesh(curve, 3.0, 0.1)
+    mesh = domain_mesh(curve, 3.0, 0.1, m_theta=64)
     assert_allclose(mesh.weights.sum(), np.pi * (9.0 - 1.0), rtol=1e-12)
 
 
 def test_mesh_weights_ellipse():
     curve = make_curve("ellipse", a=2.0, b=1.0)
-    mesh = domain_mesh(curve, 4.0, 0.1)
+    mesh = domain_mesh(curve, 4.0, 0.1, m_theta=126)
     assert_allclose(mesh.weights.sum(), np.pi * 16.0 - np.pi * 2.0,
                     rtol=1e-10)
 
@@ -96,8 +96,8 @@ def test_mesh_quadrature_converges_on_smooth_integrand():
     # closed form: 2*pi * int_1^R exp(-r^2) r dr (odd part integrates out)
     exact = np.pi * (np.exp(-1.0) - np.exp(-16.0))
     vals = []
-    for h in (0.4, 0.2, 0.1):
-        mesh = domain_mesh(curve, 4.0, h)
+    for h, m_theta in ((0.4, 16), (0.2, 32), (0.1, 64)):
+        mesh = domain_mesh(curve, 4.0, h, m_theta=m_theta)
         vals.append(abs(np.sum(mesh.weights * f(mesh.points)) - exact))
     assert vals[-1] <= 1e-9
     assert vals[0] > vals[-1]
@@ -127,7 +127,8 @@ def _lagrange_row(x, nodes):
 
 
 def test_mesh_interpolation_matches_per_point_stencils():
-    mesh = domain_mesh(make_curve("star", alpha=0.2, k=5), 3.0, 0.2)
+    mesh = domain_mesh(make_curve("star", alpha=0.2, k=5), 3.0, 0.2,
+                       m_theta=38)
     rng = np.random.default_rng(4)
     # breakpoints, and rho outside [0, 1] (clamped to the end panels)
     rho = np.concatenate([mesh.breakpoints, [-0.1, 1.1],
@@ -153,16 +154,17 @@ def test_mesh_interpolation_matches_per_point_stencils():
 
 def test_truncation_radius_must_exceed_circumradius():
     with pytest.raises(GeometryError):
-        domain_mesh(make_curve("circle"), 0.5, 0.1)
+        domain_mesh(make_curve("circle"), 0.5, 0.1, m_theta=64)
     with pytest.raises(GeometryError):
-        domain_mesh(make_curve("ellipse", a=2.0, b=1.0), 1.5, 0.1)
+        domain_mesh(make_curve("ellipse", a=2.0, b=1.0), 1.5, 0.1,
+                    m_theta=126)
 
 
 def test_a_coarse_spacing_guards_inner_node_distance():
     # one radial panel is the fewest, and its innermost node lies within h/10
     for h in (1.5, 2.0):
         with pytest.raises(DiscretizationError):
-            domain_mesh(make_curve("circle"), 3.0, h)
+            domain_mesh(make_curve("circle"), 3.0, h, m_theta=16)
 
 
 @pytest.mark.parametrize("h,r_trunc,error", [
@@ -170,7 +172,7 @@ def test_a_coarse_spacing_guards_inner_node_distance():
     (0.2, np.inf, GeometryError), (0.2, np.nan, GeometryError)])
 def test_a_non_finite_spacing_or_truncation_radius_raises(h, r_trunc, error):
     with pytest.raises(error):
-        domain_mesh(make_curve("circle"), r_trunc, h)
+        domain_mesh(make_curve("circle"), r_trunc, h, m_theta=32)
 
 
 @pytest.mark.parametrize("m_theta", [-2, 0, 1, 3])
@@ -182,7 +184,8 @@ def test_fewer_columns_than_the_angular_stencil_raise(m_theta):
 
 
 def test_interpolation_is_the_outer_product_of_its_factors():
-    mesh = domain_mesh(make_curve("star", alpha=0.2, k=5), 3.0, 0.2)
+    mesh = domain_mesh(make_curve("star", alpha=0.2, k=5), 3.0, 0.2,
+                       m_theta=38)
     b, dtheta = mesh.breakpoints, 2 * np.pi / mesh.m_theta
     # at their own nodes the factors are the identity
     i_r, w_r = mesh.radial_factors((mesh.rho[:4] - b[0]) / (b[1] - b[0]))

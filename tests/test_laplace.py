@@ -340,19 +340,35 @@ def _unit(x):
 
 
 def _per_point_rows(mesh, targets, kernel, near):
-    """domain_rows with a 16-entry interpolation stencil per fine point."""
+    """domain_rows with a 16-entry interpolation stencil per fine point of
+    each (target, piece) pair."""
     rows = np.zeros((len(targets), mesh.n_nodes))
+    dtheta = 2 * np.pi / mesh.m_theta
     for block in laplace._blocks(mesh, targets, near, False):
-        (ii, jj), y = block.pairs, targets[block.idx]
-        rows[block.idx[ii], jj] = block.w_row * kernel(mesh.points[jj], y[ii])
-        for fine in block.fine:
-            t, rho, dth = (np.broadcast_to(a, fine.w.shape).ravel() for a in
-                           (fine.cell[:, 0, None, None], fine.u, fine.v))
-            idx, wts = mesh.interpolation(rho, mesh.theta[block.centre[t]]
-                                          + dth)
-            np.add.at(rows, (block.idx[t, None], idx),
-                      (fine.w.ravel() * kernel(fine.x.reshape(-1, 2), y[t]))
-                      [:, None] * wts)
+        ii, jj, w_row, _ = laplace._far(mesh, block.centre, block.half,
+                                        near[block.idx])
+        y = targets[block.idx]
+        rows[block.idx[ii], jj] = w_row * kernel(mesh.points[jj], y[ii])
+        for kind, rule in zip(block.near,
+                              laplace._reference_rules(laplace._ORDER)):
+            # each distinct piece's points, as its own target places them
+            own = kind.pieces.cell[:, 0]
+            u, v, w = (a.reshape(own.size, -1) for a in np.broadcast_arrays(
+                *laplace._points(kind.pieces, rule, block.p)))
+            su, sv = block.scale[own, 0, None], block.scale[own, 1, None]
+            rho, dth = u / su, v / sv
+            theta = mesh.theta[block.centre[own], None] + dth
+            x, span, r = mesh.physical(rho, theta)
+            w = w / (su * sv) * span * r
+            own_col = kind.pieces.cell[:, 2, None] - block.half[own, None]
+            for t, p, col in zip(kind.target, kind.piece, kind.col):
+                if not near[block.idx[t]]:
+                    continue
+                window = laplace._bump((dth[p] / dtheta - own_col[p] + col)
+                                       / block.half[t])
+                idx, wts = mesh.interpolation(rho[p], theta[p])
+                np.add.at(rows, (block.idx[t], idx),
+                          (w[p] * window * kernel(x[p], y[t]))[:, None] * wts)
     return rows
 
 
@@ -427,14 +443,18 @@ def _factors(x):
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Records (targets, far pairs, fine points) of each block that
-    laplace._blocks yields."""
+    """Records (targets, points of the (target, piece) pairs, points of the
+    distinct pieces) of each block that laplace._blocks yields."""
     seen, build = [], laplace._blocks
+    sizes = [rule[2].size for rule in laplace._reference_rules(laplace._ORDER)]
 
     def recorded(*args):
         for block in build(*args):
-            seen.append((block.idx.size, block.pairs[0].size,
-                         sum(f.w.size for f in block.fine)))
+            seen.append((block.idx.size,
+                         sum(k.target.size * n
+                             for k, n in zip(block.near, sizes)),
+                         sum(k.pieces.cell.shape[0] * n
+                             for k, n in zip(block.near, sizes))))
             yield block
 
     monkeypatch.setattr(laplace, "_blocks", recorded)
@@ -468,25 +488,39 @@ def test_a_block_of_targets_matches_one_target_at_a_time(curve, r_trunc,
         assert abs(values[i] - value[0]) <= 1e-13 * abs(value[0])
 
 
-def test_no_block_of_several_targets_exceeds_the_point_cap(ring_mesh,
-                                                           blocks):
-    targets = ring_mesh.points[::3]
-    laplace.domain_rows(ring_mesh, targets, _factors)
-    assert max(n_targets for n_targets, _, _ in blocks) > 1
-    assert all(far + fine <= laplace._POINTS or n_targets == 1
-               for n_targets, far, fine in blocks)
-    # a target of a 128-column mesh alone exceeds the cap
+def test_no_chunk_exceeds_the_point_cap(ring_mesh, blocks, monkeypatch):
+    # the kernels and, apart from the mesh nodes, the factors see at most
+    # _POINTS points at a time, also where one target's pieces hold more
+    seen, kernels = [], laplace._kernels
+
+    def counted(x, y):
+        seen.append(x[..., 0].size)
+        return kernels(x, y)
+
+    monkeypatch.setattr(laplace, "_kernels", counted)
     fine_mesh = domain_mesh(make_curve("circle"), 6.0, 4 * np.pi / 128,
                             m_theta=128)
-    del blocks[:]
-    laplace.domain_rows(fine_mesh, fine_mesh.points[[300, 2000]], _factors)
-    assert [n_targets for n_targets, _, _ in blocks] == [1, 1]
-    assert min(far + fine for _, far, fine in blocks) > laplace._POINTS
+    for mesh, targets in ((ring_mesh, ring_mesh.points[::3]),
+                          (fine_mesh, fine_mesh.points[[300, 2000]])):
+        points = []
+
+        def factors(x):
+            points.append(len(x))
+            return _factors(x)
+
+        laplace.domain_rows(mesh, targets, factors)
+        assert points[0] == mesh.n_nodes
+        assert max(points[1:]) <= laplace._POINTS
+    assert max(seen) <= laplace._POINTS
+    # each of the 128-column mesh's two targets holds more than the cap
+    assert blocks[-1][0] == 2 and blocks[-1][1] > 2 * laplace._POINTS
 
 
-def test_each_node_factor_is_evaluated_once_per_pass(ring_mesh, blocks):
+def test_each_node_factor_is_evaluated_once_per_pass(ring_mesh, blocks,
+                                                     monkeypatch):
     # the factors run once at the mesh nodes, for the far parts of all
-    # targets, and once per block at its fine points
+    # targets, and once at each distinct piece of a block
+    monkeypatch.setattr(laplace, "_SHARED", 4000)  # several blocks
     points = []
 
     def counted(x):
@@ -500,7 +534,7 @@ def test_each_node_factor_is_evaluated_once_per_pass(ring_mesh, blocks):
     laplace.domain_rows(ring_mesh, targets, counted, near_targets=near)
     assert len(blocks) > 1
     assert sum(points) == ring_mesh.n_nodes + sum(f for _, _, f in blocks)
-    assert sum(points) < sum(far + fine for _, far, fine in blocks)
+    assert sum(points) < ring_mesh.n_nodes + sum(p for _, p, _ in blocks)
 
 
 def test_a_non_finite_volume_target_is_rejected(ring_mesh):

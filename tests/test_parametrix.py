@@ -153,6 +153,50 @@ def test_volume_terms_match_the_kernels_evaluated_apart(curve, bump):
     assert np.abs(values - ref_values).max() <= 1e-13 * np.abs(ref_values).max()
 
 
+@pytest.mark.parametrize("curve", [make_curve("circle"),
+                                   make_curve("star", alpha=0.2, k=5)],
+                         ids=["circle", "star"])
+def test_a_ring_of_targets_shares_its_near_pieces(curve, bump, monkeypatch):
+    # the targets of one pass share their Gauss pieces: the factors see at
+    # most half the points that the pieces of the (target, piece) pairs
+    # hold, and the rows and values are those of one target at a time
+    mesh = domain_mesh(curve, 6.0, 4 * np.pi / 32, m_theta=32)
+    targets = mesh.points[5 * mesh.m_theta:6 * mesh.m_theta]
+    sizes = [rule[2].size for rule in laplace._reference_rules(laplace._ORDER)]
+    points, held = [], []
+    rows_of, blocks_of = laplace.domain_rows, laplace._blocks
+
+    def counted_rows(mesh, targets, factors, **kwargs):
+        def counted(x):
+            points.append(len(x))
+            return factors(x)
+        return rows_of(mesh, targets, counted, **kwargs)
+
+    def counted_blocks(*args):
+        for block in blocks_of(*args):
+            held.append(sum(k.target.size * n
+                            for k, n in zip(block.near, sizes)))
+            yield block
+
+    def rho_fn(p):
+        return p[:, 1] * np.exp(-0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
+
+    monkeypatch.setattr(laplace, "domain_rows", counted_rows)
+    monkeypatch.setattr(laplace, "_blocks", counted_blocks)
+    rows = parametrix.remainder_rows(mesh, bump, targets)
+    values = parametrix.volume_potential(mesh, bump, targets, rho_fn=rho_fn)
+    # two passes, each with one call at the mesh nodes
+    assert sum(points) - 2 * mesh.n_nodes <= 0.5 * sum(held)
+    one = [(parametrix.remainder_rows(mesh, bump, y[None])[0],
+            parametrix.volume_potential(mesh, bump, y[None], rho_fn=rho_fn)[0])
+           for y in targets]
+    ref_rows, ref_values = np.array([r for r, _ in one]), np.array(
+        [v for _, v in one])
+    assert np.abs(rows - ref_rows).max() <= 1e-12 * np.abs(ref_rows).max()
+    assert np.abs(values - ref_values).max() \
+        <= 1e-12 * np.abs(ref_values).max()
+
+
 def test_constant_coefficient_double_layer_is_the_laplace_one(circle64, const,
                                                               monkeypatch):
     targets = np.array([[2.0, 0.5], [0.4, -1.3]])

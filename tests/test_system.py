@@ -216,7 +216,7 @@ def test_a_non_finite_source_is_rejected(laplace_case):
 
 def test_curve_mismatch_rejected(laplace_case):
     grid = boundary_grid(make_curve("circle"), 32)
-    mesh = domain_mesh(make_curve("circle"), 3.0, 4 * np.pi / 32)
+    mesh = domain_mesh(make_curve("circle"), 3.0, 4 * np.pi / 32, m_theta=16)
     with pytest.raises(AssemblyError):
         assemble_system(laplace_case.problem(), grid, mesh)
 
@@ -300,8 +300,8 @@ def test_u_mesh_reconstruction(bump_solution):
 
 def test_evaluation_is_the_representation_formula(bump_solution):
     case, sysm, sol = bump_solution
-    # the support radius plus one (about 5.54) splits these radii: rows of
-    # the outer targets have no near part
+    # the radius where the remainder's factors fall below 1e-8 (about 4.78)
+    # splits these radii: rows of the outer targets have no near part
     r = np.array([1.3, 3.0, 5.0, 5.8, 6.3, 9.0])
     th = np.linspace(0.4, 5.9, r.size)
     targets = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
@@ -315,6 +315,19 @@ def test_evaluation_is_the_representation_formula(bump_solution):
     expected = (f0 - r_rows[:, sysm.dom_idx] @ sol.u_dom
                 + v_rows @ sol.psi)
     assert_allclose(sol.evaluate(targets), expected, rtol=1e-14, atol=0.0)
+
+
+def test_evaluation_just_outside_the_support_has_the_far_rule_accuracy(
+        bump_solution):
+    # past the radius where the remainder's factors fall below 1e-8 (about
+    # 4.78 here) the rows are far-only: no windowed rows spoil the annulus
+    # just outside the coefficient support (4.54)
+    case, _, sol = bump_solution
+    th = 2 * np.pi * (np.arange(16) + 0.3) / 16
+    for r in (5.0, 5.37):
+        targets = r * np.stack([np.cos(th), np.sin(th)], axis=1)
+        err = np.abs(sol.evaluate(targets) - case.exact_u(targets)) * r
+        assert err.max() <= 5e-5
 
 
 def test_each_target_builds_its_near_field_once(monkeypatch):
