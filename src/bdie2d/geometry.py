@@ -223,16 +223,10 @@ def _monomial_basis(nodes):
 
 
 def _lagrange(s, nodes):
-    """The Lagrange basis on ``nodes`` at the points s: s.shape + (k,).
-    The powers of s are the products of np.vander(s, k, increasing=True),
-    taken a whole column at a time rather than accumulated along rows of
-    k."""
+    """The Lagrange basis on ``nodes`` at the points s: s.shape + (k,)."""
     basis = _monomial_basis(tuple(nodes))
-    powers = np.empty((s.size, len(basis)))
-    powers[:, 0] = 1.0
-    for k in range(1, len(basis)):
-        np.multiply(powers[:, k - 1], s.ravel(), out=powers[:, k])
-    return (powers @ basis).reshape(s.shape + (len(basis),))
+    return (np.vander(s.ravel(), len(basis), increasing=True)
+            @ basis).reshape(s.shape + (len(basis),))
 
 
 @dataclass

@@ -663,9 +663,10 @@ _AT_TARGET = 1e-8
 
 def _weighted(w, factors, kernels, singular):
     """w times the sum of factors times kernels, matched in order, at each
-    point.  Where a point may lie at its target (``singular``), a point
-    there (z = 0) adds 0, and raises SingularEvaluationError if its weight
-    is nonzero and a factor there exceeds _AT_TARGET in size."""
+    point.  Where a point may lie at its target (``singular``: the far
+    part's mesh nodes), a point there (z = 0) adds 0, and raises
+    SingularEvaluationError if its weight is nonzero and a factor there
+    exceeds _AT_TARGET in size."""
     with np.errstate(invalid="ignore"):
         value = factors[0] * kernels[0]
         for f, k in zip(factors[1:], kernels[1:]):
@@ -694,8 +695,8 @@ class _Sums(NamedTuple):
 
 def _far_terms(mesh: DomainMesh, block: _Block, y, at_nodes, out: _Sums):
     """Add the far parts of a block's rules, with the factors at_nodes at
-    the mesh nodes, to out: at most _POINTS (target, node) pairs at a
-    time."""
+    the mesh nodes, to out: at most _POINTS (target, node) pairs, or one
+    target's nodes, at a time."""
     near, step = out.near[block.idx], max(1, _POINTS // mesh.n_nodes)
     for lo in range(0, block.idx.size, step):
         t = slice(lo, lo + step)
@@ -715,10 +716,11 @@ def _far_terms(mesh: DomainMesh, block: _Block, y, at_nodes, out: _Sums):
 def _near_terms(mesh: DomainMesh, block: _Block, y, kind: _Near, rule,
                 factors, out: _Sums, pieces: slice):
     """Add the near parts of the ``pieces`` of one kind to out: each piece
-    built once (_built), then its pairs, as many at a time as pieces.  A
-    Gauss piece never holds its target, as _cell_rule leaves a gap wider
-    than the piece; at a Duffy piece _weighted checks for a point on the
-    target, with the factors times their weights."""
+    built once (_built), then its pairs, as many at a time as pieces.  No
+    piece holds its target, so _weighted makes no check for one: _cell_rule
+    leaves a Gauss piece a gap wider than the piece, and a Duffy piece's
+    points stay off its corner at the target (by about 1e-5 of the
+    piece)."""
     built = _built(mesh, block, _Pieces(*(c[pieces] for c in kind.pieces)),
                    rule, factors, out.column_of)
     tensor = built.s.shape[1] == 1
@@ -731,7 +733,7 @@ def _near_terms(mesh: DomainMesh, block: _Block, y, kind: _Near, rule,
         win = _bump((kind.col[pr, None, None] + built.s[pl])
                     / block.half[t, None, None])
         if out.rows is not None:
-            c = _weighted(win, [f[pl] for f in built.fw[0]], near, not tensor)
+            c = _weighted(win, [f[pl] for f in built.fw[0]], near, False)
             stencil = built.radial[pl] @ (c @ built.angular[pl] if tensor
                                           else c * built.angular[pl])
             cols = built.column[pl]
@@ -740,7 +742,7 @@ def _near_terms(mesh: DomainMesh, block: _Block, y, kind: _Near, rule,
                       (block.idx[t, None, None] * out.rows.shape[1]
                        + cols)[on], stencil[on])
         if out.vals is not None:
-            c = _weighted(win, [f[pl] for f in built.fw[1]], near, not tensor)
+            c = _weighted(win, [f[pl] for f in built.fw[1]], near, False)
             np.add.at(out.vals, block.idx[t],
                       c.reshape(t.size, -1).sum(axis=1))
 
@@ -791,7 +793,8 @@ def newtonian_potential(mesh: DomainMesh, targets, *, g_fn):
     """Newtonian potential int P(x - y) g(x) dx over the mesh.
 
     The density ``g_fn(points)`` is evaluated analytically at the mesh
-    nodes and at the fine points of each block (see domain_rows);
+    nodes and once at each distinct near-field piece, at most _POINTS
+    points at a time (see domain_rows);
     ``g_fn`` None declares a zero density, whose potential is zero without
     any rule.  Returns values (m,).
     """

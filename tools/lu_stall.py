@@ -3,14 +3,14 @@ bump-dipole systems.
 
 From the root of a source checkout:
 
-    python3 tools/lu_stall.py --steps 50 --threads 2 --n 32
+    python3 tools/lu_stall.py --steps 50 --threads 2
 
-Each step assembles the bump-dipole system at N boundary nodes (the work
+Each step assembles the bump-dipole system at N = 32 boundary nodes (the work
 that precedes the factorization in a solve), then times
 ``scipy.linalg.lu_factor`` and ``np.linalg.solve`` on it, in alternating
 order from step to step.  The BLAS thread counts are set before numpy is
 imported, as ``perfbench/run.py`` sets them.  The script prints, for each
-factorization, how many of the steps took longer than --stall-ms, and the
+factorization, how many of the steps took longer than 20 ms, and the
 median and largest times.
 """
 
@@ -24,15 +24,15 @@ import time
 from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+N = 32           # boundary nodes of the bump-dipole system
+STALL_MS = 20.0  # a factorization slower than this is a stall
 
 
-def main(argv=None):
+def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=50)
     parser.add_argument("--threads", type=int, default=2)
-    parser.add_argument("--n", type=int, default=32)
-    parser.add_argument("--stall-ms", type=float, default=20.0)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     for var in THREAD_VARS:
         os.environ[var] = str(args.threads)
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -42,9 +42,9 @@ def main(argv=None):
     from bdie2d import geometry, system, verification
 
     case = verification.manufactured_case("bump-dipole")
-    grid = geometry.boundary_grid(case.curve, args.n)
-    mesh = geometry.domain_mesh(case.curve, case.r_trunc,
-                                4.0 * np.pi / args.n, m_theta=args.n)
+    grid = geometry.boundary_grid(case.curve, N)
+    mesh = geometry.domain_mesh(case.curve, case.r_trunc, 4.0 * np.pi / N,
+                                m_theta=N)
     factorizations = {
         "scipy.linalg.lu_factor":
             lambda mat, rhs: scipy.linalg.lu_factor(mat, check_finite=False),
@@ -58,11 +58,11 @@ def main(argv=None):
             t0 = time.perf_counter()
             factorizations[name](sysm.matrix, sysm.rhs)
             times[name].append(1e3 * (time.perf_counter() - t0))
-    print(f"{args.steps} steps, bump-dipole N={args.n} "
+    print(f"{args.steps} steps, bump-dipole N={N} "
           f"({sysm.matrix.shape[0]} unknowns), {args.threads} BLAS threads")
     for name, ms in times.items():
-        stalls = sum(t > args.stall_ms for t in ms)
-        print(f"{name:24s} {stalls:3d} of {len(ms)} over {args.stall_ms:g} ms;"
+        stalls = sum(t > STALL_MS for t in ms)
+        print(f"{name:24s} {stalls:3d} of {len(ms)} over {STALL_MS:g} ms;"
               f" median {statistics.median(ms):.1f} ms, max {max(ms):.1f} ms")
     return 0
 
