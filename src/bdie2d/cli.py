@@ -193,10 +193,10 @@ def _discretize(cfg, case):
     from .geometry import boundary_grid, domain_mesh
 
     n = _value(cfg, "discretization.n_boundary", _integer)
+    grid = boundary_grid(case.curve, n)  # checks n before 4 pi / n
     h = _value(cfg, "discretization.h", float, 4.0 * np.pi / n)
     m_theta = _value(cfg, "discretization.m_theta", _integer, n)
     r_trunc = _value(cfg, "discretization.r_trunc", float, case.r_trunc)
-    grid = boundary_grid(case.curve, n)
     mesh = domain_mesh(case.curve, r_trunc, h, m_theta=m_theta)
     return grid, mesh
 
@@ -361,8 +361,9 @@ def cmd_conditioning(cfg, out_dir):
         in (("beta", float), ("sigma", float), ("center", _each(float)))}))
     curve = make_curve("circle")
     mesh_n = _value(cfg, "conditioning.mesh_n", _integer)
+    # the spacing stays finite for a mesh_n below 1, which domain_mesh rejects
     mesh = domain_mesh(curve, _value(cfg, "conditioning.r_trunc", float),
-                       4.0 * np.pi / mesh_n, m_theta=mesh_n)
+                       4.0 * np.pi / max(mesh_n, 1), m_theta=mesh_n)
 
     def factory(n):
         grid = boundary_grid(curve, n)

@@ -45,28 +45,28 @@ centre column, whose angle is added last, so the rows of a ring of
 targets on a circle are rotations of one row.
 
 The rules are built a block of consecutive targets at a time
-(``_blocks``), one cut-and-halve loop serving the cells of several
-targets, each piece carrying its target and cell.  A Gauss piece depends
-only on its cell and its place in the cell, and the targets of a block
-hold most of theirs in common (at N = 32 one in five is distinct), so a
-block keys its Gauss pieces by cell and cell-local extents and keeps each
-distinct one once (``_shared``), with the (target, piece) pairs that use
-it.  The near field then runs piece by piece (``_near_terms``): a piece is
-built once (``_built``: its points, their Jacobian weights, the
-integrand's factors times those weights, and the mesh's radial and
-angular interpolation factors there), and a pair costs only the kernels
-at the piece's points, the window at its angles and one small product
-onto the node stencil of the piece's cell, R^T C A on a Gauss piece (the
-sum-factorization of spectral-element codes) and R^T diag(c) A on a Duffy
-piece, which serves its own target alone.  Every volume integrand is a
-sum of factors of the source point x times the kernels P, d1 P and d2 P
-of x - y (``_kernels``): the remainder of the parametrix is
--Delta(ln a) P - grad(ln a) . grad_x P, its volume potential of f has
-(f / a) P.  ``domain_rows`` evaluates the factors once at the mesh nodes,
-so the far part is a (targets x nodes) kernel product with them, and
-once at each distinct piece, at most _POINTS points at a time; it gives
-rows on the unknowns' nodes, integrals, or both from one evaluation per
-point (``parametrix.volume_terms``).
+(``_blocks``), one cut-and-halve loop on the lines of the widest window
+serving the cells of all its targets, each piece carrying its target and
+cell.  A Gauss piece depends only on its cell and its place in the cell,
+and the targets of a block hold most of theirs in common (at N = 32 one in
+five is distinct), so a block keys its Gauss pieces by cell and cell-local
+extents and keeps each distinct one once (``_shared``), with the (target,
+piece) pairs that use it.  The near field then runs piece by piece
+(``_near_terms``): a piece is built once (``_built``: its points, their
+Jacobian weights, the integrand's factors times those weights, and the
+mesh's radial and angular interpolation factors there), and a pair costs
+only the kernels at the piece's points, the window at its angles and one
+small product onto the node stencil of the piece's cell, R^T C A on a
+Gauss piece (the sum-factorization of spectral-element codes) and
+R^T diag(c) A on a Duffy piece, which serves its own target alone.  Every
+volume integrand is a sum of factors of the source point x times the
+kernels P, d1 P and d2 P of x - y (``_kernels``): the remainder of the
+parametrix is -Delta(ln a) P - grad(ln a) . grad_x P, its volume potential
+of f has (f / a) P.  ``domain_rows`` evaluates the factors once at the
+mesh nodes, so the far part is a (targets x nodes) kernel product with
+them, and once at each distinct piece, at most _POINTS points at a time;
+it gives rows on the unknowns' nodes, integrals, or both from one
+evaluation per point (``parametrix.volume_terms``).
 
 Both off-boundary layer potentials come from one pass over the targets
 (``layer_rows_offboundary``), as blocks of rows on the boundary grid's own
@@ -346,8 +346,8 @@ def layer_rows_offboundary(grid: BoundaryGrid, targets):
 # and an arc of _WIDTH_PHYS on each side of the target, rounded up to an
 # even number of columns (down, to stay within 0.9 pi); its cells take
 # _ORDER Gauss points a side.  At most _POINTS points reach the integrand
-# or the kernels at a time, and a block shares the Gauss pieces of its
-# targets up to _SHARED of them.
+# or the kernels at a time, and a block of targets, which shares their
+# Gauss pieces, holds up to _SHARED window cells, or a single target.
 _WIDTH_COLS = 5
 _WIDTH_PHYS = 1.2
 _ORDER = 6
@@ -391,6 +391,7 @@ class _Pieces(NamedTuple):
     the piece's target at the origin."""
 
     cell: np.ndarray    # (n, 3): target, u-cell and v-cell of each piece
+                        # (in a block, the column from the window centre)
     origin: np.ndarray  # (n, 2): u0 and v0
     size: np.ndarray    # (n, 2): du and dv, signed
 
@@ -404,12 +405,13 @@ def _points(pieces: _Pieces, rule, p):
     return u0 + du * ru + p[t, 0], v0 + dv * rv + p[t, 1], np.abs(du * dv) * rw
 
 
-def _cell_rule(us, vs, targets):
+def _cell_rule(us, vs, targets, keep):
     """Gauss and Duffy pieces (two _Pieces) of a quadrature on the tensor
     cells of a block of targets, for integrands singular at the targets:
-    target i's cells have the sorted lines us[i] and vs[i].  Each target is
-    first clipped to its cells' rectangle, and moved onto a line within
-    1e-10 cells of it; returns (targets so moved, pieces).
+    target i's cells have the sorted lines us[i] and vs[i], and those in the
+    columns j with keep[i, j] take part.  Each target is clipped to the
+    rectangle of us[i] and vs[i] (the block's widest window) and moved
+    onto a line within 1e-10 cells of it; returns (targets so moved, pieces).
 
     A piece with its target at a corner and an aspect ratio of at most 2
     gets the Duffy rule, and one farther from its target than its longer
@@ -422,17 +424,16 @@ def _cell_rule(us, vs, targets):
         q = np.clip(q, edges[:, 0], edges[:, -1])
         line = np.take_along_axis(
             edges, np.abs(edges - q[:, None]).argmin(axis=1)[:, None], 1)[:, 0]
-        p.append(np.where(np.abs(line - q)
-                          <= 1e-10 * np.diff(edges, axis=1).min(axis=1),
-                          line, q))
+        p.append(np.where(np.abs(line - q) <= 1e-10 * np.diff(
+            edges, axis=1).min(axis=1, initial=np.inf), line, q))
     xs, ys = us - p[0][:, None], vs - p[1][:, None]
     shape = xs.shape[0], xs.shape[1] - 1, ys.shape[1] - 1
     # pieces (x0, x1, y0, y1) about their target at the origin; the fifth
     # column numbers each piece's cell
-    pend = np.stack(np.broadcast_arrays(
-        xs[:, :-1, None], xs[:, 1:, None], ys[:, None, :-1], ys[:, None, 1:],
-        np.arange(np.prod(shape)).reshape(shape)), axis=-1).reshape(-1, 5)
-    far, near = [], []
+    t, i, j = np.nonzero(np.broadcast_to(keep[:, None, :], shape))
+    pend = np.stack([xs[t, i], xs[t, i + 1], ys[t, j], ys[t, j + 1],
+                     np.ravel_multi_index((t, i, j), shape)], axis=-1)
+    far, near = [pend[:0]], [pend[:0]]  # none where no cell is kept
     while pend.size:
         x0, x1, y0, y1, _ = pend.T
         wx, wy = x1 - x0, y1 - y0
@@ -467,10 +468,6 @@ def _cell_rule(us, vs, targets):
                 duffy[:, [0, 2]] + duffy[:, [1, 3]]))
 
 
-_NO_PIECES = _Pieces(np.zeros((0, 3), dtype=int), np.zeros((0, 2)),
-                     np.zeros((0, 2)))
-
-
 class _Near(NamedTuple):
     """The pieces of one kind (Gauss or Duffy) in a block: each distinct
     piece once, as the piece of one target that holds it, and the (target,
@@ -499,12 +496,12 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
 
     A target within 0.5 of the meshed region gets a window (see the module
     docstring) if it is marked in ``rows_near`` or ``values`` is true, its
-    cells scaled to be physically isotropic at the target.  The targets
-    are taken widest window first, in the given order within a width.  One
-    _cell_rule call cuts the cells of as many targets of one width as 8
-    _POINTS points hold at the points per target of the call before, and a
-    block gathers the calls of consecutive targets until it holds _SHARED
-    Gauss pieces, each distinct one once (_shared).
+    cells scaled to be physically isotropic at the target.  A block is a
+    run of consecutive targets, as many as keep its window cells (radial
+    panels by 2 half columns each) within _SHARED, and at least one.  One
+    _cell_rule call cuts its cells on the lines of its widest window, each
+    target keeping the columns of its own, and the block keeps each
+    distinct Gauss piece once (_shared).
     """
     m, dtheta = mesh.m_theta, _TWO_PI / mesh.m_theta
     rho, theta = mesh.mesh_coords(pts)
@@ -521,62 +518,44 @@ def _blocks(mesh: DomainMesh, pts, rows_near, values):
     offsets = theta - centres * dtheta
     centres %= m
     scale = np.stack([span, r_y], axis=1)
-    order = np.argsort(-halves, kind="stable")
-    rules = _reference_rules(_ORDER)
-    per_target, start = _POINTS, 0
-    while start < order.size:
-        calls, n_gauss = [], 0
-        while start < order.size and n_gauss < _SHARED:
-            idx = order[start:start + max(1, 8 * _POINTS // per_target)]
-            n_half = halves[idx[0]]
-            idx = idx[halves[idx] == n_half] if n_half else order[start:]
-            start += idx.size
-            if not n_half:  # the rest, all without near field
-                calls.append((idx, np.zeros((idx.size, 2)),
-                              (_NO_PIECES, _NO_PIECES)))
-                continue
-            su, sv = span[idx], r_y[idx]
-            p, pieces = _cell_rule(
-                mesh.breakpoints * su[:, None],
-                np.arange(-n_half, n_half + 1) * (dtheta * sv)[:, None],
-                np.stack([rho[idx] * su, offsets[idx] * sv], axis=1))
-            per_target = max(1, int(sum(
-                np.bincount(pc.cell[:, 0], minlength=idx.size) * rule[2].size
-                for pc, rule in zip(pieces, rules)).max()))
-            n_gauss += pieces[0].cell.shape[0]
-            calls.append((idx, p, pieces))
-        idx = np.concatenate([call[0] for call in calls])
-        block = _Block(idx, centres[idx], halves[idx],
-                       np.concatenate([call[1] for call in calls]),
-                       scale[idx], ())
-        first = np.cumsum([0] + [call[0].size for call in calls])
-        gauss, duffy = [_Pieces(*(np.concatenate(a) for a in zip(*(
-            (pc[k].cell + [s, 0, 0], pc[k].origin, pc[k].size)
-            for (_, _, pc), s in zip(calls, first)))))
-            for k in range(2)]
-        calls = None
-        t, cell = duffy.cell[:, 0], duffy.cell[:, 2]
-        block = block._replace(near=(
-            _shared(mesh, block, gauss),
-            _Near(duffy, t, np.arange(t.size), cell - block.half[t])))
+    cells = 2 * (mesh.breakpoints.size - 1) * halves
+    ends, start = np.cumsum(cells), 0
+    while start < pts.shape[0]:
+        stop = max(start + 1, np.searchsorted(
+            ends, ends[start] - cells[start] + _SHARED, side="right"))
+        idx = np.arange(start, stop)
+        n_half = halves[idx].max()
+        su, sv = span[idx], r_y[idx]
+        # each target keeps the columns whose middle lies in its window
+        p, (gauss, duffy) = _cell_rule(
+            mesh.breakpoints * su[:, None],
+            np.arange(-n_half, n_half + 1) * (dtheta * sv)[:, None],
+            np.stack([rho[idx] * su, offsets[idx] * sv], axis=1),
+            np.abs(np.arange(-n_half, n_half) + 0.5) < halves[idx, None])
+        gauss.cell[:, 2] -= n_half
+        duffy.cell[:, 2] -= n_half
+        t = duffy.cell[:, 0]
+        near = (_shared(mesh, gauss, centres[idx], p, scale[idx]),
+                _Near(duffy, t, np.arange(t.size), duffy.cell[:, 2]))
         gauss = None  # only the distinct pieces stay while the block is used
-        yield block
+        yield _Block(idx, centres[idx], halves[idx], p, scale[idx], near)
+        start = stop
 
 
-def _shared(mesh: DomainMesh, block: _Block, pieces: _Pieces) -> _Near:
-    """The _Near of a block's Gauss pieces: pieces in the same cell, a
+def _shared(mesh: DomainMesh, pieces: _Pieces, centre, p, scale) -> _Near:
+    """The _Near of a block's Gauss pieces, for targets with the window
+    centres, moved positions and scales given: pieces in the same cell, a
     radial panel by an absolute column, with the same cell-local extents to
     2^-40 of a cell side are one piece, up to rounding."""
     t, panel, col = pieces.cell.T
-    col = col - block.half[t]
     b, dtheta = mesh.breakpoints, _TWO_PI / mesh.m_theta
     side = np.stack([b[panel + 1] - b[panel],
                      np.full(t.size, dtheta)], axis=1)
-    start = (pieces.origin + block.p[t]) / block.scale[t] - np.stack(
+    start = (pieces.origin + p[t]) / scale[t] - np.stack(
         [b[panel], col * dtheta], axis=1)
     key = np.column_stack([
-        panel * mesh.m_theta + (block.centre[t] + col) % mesh.m_theta,
-        np.rint(np.concatenate([start, pieces.size / block.scale[t]], axis=1)
+        panel * mesh.m_theta + (centre[t] + col) % mesh.m_theta,
+        np.rint(np.concatenate([start, pieces.size / scale[t]], axis=1)
                 / np.tile(side, 2) * 2.0 ** 40).astype(np.int64)])
     order = np.lexsort(key.T[::-1])
     key = key[order]
@@ -627,7 +606,6 @@ def _built(mesh: DomainMesh, block: _Block, pieces: _Pieces, rule, factors,
     """
     m, b = mesh.m_theta, mesh.breakpoints
     n, (t, panel, col) = pieces.cell.shape[0], pieces.cell.T
-    col = col - block.half[t]
     u, v, w = _points(pieces, rule, block.p)
     su, sv = (block.scale[t, k, None, None] for k in (0, 1))
     f_rho, dth = u / su, v / sv

@@ -146,6 +146,21 @@ def test_solve_rejects_too_few_angular_columns_with_status_2(tmp_path,
     assert err["error"]["category"] == "DiscretizationError"
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("solve", {"discretization": {"n_boundary": 0}}),
+    ("verify", {"discretization": {"n_boundary": 0}}),
+    ("conditioning", {"conditioning": {"mesh_n": 0}})],
+    ids=["solve-n-boundary-0", "verify-n-boundary-0", "conditioning-mesh-n-0"])
+def test_a_zero_resolution_exits_with_status_2(tmp_path, command, payload):
+    # the resolution is checked before the default mesh spacing 4 pi / N
+    path = _write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    status = cli.main([command, "--config", path, "--out", str(out)])
+    assert status == cli.EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["category"] == "DiscretizationError"
+
+
 @pytest.mark.parametrize("blob", [
     {"center": [1.0, 2.0, 3.0]}, {"center": [1.5, float("inf")]},
     {"amplitude": float("nan")}, {"sigma": 0.0}, {"sigma": float("nan")}],

@@ -223,7 +223,8 @@ def test_a_grid_with_flipped_normals_is_rejected_near_the_curve(circle64):
 def _rule_points(us, vs, target):
     """Points (u, v) and weights of the block builder's rule for one target
     on the cells with the lines us and vs."""
-    p, pieces = laplace._cell_rule(us[None], vs[None], [target])
+    p, pieces = laplace._cell_rule(us[None], vs[None], [target],
+                                   np.ones((1, vs.size - 1), dtype=bool))
     parts = [np.broadcast_arrays(*laplace._points(pc, rule, p)) for pc, rule
              in zip(pieces, laplace._reference_rules(laplace._ORDER))]
     return (np.concatenate([part[k] for part in parts], axis=None)
@@ -360,7 +361,7 @@ def _per_point_rows(mesh, targets, kernel, near):
             theta = mesh.theta[block.centre[own], None] + dth
             x, span, r = mesh.physical(rho, theta)
             w = w / (su * sv) * span * r
-            own_col = kind.pieces.cell[:, 2, None] - block.half[own, None]
+            own_col = kind.pieces.cell[:, 2, None]
             for t, p, col in zip(kind.target, kind.piece, kind.col):
                 if not near[block.idx[t]]:
                     continue
@@ -465,7 +466,7 @@ def blocks(monkeypatch):
     (("circle", {}), 6.0), (("star", {"alpha": 0.2, "k": 5}), 6.0)],
     ids=["circle", "star"])
 def test_a_block_of_targets_matches_one_target_at_a_time(curve, r_trunc,
-                                                         blocks):
+                                                         blocks, monkeypatch):
     mesh = domain_mesh(make_curve(curve[0], **curve[1]), r_trunc,
                        4 * np.pi / 32, m_theta=32)
     m, j = mesh.m_theta, 5
@@ -478,8 +479,19 @@ def test_a_block_of_targets_matches_one_target_at_a_time(curve, r_trunc,
         [[-2.9, 0.6], [1.9, -2.2]]])   # rows skip the near field, values not
     near = np.ones(len(targets), dtype=bool)
     near[-2:] = False
+    cuts, cut = [], laplace._cell_rule
+
+    def counted(*args):
+        cuts.append(len(args[2]))
+        return cut(*args)
+
+    monkeypatch.setattr(laplace, "_cell_rule", counted)
     rows, values = laplace.domain_rows(mesh, targets, _factors,
                                        near_targets=near)
+    # one cut for all, whatever their windows' half-widths (on the circle 8
+    # columns at the boundary nodes, 6 at the mesh nodes, none at the far
+    # target)
+    assert cuts == [len(targets)]
     assert max(n_targets for n_targets, _, _ in blocks) > 1
     for i, y in enumerate(targets):
         row, value = laplace.domain_rows(mesh, y[None], _factors,
@@ -520,7 +532,7 @@ def test_each_node_factor_is_evaluated_once_per_pass(ring_mesh, blocks,
                                                      monkeypatch):
     # the factors run once at the mesh nodes, for the far parts of all
     # targets, and once at each distinct piece of a block
-    monkeypatch.setattr(laplace, "_SHARED", 4000)  # several blocks
+    monkeypatch.setattr(laplace, "_SHARED", 1000)  # several blocks
     points = []
 
     def counted(x):
@@ -535,6 +547,13 @@ def test_each_node_factor_is_evaluated_once_per_pass(ring_mesh, blocks,
     assert len(blocks) > 1
     assert sum(points) == ring_mesh.n_nodes + sum(f for _, _, f in blocks)
     assert sum(points) < ring_mesh.n_nodes + sum(p for _, p, _ in blocks)
+
+
+def test_no_targets_give_empty_rows_and_values(ring_mesh):
+    columns = np.arange(0, ring_mesh.n_nodes, 3)
+    rows, values = laplace.domain_rows(ring_mesh, np.zeros((0, 2)), _factors,
+                                       columns=columns)
+    assert rows.shape == (0, columns.size) and values.shape == (0,)
 
 
 def test_a_non_finite_volume_target_is_rejected(ring_mesh):

@@ -330,6 +330,10 @@ def test_evaluation_just_outside_the_support_has_the_far_rule_accuracy(
         assert err.max() <= 5e-5
 
 
+def test_evaluation_at_no_targets_is_empty(bump_solution):
+    assert bump_solution[2].evaluate(np.zeros((0, 2))).shape == (0,)
+
+
 def test_each_target_builds_its_near_field_once(monkeypatch):
     case = manufactured_case("bump-dipole")
     grid = boundary_grid(case.curve, 8)
