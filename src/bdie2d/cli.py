@@ -19,6 +19,14 @@ import os
 import sys
 import time
 
+import yaml
+
+from .errors import (CoefficientError, CompatibilityError, ConfigError,
+                     DiscretizationError, GeometryError, SolverSingularError,
+                     UnknownCatalogError)
+
+# numpy loads in the commands: main sets BLAS threads from --threads first
+
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
@@ -31,7 +39,6 @@ EXIT_SINGULAR = 4
 
 def default_config():
     """Defaults parsed from the schema file shipped with the package."""
-    import yaml
     from importlib import resources
 
     text = resources.files("bdie2d").joinpath("config_schema.yaml").read_text()
@@ -39,8 +46,6 @@ def default_config():
 
 
 def _merge(defaults, override, path=""):
-    from .errors import ConfigError
-
     if not isinstance(override, dict):
         raise ConfigError(f"config section {path or '<root>'} must be a mapping")
     merged = dict(defaults)
@@ -56,10 +61,6 @@ def _merge(defaults, override, path=""):
 
 def load_config(path):
     """Resolve the user config file (or None) against the defaults."""
-    import yaml
-
-    from .errors import ConfigError
-
     defaults = default_config()
     if path is None:
         return defaults
@@ -79,8 +80,6 @@ def _value(cfg, key, convert, default=None):
     """The config value at the dotted ``key`` through ``convert``, or
     ``default`` for a null value when one is given; a value that does not
     convert raises ConfigError naming the key."""
-    from .errors import ConfigError
-
     value = functools.reduce(lambda d, k: d[k], key.split("."), cfg)
     try:
         return default if value is None and default is not None \
@@ -153,16 +152,9 @@ def write_csv(out_dir, name, columns, rows):
 # ---------------------------------------------------------------------------
 # problem construction from config
 
-def _case_from_config(cfg):
-    from . import verification
-
-    return verification.manufactured_case(cfg["case"])
-
-
 def _problem_from_config(cfg, case):
     import numpy as np
 
-    from .errors import ConfigError, UnknownCatalogError
     from .system import DirichletProblem
 
     section = cfg["source_override"]
@@ -212,22 +204,19 @@ def cmd_solve(cfg, out_dir):
 
     from .coefficient import check_conditions
 
-    case = _case_from_config(cfg)
+    case = verification.manufactured_case(cfg["case"])
     problem, overridden = _problem_from_config(cfg, case)
     grid, mesh = _discretize(cfg, case)
     conditions = check_conditions(problem.field, mesh)
     if not conditions.passed:
-        write_json(out_dir, "solve.json", {
-            "command": "solve",
-            "config": cfg,
+        print("error[ConditionCheckFailure]: coefficient conditions not met",
+              file=sys.stderr)
+        return EXIT_COMPAT, {
             "condition_check": conditions.as_dict(),
             "error": {"category": "ConditionCheckFailure",
                       "message": "coefficient growth/decay conditions "
                                  "not met on the sampled mesh"},
-        })
-        print("error[ConditionCheckFailure]: coefficient conditions not met",
-              file=sys.stderr)
-        return EXIT_COMPAT
+        }
     timings = {}
     t0 = time.perf_counter()
     sysm = bdsys.assemble_system(
@@ -250,20 +239,14 @@ def cmd_solve(cfg, out_dir):
     write_csv(out_dir, "psi.csv", ["t", "psi"],
               [{"t": float(t), "psi": float(p)}
                for t, p in zip(grid.t, sol.psi)])
-    write_json(out_dir, "solve.json", {
-        "command": "solve",
-        "config": cfg,
-        "condition_check": conditions.as_dict(),
-        "timings": timings,
-        "results": results,
-    })
-    return EXIT_OK
+    return EXIT_OK, {"condition_check": conditions.as_dict(),
+                     "timings": timings, "results": results}
 
 
 def cmd_verify(cfg, out_dir):
     from . import parametrix, verification
 
-    case = _case_from_config(cfg)
+    case = verification.manufactured_case(cfg["case"])
     grid, mesh = _discretize(cfg, case)
     timings = {}
     t0 = time.perf_counter()
@@ -298,7 +281,7 @@ def cmd_verify(cfg, out_dir):
     t0 = time.perf_counter()
     rows = parametrix.remainder_rows(mesh, case.field, mesh.points)
     report["remainder_norm"] = verification.remainder_norm(
-        case.field, mesh, rows=rows, seed=seed)
+        mesh, rows=rows, seed=seed)
     if not case.field.is_constant:
         report["remainder_split"] = verification.split_decay_study(
             case.field, mesh, _value(cfg, "study.radii", _each(float)),
@@ -315,20 +298,14 @@ def cmd_verify(cfg, out_dir):
             for a, b in zip(report["remainder_split"],
                             report["remainder_split"][1:])),
     }
-    write_json(out_dir, "verify.json", {
-        "command": "verify",
-        "config": cfg,
-        "timings": timings,
-        "results": report,
-    })
-    ok = all(report["verdicts"].values())
-    return EXIT_OK if ok else EXIT_FAIL
+    status = EXIT_OK if all(report["verdicts"].values()) else EXIT_FAIL
+    return status, {"timings": timings, "results": report}
 
 
 def cmd_convergence(cfg, out_dir):
     from . import verification
 
-    case = _case_from_config(cfg)
+    case = verification.manufactured_case(cfg["case"])
     n_values = _value(cfg, "study.n_values", _each(_integer))
     t0 = time.perf_counter()
     rows = verification.convergence_study(case, n_values)
@@ -336,14 +313,9 @@ def cmd_convergence(cfg, out_dir):
     write_csv(out_dir, "convergence.csv",
               ["N", "h", "err_u", "err_psi", "order"], rows)
     orders = [r["order"] for r in rows[1:]]
-    write_json(out_dir, "convergence.json", {
-        "command": "convergence",
-        "config": cfg,
-        "timings": {"study_s": elapsed},
-        "results": {"rows": rows,
-                    "min_order": min(orders) if orders else None},
-    })
-    return EXIT_OK
+    return EXIT_OK, {"timings": {"study_s": elapsed},
+                     "results": {"rows": rows,
+                                 "min_order": min(orders) if orders else None}}
 
 
 def cmd_conditioning(cfg, out_dir):
@@ -380,17 +352,11 @@ def cmd_conditioning(cfg, out_dir):
               ["N", "cond_M", "sigma_min_V"], rows)
     sig = [r["sigma_min_V"] for r in rows]
     ratios = [r["cond_ratio"] for r in rows[1:]]
-    write_json(out_dir, "conditioning.json", {
-        "command": "conditioning",
-        "config": cfg,
-        "timings": {"study_s": elapsed},
-        "results": {
-            "rows": rows,
-            "max_cond_ratio": max(ratios) if ratios else None,
-            "sigma_min_spread": (max(sig) - min(sig)) / max(sig),
-        },
-    })
-    return EXIT_OK
+    return EXIT_OK, {"timings": {"study_s": elapsed}, "results": {
+        "rows": rows,
+        "max_cond_ratio": max(ratios) if ratios else None,
+        "sigma_min_spread": (max(sig) - min(sig)) / max(sig),
+    }}
 
 
 def _selftest_checks(flip_normals):
@@ -460,7 +426,7 @@ def _selftest_checks(flip_normals):
     return checks
 
 
-def cmd_selftest(cfg, out_dir, flip_normals=False):
+def cmd_selftest(flip_normals):
     checks = _selftest_checks(flip_normals)
     lines = []
     all_ok = True
@@ -470,15 +436,12 @@ def cmd_selftest(cfg, out_dir, flip_normals=False):
         lines.append(f"{'PASS' if ok else 'FAIL'} {name:40s} "
                      f"{value:.3e} (tol {tol:.1e})")
     print("\n".join(lines))
-    write_json(out_dir, "selftest.json", {
-        "command": "selftest",
-        "config": cfg,
+    return EXIT_OK if all_ok else EXIT_FAIL, {
         "flip_normals": flip_normals,
         "checks": [{"name": n, "value": v, "tolerance": t, "passed": v <= t}
                    for n, v, t in checks],
         "passed": all_ok,
-    })
-    return EXIT_OK if all_ok else EXIT_FAIL
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +486,8 @@ _COMMANDS = {
 
 
 def run(args):
-    """Execute a parsed command; returns the exit status."""
-    from .errors import (CoefficientError, CompatibilityError, ConfigError,
-                         DiscretizationError, GeometryError,
-                         SolverSingularError, UnknownCatalogError)
-
+    """Execute a parsed command and write its report, ``<command>.json``,
+    with the resolved config; returns the exit status."""
     out_dir = args.out if args.out is not None else "bdie2d-out"
     try:
         cfg = load_config(args.config)
@@ -537,10 +497,12 @@ def run(args):
             cfg["output"]["directory"] = args.out
         out_dir = cfg["output"]["directory"]
         if args.command == "selftest":
-            return cmd_selftest(cfg, out_dir,
-                                flip_normals=getattr(args, "flip_normals",
-                                                     False))
-        return _COMMANDS[args.command](cfg, out_dir)
+            status, report = cmd_selftest(args.flip_normals)
+        else:
+            status, report = _COMMANDS[args.command](cfg, out_dir)
+        write_json(out_dir, f"{args.command}.json",
+                   {"command": args.command, "config": cfg, **report})
+        return status
     except (ConfigError, UnknownCatalogError, GeometryError,
             DiscretizationError, CoefficientError) as exc:
         return _fail(out_dir, EXIT_CONFIG, exc)

@@ -11,7 +11,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -174,16 +174,7 @@ class ConditionReport:
         return self.bounds_ok and self.gradient_ok and self.laplacian_ok and self.decay_ok
 
     def as_dict(self):
-        return {
-            "sup_weighted_gradient": self.sup_weighted_gradient,
-            "sup_weighted_laplacian": self.sup_weighted_laplacian,
-            "outer_ring_weighted_gradient": self.outer_ring_weighted_gradient,
-            "bounds_ok": self.bounds_ok,
-            "gradient_ok": self.gradient_ok,
-            "laplacian_ok": self.laplacian_ok,
-            "decay_ok": self.decay_ok,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def check_conditions(field: CoefficientField, mesh: DomainMesh) -> ConditionReport:

@@ -123,19 +123,6 @@ _ROWS = 64
 
 
 # ---------------------------------------------------------------------------
-# periodic spectral helpers
-
-def fourier_diff_matrix(n: int) -> np.ndarray:
-    """Spectral differentiation matrix for even n on equispaced [0, 2 pi)."""
-    j = np.arange(n)
-    diff = j[:, None] - j[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mat = 0.5 * (-1.0) ** diff / np.tan(np.pi * diff / n)
-    np.fill_diagonal(mat, 0.0)
-    return mat
-
-
-# ---------------------------------------------------------------------------
 # boundary operators (direct values)
 
 def _row_blocks(n: int):
@@ -226,10 +213,12 @@ def double_layer_matrix(grid: BoundaryGrid) -> np.ndarray:
 
 
 def hypersingular_matrix(grid: BoundaryGrid) -> np.ndarray:
-    """Hypersingular operator via the Maue identity L = -d/ds V d/ds."""
-    d_t = fourier_diff_matrix(grid.n)
-    d_s = d_t / grid.speeds[:, None]
-    return -d_s @ single_layer_matrix(grid) @ d_s
+    """Hypersingular operator via the Maue identity L = -d/ds V d/ds, with
+    d/ds = diag(1 / s) D for the speeds s and D the spectral t-derivative
+    (_times_derivative): -D A = (A^T D)^T for A = V diag(1 / s) D."""
+    s = grid.speeds
+    v_d = _times_derivative(single_layer_matrix(grid) / s, 1).real
+    return _times_derivative(v_d.T, 1).real.T / s[:, None]
 
 
 # ---------------------------------------------------------------------------

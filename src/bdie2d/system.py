@@ -51,7 +51,7 @@ class DirichletProblem:
             return np.zeros(np.atleast_2d(points).shape[0])
         return self.source(points)
 
-    def check_compatibility(self, mesh: DomainMesh, tol=1e-6):
+    def check_compatibility(self, mesh: DomainMesh, tol):
         """Discrete zero-mean requirement on a finite f; returns the integral."""
         f = self.source_values(mesh.points)
         if not np.isfinite(f).all():
@@ -117,23 +117,16 @@ class BdieSolution:
         if np.any(sys_.mesh.mesh_coords(targets)[0] <= 0.0):
             raise GeometryError(
                 "evaluation target lies on or inside the curve")
-        r_rows, v_rows, f0 = _representation(sys_.problem, sys_.grid,
-                                             sys_.mesh, targets, sys_.dom_idx)
+        problem = sys_.problem
+        # layer terms first: their side test rejects on-curve targets before
+        # any volume rule is built
+        v_rows, w_rows = parametrix.layer_rows_offboundary(
+            sys_.grid, problem.field, targets)
+        r_rows, pf = parametrix.volume_terms(
+            sys_.mesh, problem.field, targets, sys_.dom_idx,
+            rho_fn=problem.source)
+        f0 = pf - w_rows @ problem.dirichlet(sys_.grid.t)
         return f0 - r_rows @ self.u_dom + v_rows @ self.psi
-
-
-def _representation(problem: DirichletProblem, grid: BoundaryGrid,
-                    mesh: DomainMesh, targets, dom_idx):
-    """The terms of u(y) = F0(y) - (R u)(y) + (V psi)(y) at off-boundary
-    targets: remainder rows on the dom_idx nodes, single-layer rows, and
-    F0 = (volume potential of f) - (double layer of phi0)."""
-    field = problem.field
-    # layer terms first: their side test rejects on-curve targets before
-    # any volume rule is built
-    v_rows, w_rows = parametrix.layer_rows_offboundary(grid, field, targets)
-    r_rows, pf = parametrix.volume_terms(mesh, field, targets, dom_idx,
-                                         rho_fn=problem.source)
-    return r_rows, v_rows, pf - w_rows @ problem.dirichlet(grid.t)
 
 
 def _domain_indices(mesh: DomainMesh, field: CoefficientField,
@@ -161,26 +154,27 @@ def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
     n_tot = nd + nb + 1
     mat = np.zeros((n_tot, n_tot))
     rhs = np.zeros(n_tot)
+    phi = problem.dirichlet(grid.t)
 
-    if nd:
-        r_dd, v_db, f0_dom = _representation(problem, grid, mesh,
-                                             mesh.points[dom_idx], dom_idx)
-        mat[:nd, :nd] = r_dd
-        mat[range(nd), range(nd)] += 1.0
-        np.negative(v_db, out=mat[:nd, nd:nd + nb])
-        rhs[:nd] = f0_dom
-    # the boundary block: the same volume pass at the boundary nodes, and
-    # gamma+ F0 through the double-layer jump relation
-    r_bd, pf = parametrix.volume_terms(mesh, field, grid.points, dom_idx,
-                                       rho_fn=problem.source)
-    mat[nd:nd + nb, :nd] = r_bd
+    # one volume pass: R and the volume part of F0 at the domain nodes, then
+    # at the boundary nodes
+    r_rows, pf = parametrix.volume_terms(
+        mesh, field, np.concatenate([mesh.points[dom_idx], grid.points]),
+        dom_idx, rho_fn=problem.source)
+    v_db, w_db = parametrix.layer_rows_offboundary(grid, field,
+                                                   mesh.points[dom_idx])
+    mat[:nd, :nd] = r_rows[:nd]
+    mat[range(nd), range(nd)] += 1.0
+    np.negative(v_db, out=mat[:nd, nd:nd + nb])
+    rhs[:nd] = pf[:nd] - w_db @ phi
+    # the boundary block: gamma+ F0 through the double-layer jump relation
+    mat[nd:nd + nb, :nd] = r_rows[nd:]
     np.negative(parametrix.single_layer_boundary(grid, field),
                 out=mat[nd:nd + nb, nd:nd + nb])
     mat[nd:nd + nb, nd + nb] = 1.0
     mat[nd + nb, nd:nd + nb] = grid.weights
-    phi = problem.dirichlet(grid.t)
     w_direct = parametrix.double_layer_boundary(grid, field) @ phi
-    rhs[nd:nd + nb] = pf - (-0.5 * phi + w_direct) - phi
+    rhs[nd:nd + nb] = pf[nd:] - (-0.5 * phi + w_direct) - phi
     return BdieSystem(problem=problem, grid=grid, mesh=mesh, dom_idx=dom_idx,
                       matrix=mat, rhs=rhs)
 

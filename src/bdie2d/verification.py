@@ -62,23 +62,10 @@ class ManufacturedCase:
         r = rng.uniform(1.5, 4.0, 20)
         th = rng.uniform(0.0, _TWO_PI, 20)
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        h = 5e-4
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        u0 = self.exact_u(pts)
-        lap_u = (self.exact_u(pts + e1) + self.exact_u(pts - e1)
-                 + self.exact_u(pts + e2) + self.exact_u(pts - e2)
-                 - 4.0 * u0) / h ** 2
-        grad_u = np.stack(
-            [(self.exact_u(pts + e1) - self.exact_u(pts - e1)) / (2 * h),
-             (self.exact_u(pts + e2) - self.exact_u(pts - e2)) / (2 * h)],
-            axis=1)
-        a, ga, _ = self.field.eval(pts)
-        au_fd = a * lap_u + np.sum(ga * grad_u, axis=1)
         source_values = self.problem().source_values
-        f = source_values(pts)
-        scale = max(float(np.abs(f).max()), 1.0)
-        fd_err = float(np.abs(au_fd - f).max()) / scale
+        res = _pde_residual(self.exact_u, self.field, source_values, pts, 5e-4)
+        scale = max(float(np.abs(source_values(pts)).max()), 1.0)
+        fd_err = float(np.abs(res).max()) / scale
         if fd_err > 1e-6:
             raise VerificationError(
                 f"closed-form source disagrees with finite differences "
@@ -96,6 +83,19 @@ class ManufacturedCase:
                 f"mean-zero check failed: <f,1> = {f_mean:.2e}, "
                 f"<psi,1> = {psi_mean:.2e}")
         return {"fd_residual": fd_err, "f_mean": f_mean, "psi_mean": psi_mean}
+
+
+def _pde_residual(u, field, source_values, pts, h):
+    """div(a grad u) - f at the points pts, from five-point differences of
+    step h of the field u, which is called once, on the stacked stencil."""
+    e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
+    vals = u(np.concatenate([pts, pts + e1, pts - e1, pts + e2, pts - e2]))
+    vals = vals.reshape(5, pts.shape[0])
+    lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4 * vals[0]) / h ** 2
+    gx = (vals[1] - vals[2]) / (2 * h)
+    gy = (vals[3] - vals[4]) / (2 * h)
+    a, ga, _ = field.eval(pts)
+    return a * lap + ga[:, 0] * gx + ga[:, 1] * gy - source_values(pts)
 
 
 def _dipole_u(pts):
@@ -332,19 +332,10 @@ def equivalence_check(case: ManufacturedCase, solution):
         ue = case.exact_u(probes)
         err_u = float(np.abs(solution.evaluate(probes) - ue).max()
                       / max(np.abs(ue).max(), 1e-300))
-    h_fd = 0.5 * mesh.h
     checks = default_probes(_N_EQUIV_CHECK, r_min=1.5, r_max=3.0, seed=11)
-    e1 = np.array([h_fd, 0.0])
-    e2 = np.array([0.0, h_fd])
-    stack = np.concatenate([checks, checks + e1, checks - e1,
-                            checks + e2, checks - e2])
-    vals = solution.evaluate(stack).reshape(5, _N_EQUIV_CHECK)
-    lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4 * vals[0]) / h_fd ** 2
-    gx = (vals[1] - vals[2]) / (2 * h_fd)
-    gy = (vals[3] - vals[4]) / (2 * h_fd)
-    a, ga, _ = case.field.eval(checks)
-    pde_res = (a * lap + ga[:, 0] * gx + ga[:, 1] * gy
-               - case.problem().source_values(checks))
+    pde_res = _pde_residual(solution.evaluate, case.field,
+                            case.problem().source_values, checks,
+                            0.5 * mesh.h)
     return {
         "err_psi": err_psi,
         "err_u": err_u,
@@ -414,31 +405,27 @@ def gaussian_tail_factor(field: CoefficientField, r):
     return best
 
 
-def remainder_norm(field: CoefficientField, mesh, *, rows=None, seed=0):
+def remainder_norm(mesh, *, rows, seed):
     """Weighted-norm estimate of the discrete remainder operator on the
-    full mesh (identically zero for a constant coefficient)."""
-    if rows is None:
-        rows = parametrix.remainder_rows(mesh, field, mesh.points)
+    full mesh, from its ``rows`` at every mesh node (remainder_rows)."""
     return _weighted_operator_norm(rows, mesh, np.arange(mesh.n_nodes),
                                    seed=seed)
 
 
-def split_decay_study(field: CoefficientField, mesh, radii, *, seed=0,
-                      rows=None):
-    """Estimate the tail-part operator norm of the remainder for growing
-    split radii and compare against the weighted coefficient-tail factor."""
+def split_decay_study(field: CoefficientField, mesh, radii, *, seed, rows):
+    """Estimate the tail-part operator norm of the remainder, from its
+    ``rows`` at every mesh node (remainder_rows), for growing split radii
+    and compare against the weighted coefficient-tail factor."""
     radii = list(radii)
     if any(b >= c for b, c in zip(radii, radii[1:])):
         raise VerificationError("split radii must be strictly increasing")
     idx = np.arange(mesh.n_nodes)
-    rows_full = rows if rows is not None \
-        else parametrix.remainder_rows(mesh, field, mesh.points)
     out = []
     for r in radii:
-        core, tail, _ = parametrix.remainder_split(mesh, rows_full, r)
+        core, tail, _ = parametrix.remainder_split(mesh, rows, r)
         norm_s = _weighted_operator_norm(tail, mesh, idx, seed=seed)
         factor = gaussian_tail_factor(field, r)
-        add_err = float(np.abs(core + tail - rows_full).max())
+        add_err = float(np.abs(core + tail - rows).max())
         out.append({"r": r, "norm_tail": norm_s, "factor": factor,
                     "additivity_error": add_err})
     finite = [row for row in out if row["factor"] > 0]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bdie2d import verification as vf
+from bdie2d import parametrix, verification as vf
 from bdie2d.coefficient import make_coefficient
 from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
 from bdie2d.system import DirichletProblem, assemble_system, solve
@@ -177,7 +177,9 @@ def test_criterion_08_mean_zero_machinery(tmp_path, bump_convergence):
 def test_criterion_09_remainder_split_decay():
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
     mesh = domain_mesh(make_curve("circle"), 6.0, 4 * np.pi / 64, m_theta=64)
-    rows = vf.split_decay_study(field, mesh, [2.0, 3.0, 4.0])
+    rows = vf.split_decay_study(
+        field, mesh, [2.0, 3.0, 4.0], seed=0,
+        rows=parametrix.remainder_rows(mesh, field, mesh.points))
     norms = [r["norm_tail"] for r in rows]
     ok = norms[0] > norms[1] > norms[2] \
         and all(r["bound_ok"] for r in rows) \

@@ -76,6 +76,46 @@ def test_solve_command_writes_reports(tmp_path):
     assert header == ["t", "psi"]
 
 
+def _resolved(path, out):
+    """The config that a run with ``--config path --out out`` resolves."""
+    cfg = cli.load_config(path)
+    cfg["output"]["directory"] = str(out)
+    return cfg
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("solve", {"discretization": {"n_boundary": 16}}),
+    ("verify", {"discretization": {"n_boundary": 32}}),
+    ("convergence", {"study": {"n_values": [16]}}),
+    ("conditioning", {"conditioning": {"n_values": [16], "mesh_n": 16}}),
+    ("selftest", {})])
+def test_each_command_writes_its_report_with_the_resolved_config(
+        tmp_path, command, payload):
+    path = _write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / f"{command}.json").read_text())
+    assert report["command"] == command
+    assert report["config"] == _resolved(path, out)
+
+
+def test_a_failed_condition_check_writes_the_solve_report_with_status_3(
+        tmp_path, capsys):
+    # on the outer ring at radius 3, w |grad a| exceeds the decay tolerance
+    path = _write_cfg(tmp_path, {"case": "bump-dipole", "discretization": {
+        "n_boundary": 32, "r_trunc": 3.0}})
+    out = tmp_path / "out"
+    status = cli.main(["solve", "--config", path, "--out", str(out)])
+    assert status == cli.EXIT_COMPAT == 3
+    report = json.loads((out / "solve.json").read_text())
+    assert report["command"] == "solve"
+    assert report["config"] == _resolved(path, out)
+    assert report["condition_check"]["passed"] is False
+    assert report["error"]["category"] == "ConditionCheckFailure"
+    assert not (out / "psi.csv").exists()
+    assert "error[ConditionCheckFailure]" in capsys.readouterr().err
+
+
 def test_solve_rejects_nonzero_mean_source_with_status_3(tmp_path):
     path = _write_cfg(tmp_path, {
         "discretization": {"n_boundary": 32},

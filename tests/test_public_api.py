@@ -1,5 +1,5 @@
-"""Every public function and method of the library has a caller, and
-every private definition a reader.
+"""Every public function and method of the library has a caller, every
+private definition a reader, and every default a setter and a user.
 
 A public module-level function or method of ``src/bdie2d`` must be named
 somewhere in ``src/bdie2d/*.py`` or ``perfbench/*.py`` outside its own
@@ -175,10 +175,11 @@ def _defaulted_parameters(tree):
                 yield callee, arg.arg, None
 
 
-def _passed_parameters(trees):
-    """{callee name: (positional count, keyword names)} over every call,
-    where a ``*`` or ``**`` argument passes every position or keyword."""
-    passed = {}
+def _calls(trees):
+    """{callee name: [(positional count, keyword names)]} of every call,
+    where a ``*`` argument passes every position and a ``**`` argument
+    (keyword None) every keyword."""
+    calls = {}
     for tree in trees:
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
@@ -187,26 +188,55 @@ def _passed_parameters(trees):
             name = (func.id if isinstance(func, ast.Name)
                     else func.attr if isinstance(func, ast.Attribute)
                     else None)
-            count, keywords = passed.get(name, (0, set()))
-            if any(isinstance(a, ast.Starred) for a in call.args):
-                count = float("inf")
-            count = max(count, len(call.args))
-            keywords |= {k.arg for k in call.keywords}
-            passed[name] = (count, keywords)
-    return passed
+            count = (float("inf")
+                     if any(isinstance(a, ast.Starred) for a in call.args)
+                     else len(call.args))
+            calls.setdefault(name, []).append(
+                (count, {k.arg for k in call.keywords}))
+    return calls
 
 
-def test_every_defaulted_parameter_has_a_setter():
-    passed = _passed_parameters(ast.parse(path.read_text())
-                                for path in CALLERS)
-    unset = []
+def _passes(call, param, index):
+    """Whether a call, as listed by _calls, passes the parameter."""
+    count, keywords = call
+    return (param in keywords or None in keywords
+            or (index is not None and index < count))
+
+
+def _defaulted_calls():
+    """(module.callee(param=), callee, param, positional index or None,
+    calls of the callee in src/bdie2d and perfbench) of every defaulted
+    parameter of the library."""
+    calls = _calls(ast.parse(path.read_text()) for path in CALLERS)
     for path in LIBRARY:
         for callee, param, index in _defaulted_parameters(
                 ast.parse(path.read_text())):
-            count, keywords = passed.get(callee, (0, set()))
-            if (callee, param) in _SETTER_EXEMPT or param in keywords \
-                    or None in keywords \
-                    or (index is not None and index < count):
-                continue
-            unset.append(f"{path.stem}.{callee}({param}=)")
+            yield (f"{path.stem}.{callee}({param}=)", callee, param, index,
+                   calls.get(callee, []))
+
+
+def test_every_defaulted_parameter_has_a_setter():
+    unset = [label for label, callee, param, index, calls in _defaulted_calls()
+             if (callee, param) not in _SETTER_EXEMPT
+             and not any(_passes(call, param, index) for call in calls)]
     assert not unset, "defaulted parameters nothing sets: " + ", ".join(unset)
+
+
+# Defaulted parameters kept on purpose although every library and benchmark
+# call passes them.
+_USER_EXEMPT = {
+    # a coefficient built outside the catalogue declares no support
+    ("CoefficientField", "support_radius"),
+    # a curve built outside the catalogue need not be star-shaped
+    ("CurveParametrization", "radial_profile"),
+}
+
+
+def test_every_default_has_a_user():
+    # the mirror of the setter check: a default that every call overrides
+    # is a value no call relies on
+    unused = [label for label, callee, param, index, calls
+              in _defaulted_calls()
+              if (callee, param) not in _USER_EXEMPT
+              and all(_passes(call, param, index) for call in calls)]
+    assert not unused, "defaults no call relies on: " + ", ".join(unused)

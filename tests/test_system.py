@@ -160,7 +160,7 @@ def test_declared_zero_source_matches_a_zero_function(laplace_case):
     declared = DirichletProblem(case.curve, case.field, None, case.dirichlet)
     zero_fn = DirichletProblem(case.curve, case.field,
                                lambda p: np.zeros(len(p)), case.dirichlet)
-    assert declared.check_compatibility(mesh) == 0.0
+    assert declared.check_compatibility(mesh, tol=1e-6) == 0.0
     assert np.array_equal(declared.source_values(mesh.points),
                           zero_fn.source_values(mesh.points))
     sys_none = assemble_system(declared, grid, mesh)
@@ -211,7 +211,7 @@ def test_a_non_finite_source_is_rejected(laplace_case):
                                case.dirichlet)
     mesh = domain_mesh(case.curve, 3.0, 4 * np.pi / 32, m_theta=32)
     with pytest.raises(CompatibilityError, match="not finite"):
-        problem.check_compatibility(mesh)
+        problem.check_compatibility(mesh, tol=1e-6)
 
 
 def test_curve_mismatch_rejected(laplace_case):

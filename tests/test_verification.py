@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bdie2d import verification as vf
+from bdie2d import parametrix, verification as vf
 from bdie2d.coefficient import make_coefficient, weight
 from bdie2d.errors import UnknownCatalogError, VerificationError
 from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
@@ -127,7 +127,10 @@ def small_bump_mesh():
 
 def test_split_decay_study_monotone(small_bump_mesh):
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
-    rows = vf.split_decay_study(field, small_bump_mesh, [2.0, 3.0, 4.0])
+    rows = vf.split_decay_study(
+        field, small_bump_mesh, [2.0, 3.0, 4.0], seed=0,
+        rows=parametrix.remainder_rows(small_bump_mesh, field,
+                                       small_bump_mesh.points))
     norms = [r["norm_tail"] for r in rows]
     factors = [r["factor"] for r in rows]
     assert norms[0] > norms[1] > norms[2]
@@ -139,12 +142,17 @@ def test_split_decay_study_monotone(small_bump_mesh):
 def test_split_decay_requires_increasing_radii(small_bump_mesh):
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
     with pytest.raises(VerificationError):
-        vf.split_decay_study(field, small_bump_mesh, [3.0, 2.0])
+        vf.split_decay_study(
+            field, small_bump_mesh, [3.0, 2.0], seed=0,
+            rows=parametrix.remainder_rows(small_bump_mesh, field,
+                                           small_bump_mesh.points))
 
 
 def test_remainder_norm_vanishes_for_constant(small_bump_mesh):
     field = make_coefficient("constant", value=1.0)
-    assert vf.remainder_norm(field, small_bump_mesh) == 0.0
+    rows = parametrix.remainder_rows(small_bump_mesh, field,
+                                     small_bump_mesh.points)
+    assert vf.remainder_norm(small_bump_mesh, rows=rows, seed=0) == 0.0
 
 
 def test_gaussian_tail_factor_matches_radial_scan():
