@@ -85,7 +85,7 @@ def _value(cfg, key, convert, default=None):
         return default if value is None and default is not None \
             else convert(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key}: {value!r} does not convert "
+        raise ConfigError(f"config key {key}: {value!r} is invalid "
                           f"({exc})") from None
 
 
@@ -98,6 +98,16 @@ def _integer(value):
 
 def _each(convert):
     return lambda values: [convert(v) for v in values]
+
+
+def _checked(convert, ok, why):
+    """``convert``, then reject a value for which ``ok`` is false."""
+    def checked(value):
+        value = convert(value)
+        if not ok(value):
+            raise ValueError(why)
+        return value
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +257,19 @@ def cmd_verify(cfg, out_dir):
     from . import parametrix, verification
 
     case = verification.manufactured_case(cfg["case"])
+    seed = _value(cfg, "seed", _checked(_integer, lambda s: s >= 0,
+                                        "negative"))
+    n_probes = _value(cfg, "study.n_probes",
+                      _checked(_integer, lambda n: n >= 1, "below 1"))
+    radii = _value(cfg, "study.radii", _checked(
+        _each(float), lambda r: all(b < c for b, c in zip(r, r[1:])),
+        "not strictly increasing"))
     grid, mesh = _discretize(cfg, case)
     timings = {}
     t0 = time.perf_counter()
     report = {"case": case.name, "consistency": case.validate()}
 
-    seed = _value(cfg, "seed", _integer)
-    probes = verification.default_probes(
-        _value(cfg, "study.n_probes", _integer), seed=seed)
+    probes = verification.default_probes(n_probes, seed=seed)
     green = verification.green_identity_residuals(case, probes, grid, mesh)
     report["green_identity"] = {
         "max_interior_residual": green["max_interior_residual"],
@@ -266,15 +281,8 @@ def cmd_verify(cfg, out_dir):
     timings["green_identities_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    import numpy as np
-
-    densities = {
-        "one": lambda t: np.ones_like(t),
-        "cos": np.cos,
-        "sin2": lambda t: np.sin(2.0 * t),
-    }
     jumps = {name: verification.jump_relation_check(grid, case.field, fn)
-             for name, fn in densities.items()}
+             for name, fn in verification.JUMP_DENSITIES.items()}
     report["jump_relations"] = jumps
     timings["jump_relations_s"] = time.perf_counter() - t0
 
@@ -284,8 +292,7 @@ def cmd_verify(cfg, out_dir):
         mesh, rows=rows, seed=seed)
     if not case.field.is_constant:
         report["remainder_split"] = verification.split_decay_study(
-            case.field, mesh, _value(cfg, "study.radii", _each(float)),
-            seed=seed, rows=rows)
+            case.field, mesh, radii, seed=seed, rows=rows)
     timings["remainder_s"] = time.perf_counter() - t0
 
     max_jump = max(max(j.values()) for j in jumps.values())
@@ -306,7 +313,8 @@ def cmd_convergence(cfg, out_dir):
     from . import verification
 
     case = verification.manufactured_case(cfg["case"])
-    n_values = _value(cfg, "study.n_values", _each(_integer))
+    n_values = _value(cfg, "study.n_values",
+                      _checked(_each(_integer), len, "empty"))
     t0 = time.perf_counter()
     rows = verification.convergence_study(case, n_values)
     elapsed = time.perf_counter() - t0
@@ -346,7 +354,8 @@ def cmd_conditioning(cfg, out_dir):
 
     t0 = time.perf_counter()
     rows = verification.conditioning_study(
-        factory, _value(cfg, "conditioning.n_values", _each(_integer)))
+        factory, _value(cfg, "conditioning.n_values",
+                        _checked(_each(_integer), len, "empty")))
     elapsed = time.perf_counter() - t0
     write_csv(out_dir, "conditioning.csv",
               ["N", "cond_M", "sigma_min_V"], rows)
@@ -408,9 +417,7 @@ def _selftest_checks(flip_normals):
     # Jump relations for the variable-coefficient layer potentials.
     g = boundary_grid(make_curve("circle"), 64)
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
-    for name, fn in (("one", lambda t: np.ones_like(t)),
-                     ("cos", np.cos),
-                     ("sin2", lambda t: np.sin(2.0 * t))):
+    for name, fn in verification.JUMP_DENSITIES.items():
         res = verification.jump_relation_check(g, field, fn)
         checks.append((f"jump-relations-{name}",
                        max(res.values()), 1e-6))

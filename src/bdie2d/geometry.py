@@ -3,14 +3,18 @@
 Orientation convention (fixed once, used by every sign-sensitive identity):
 the unit normal ``n`` returned everywhere points *into* the bounded
 complement ``Omega^-``, i.e. out of the unbounded exterior domain ``Omega``.
-For the counterclockwise unit circle this means ``n(t) = -x(t)``.
+For the unit circle this means ``n(t) = -x(t)``.
+
+Curve contract (checked once, when a CurveParametrization is built): the
+curve is star-shaped about the origin and counter-clockwise, its polar
+angle increasing once round the origin along it, and its radial profile
+gives its radius at each polar angle.  The mesh, the inside test and the
+close evaluation of the single layer rely on it.
 
 The exterior domain is truncated at a radius ``r_trunc``; the mesh covers
 the annular region between the curve and the circle of that radius with a
 boundary-fitted polar tensor grid (trapezoidal in the polar angle,
 composite Gauss-Legendre panels in the scaled radial coordinate).
-All catalog curves are star-shaped with respect to the origin, which the
-mesh construction relies on.
 """
 
 from __future__ import annotations
@@ -31,13 +35,13 @@ class CurveParametrization:
     """A smooth closed curve t in [0, 2pi) -> R^2 with derivative data.
 
     position, derivative and second_derivative map arrays of parameter
-    values to arrays of shape (n, 2).  ``radial_profile`` gives the curve
-    radius as a function of the polar angle (star-shaped curves only) and
-    is required for domain meshing and ``is_inside_bounded``.
+    values to arrays of shape (n, 2); ``radial_profile`` maps polar angles
+    to the curve's radius there.  The curve must be star-shaped about the
+    origin and counter-clockwise (module docstring).
     """
 
     def __init__(self, position, derivative, second_derivative,
-                 radial_profile=None):
+                 radial_profile):
         self.position = position
         self.derivative = derivative
         self.second_derivative = second_derivative
@@ -55,31 +59,24 @@ class CurveParametrization:
                              - self.position(np.array([_TWO_PI - 1e-13])))
         if gap > 1e-9:
             raise GeometryError("curve is not closed: x(0) != x(2pi)")
-        self._check_simple(x)
-        # signed area fixes which 90-degree rotation of the tangent points
-        # into the bounded complement
-        area2 = np.sum(x[:, 0] * np.roll(x[:, 1], -1) - x[:, 1] * np.roll(x[:, 0], -1))
-        if abs(area2) < 1e-12:
-            raise GeometryError("curve encloses no area")
-        self._ccw = area2 > 0.0
-
-    @staticmethod
-    def _check_simple(x: np.ndarray):
-        n = x.shape[0]
-        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
-        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        sep = np.minimum(np.abs(i - j), n - np.abs(i - j))
-        far = sep > n // 8
-        if far.any():
-            scale = np.sqrt(d2.max())
-            if np.sqrt(d2[far].min()) < 1e-6 * scale:
-                raise GeometryError("curve appears to self-intersect on the sample grid")
+        # x cross x' > 0 and the polar angle wraps once: it increases once
+        # round the origin, which makes the curve simple, star-shaped about
+        # the origin and counter-clockwise
+        theta = np.arctan2(x[:, 1], x[:, 0])
+        wraps = np.count_nonzero(np.diff(theta, append=theta[0]) < 0.0)
+        if np.any(x[:, 0] * dx[:, 1] - x[:, 1] * dx[:, 0] <= 0.0) or wraps != 1:
+            raise GeometryError("curve is not star-shaped about the origin "
+                                "and counter-clockwise")
+        r = np.hypot(x[:, 0], x[:, 1])
+        if np.any(np.abs(self.radial_profile(theta) - r) > 1e-12 * r.max()):
+            raise GeometryError("radial profile differs from the curve's "
+                                "radius")
 
     def evaluate(self, t):
         """Return (point, unit tangent, unit normal, speed) at parameters t.
 
-        The normal is the 90-degree rotation of the tangent pointing into
-        the bounded complement Omega^-.
+        The normal is the tangent turned 90 degrees to the left, into the
+        bounded complement Omega^-.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = self.position(t)
@@ -88,8 +85,7 @@ class CurveParametrization:
         if np.any(speed <= 1e-14):
             raise GeometryError("degenerate parametrization: zero speed")
         tangent = dx / speed[:, None]
-        sign = 1.0 if self._ccw else -1.0
-        normal = sign * np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
+        normal = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
         return x, tangent, normal, speed
 
     def curvature_term(self, t):
@@ -106,8 +102,6 @@ class CurveParametrization:
 
     def is_inside_bounded(self, points) -> np.ndarray:
         """True for points lying in the bounded complement Omega^-."""
-        if self.radial_profile is None:
-            raise GeometryError("inside test requires a radial profile")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         return np.hypot(pts[:, 0], pts[:, 1]) < self.radial_profile(theta)
@@ -319,9 +313,6 @@ def domain_mesh(curve: CurveParametrization, r_trunc: float, h: float, *,
     radial panels of about _Q h."""
     if not 0.0 < h < np.inf:
         raise DiscretizationError(f"mesh spacing {h} is not positive and finite")
-    if curve.radial_profile is None:
-        raise GeometryError("domain meshing requires a star-shaped curve "
-                            "with a radial profile")
     circ = curve.circumradius()
     if not circ < r_trunc < np.inf:
         raise GeometryError(f"truncation radius {r_trunc} must be finite and "

@@ -76,8 +76,7 @@ weights (``_layer_weights``) while 8 L / d <= n (L the curve length); a
 nearer one gets the globally compensated Cauchy formula for the periodic
 trapezoid rule (Helsing & Ojala, J. Comput. Phys. 227, 2008).  With the
 nodes zeta_j as complex numbers, dzeta_j = -i n_j w_j (the
-counter-clockwise element whatever the orientation of the curve),
-h = 2 pi / n and
+counter-clockwise element), h = 2 pi / n and
 C[g](z) = (1 / 2 pi i) oint g dzeta / (zeta - z):
 
 * the boundary values of C[g] from the side of z are
@@ -89,16 +88,15 @@ C[g](z) = (1 / 2 pi i) oint g dzeta / (zeta - z):
 * the double layer is D tau = Re C[tau], so its rows are the real part
   of the rows of C;
 * the single layer is a Cauchy integral of a real density (Barnett,
-  SIAM J. Sci. Comput. 36, 2014).  The origin lies inside every
-  catalogue curve, which is star-shaped about it; with the outward normal
+  SIAM J. Sci. Comput. 36, 2014).  The origin lies inside the curve,
+  which the curve contract checks (``geometry``); with the outward normal
   nu = -n, mu = nu . zeta / (2 pi |zeta|^2), Q = w . sigma / w . mu, phi
   the spectral antiderivative of (sigma - Q mu) |zeta'(t)| and
   omega = log|zeta| / (2 pi),
   S sigma(z) = -Im C[phi](z) - Q (Re C[omega](z) + [z outside] omega(z)),
   built from the same rows of C.
 
-A clockwise parametrization turns the sign of g_t and phi.  The rows
-compose b with these linear maps.  By partial fractions,
+The rows compose b with these linear maps.  By partial fractions,
 (b K)_j = b_j ((S - b_j) / (2 pi i) + 2 K_jj) with S = sum_i b_i, so only
 the diagonal of K is kept, built once per grid (``BoundaryGrid.memo``),
 and a target costs O(n); g_t and the antiderivative act on the rows by
@@ -255,9 +253,8 @@ def _times_derivative(rows, power):
 
 
 def _cauchy_diagonal(grid: BoundaryGrid):
-    """The diagonal of K (module docstring) and the orientation of the
-    nodes (1 for counter-clockwise), built once per grid.  A grid whose
-    normals are not the curve's raises GeometryError."""
+    """The diagonal of K (module docstring), built once per grid.  A grid
+    whose normals are not the curve's raises GeometryError."""
     if "cauchy" not in grid.memo:
         if not np.array_equal(grid.curve.evaluate(grid.t)[2], grid.normals):
             raise GeometryError("grid normals differ from the curve's")
@@ -268,8 +265,7 @@ def _cauchy_diagonal(grid: BoundaryGrid):
             d = z - z[s:s + 32, None]
             np.fill_diagonal(d[:, s:], np.inf)  # K_ii = 0
             row_sums[s:s + 32] = (dzeta / d).sum(axis=1)
-        orient = np.sign((np.conj(z) * np.roll(z, -1)).imag.sum())  # area sign
-        grid.memo["cauchy"] = -row_sums / (2j * np.pi), orient
+        grid.memo["cauchy"] = -row_sums / (2j * np.pi)
     return grid.memo["cauchy"]
 
 
@@ -278,12 +274,12 @@ def _close_rows(grid: BoundaryGrid, y, diff):
     the compensated Cauchy formula of the module docstring; ``diff`` holds
     zeta_j - z for each target and node."""
     curve = grid.curve
-    inside = curve.is_inside_bounded(y)  # raises without a radial profile
+    inside = curve.is_inside_bounded(y)
     r = np.hypot(y[:, 0], y[:, 1])
     band = np.abs(r - curve.radial_profile(np.arctan2(y[:, 1], y[:, 0])))
     if np.any(band <= 8.0 * np.finfo(float).eps * r) or not diff.all():
         raise SingularEvaluationError("off-boundary evaluation target lies on S")
-    k_diag, orient = _cauchy_diagonal(grid)
+    k_diag = _cauchy_diagonal(grid)
     b = (-1j * _complex(grid.normals) * grid.weights) / diff
     # S - b_j for each node j; the nearest node's term may dominate S, so
     # its own sum leaves that term out rather than subtracting it
@@ -296,14 +292,14 @@ def _close_rows(grid: BoundaryGrid, y, diff):
     # rows of C[g](y) = b @ v(g) / (S - 2 pi i [outside]), with
     # v(g) = [inside] g + K g + (h / 2 pi i) g_t
     c = (b * (s_minus / (2j * np.pi) + 2.0 * k_diag + inside[:, None])
-         + (orient * _TWO_PI / grid.n / (2j * np.pi))
+         + (_TWO_PI / grid.n / (2j * np.pi))
          * _times_derivative(b, 1))
     c /= (others + nearest - 2j * np.pi * ~inside)[:, None]
     x = grid.points
     mu = -(grid.normals * x).sum(axis=1) / (_TWO_PI * (x ** 2).sum(axis=1))
     omega = np.log(np.hypot(x[:, 0], x[:, 1])) / _TWO_PI
-    # -Im C[phi] for phi = orient * antiderivative(speed (sigma - Q mu))
-    rows = -orient * _times_derivative(c.imag, -1).real * grid.speeds
+    # -Im C[phi] for phi = antiderivative(speed (sigma - Q mu))
+    rows = -_times_derivative(c.imag, -1).real * grid.speeds
     q_part = rows @ mu + c.real @ omega
     q_part[~inside] += np.log(r[~inside]) / _TWO_PI
     return (rows - q_part[:, None] * (grid.weights / (grid.weights @ mu)),

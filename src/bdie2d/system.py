@@ -129,27 +129,21 @@ class BdieSolution:
         return f0 - r_rows @ self.u_dom + v_rows @ self.psi
 
 
-def _domain_indices(mesh: DomainMesh, field: CoefficientField,
-                    force_domain_rows):
-    if field.is_constant:
-        if force_domain_rows:
-            return np.arange(mesh.n_nodes)
-        return np.zeros(0, dtype=int)
-    if not np.isfinite(field.support_radius):
-        return np.arange(mesh.n_nodes)
+def _domain_indices(mesh: DomainMesh, field: CoefficientField):
+    """The mesh nodes within the coefficient's support: none for a constant
+    (support radius 0), all for an unbounded support."""
     r = np.hypot(mesh.points[:, 0], mesh.points[:, 1])
     return np.nonzero(r <= field.support_radius)[0]
 
 
 def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
-                    mesh: DomainMesh, *, force_domain_rows=False,
-                    compatibility_tol=1e-6) -> BdieSystem:
+                    mesh: DomainMesh, *, compatibility_tol=1e-6) -> BdieSystem:
     """Build the dense block system for the given discretization."""
     if grid.curve is not mesh.curve:
         raise AssemblyError("boundary grid and domain mesh use different curves")
     problem.check_compatibility(mesh, tol=compatibility_tol)
     field = problem.field
-    dom_idx = _domain_indices(mesh, field, force_domain_rows)
+    dom_idx = _domain_indices(mesh, field)
     nd, nb = dom_idx.shape[0], grid.n
     n_tot = nd + nb + 1
     mat = np.zeros((n_tot, n_tot))

@@ -269,6 +269,11 @@ def second_green_identity(case: ManufacturedCase, grid, mesh):
 # ---------------------------------------------------------------------------
 # jump relations
 
+# the test densities of the jump-relation checks (cli verify and selftest)
+JUMP_DENSITIES = {"one": np.ones_like, "cos": np.cos,
+                  "sin2": lambda t: np.sin(2.0 * t)}
+
+
 def _extrapolate_to_boundary(grid, field, rho, side):
     """Richardson-extrapolated one-sided limits (single, double) of the
     layer potentials of nodal density rho, one off-boundary pass per offset.

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
 captured output on failure) and asserts the stated tolerance.
 """
 
+import dataclasses
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 import yaml
 
 from bdie2d import parametrix, verification as vf
-from bdie2d.coefficient import make_coefficient
+from bdie2d.coefficient import CoefficientField, make_coefficient
 from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
 from bdie2d.system import DirichletProblem, assemble_system, solve
 
@@ -38,10 +39,14 @@ def bump_convergence():
 def test_criterion_01_constant_coefficient_reduction():
     t0 = time.perf_counter()
     case = vf.manufactured_case("laplace-dipole")
+    # a = 1 with no declared support: the constant-coefficient problem
+    # through the variable-coefficient rows, every mesh node a domain row
+    unit = CoefficientField(lambda x: (np.ones(len(x)), np.zeros_like(x),
+                                       np.zeros(len(x))), 1.0, 1.0)
     grid = boundary_grid(case.curve, 128)
     mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 32, m_theta=32)
-    sysm = assemble_system(case.problem(), grid, mesh,
-                           force_domain_rows=True)
+    sysm = assemble_system(dataclasses.replace(case.problem(), field=unit),
+                           grid, mesh)
     nd = sysm.n_dom
     r_dd = np.abs(sysm.matrix[:nd, :nd] - np.eye(nd)).max()
     r_bd = np.abs(sysm.matrix[nd:nd + grid.n, :nd]).max()

@@ -201,6 +201,34 @@ def test_a_zero_resolution_exits_with_status_2(tmp_path, command, payload):
     assert err["error"]["category"] == "DiscretizationError"
 
 
+@pytest.mark.parametrize("command,payload,args,key", [
+    ("conditioning", {"conditioning": {"n_values": []}}, [],
+     "conditioning.n_values"),
+    ("verify", {"study": {"n_probes": 0}}, [], "study.n_probes"),
+    ("verify", {"case": "bump-dipole", "study": {"radii": [3.0, 2.0]}}, [],
+     "study.radii"),
+    ("verify", {}, ["--seed", "-1"], "seed"),
+    ("convergence", {"study": {"n_values": []}}, [], "study.n_values")],
+    ids=["conditioning-no-n", "verify-no-probes", "verify-decreasing-radii",
+         "verify-negative-seed", "convergence-no-n"])
+def test_a_bad_study_input_exits_with_status_2_before_any_study(
+        tmp_path, monkeypatch, command, payload, args, key):
+    studies = []
+    for name in ("conditioning_study", "convergence_study",
+                 "green_identity_residuals", "split_decay_study"):
+        monkeypatch.setattr(verification, name,
+                            lambda *a, name=name, **k: studies.append(name))
+    path = _write_cfg(tmp_path, {"discretization": {"n_boundary": 16},
+                                 **payload})
+    out = tmp_path / "out"
+    status = cli.main([command, "--config", path, "--out", str(out), *args])
+    assert status == cli.EXIT_CONFIG
+    assert studies == []
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["category"] == "ConfigError"
+    assert err["error"]["message"].startswith(f"config key {key}:")
+
+
 @pytest.mark.parametrize("blob", [
     {"center": [1.0, 2.0, 3.0]}, {"center": [1.5, float("inf")]},
     {"amplitude": float("nan")}, {"sigma": 0.0}, {"sigma": float("nan")}],

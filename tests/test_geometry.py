@@ -41,12 +41,35 @@ def test_normals_point_into_bounded_complement(name, params):
     assert not np.any(curve.is_inside_bounded(outside))
 
 
-def test_inside_test_requires_a_radial_profile():
-    circle = make_curve("circle")
-    curve = CurveParametrization(circle.position, circle.derivative,
-                                 circle.second_derivative)
+def _unit_circle(turns=1, centre=(0.0, 0.0), radius=1.0):
+    """A unit circle traversed ``turns`` times (clockwise for a negative
+    count), moved to ``centre`` and declared with the constant radial
+    profile ``radius``."""
+    def at(t):
+        return np.stack([np.cos(turns * t), np.sin(turns * t)], axis=-1)
+
+    return CurveParametrization(
+        lambda t: at(t) + np.asarray(centre),
+        lambda t: turns * at(t) @ np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        lambda t: -turns ** 2 * at(t),
+        lambda th: np.full_like(np.asarray(th, dtype=float), radius))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"turns": -1}, {"radius": 1.5}, {"centre": (3.0, 0.0)}, {"turns": 2}],
+    ids=["clockwise", "wrong-profile", "origin-outside", "twice-round"])
+def test_a_curve_outside_the_contract_raises(kwargs):
+    _unit_circle()  # meets the contract; each change breaks one part of it
     with pytest.raises(GeometryError):
-        curve.is_inside_bounded([[0.0, 0.0]])
+        _unit_circle(**kwargs)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("circle", {}), ("ellipse", {}), ("star", {"alpha": 0.0}),
+    ("star", {"alpha": 0.2}), ("star", {"alpha": 0.9})],
+    ids=["circle", "ellipse", "star-0", "star-0.2", "star-0.9"])
+def test_every_catalogue_curve_meets_the_contract(name, params):
+    make_curve(name, **params)
 
 
 def test_boundary_grid_rejects_bad_n():

@@ -145,8 +145,6 @@ def test_no_unused_imports():
 _SETTER_EXEMPT = {
     # the console entry point reads sys.argv; tests pass their own argv
     ("main", "argv"),
-    # only acceptance criterion 01 forces domain rows for a constant a
-    ("assemble_system", "force_domain_rows"),
 }
 
 
@@ -227,8 +225,6 @@ def test_every_defaulted_parameter_has_a_setter():
 _USER_EXEMPT = {
     # a coefficient built outside the catalogue declares no support
     ("CoefficientField", "support_radius"),
-    # a curve built outside the catalogue need not be star-shaped
-    ("CurveParametrization", "radial_profile"),
 }
 
 
@@ -240,3 +236,11 @@ def test_every_default_has_a_user():
               if (callee, param) not in _USER_EXEMPT
               and all(_passes(call, param, index) for call in calls)]
     assert not unused, "defaults no call relies on: " + ", ".join(unused)
+
+
+def test_every_exemption_names_a_defaulted_parameter():
+    # an exemption outliving its default would hide the next one
+    defaulted = {(callee, param)
+                 for _, callee, param, _, _ in _defaulted_calls()}
+    stale = sorted((_SETTER_EXEMPT | _USER_EXEMPT) - defaulted)
+    assert not stale, f"exemptions naming no defaulted parameter: {stale}"

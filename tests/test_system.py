@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from bdie2d import laplace, parametrix
-from bdie2d.coefficient import make_coefficient
+from bdie2d.coefficient import CoefficientField, make_coefficient
 from bdie2d.errors import (AssemblyError, Bdie2dError, CompatibilityError,
                            GeometryError, SingularEvaluationError,
                            SolverSingularError)
@@ -138,12 +140,17 @@ def test_star_points_past_the_radial_check_build_no_volume_rule(monkeypatch):
     assert rules == []
 
 
-def test_forced_domain_rows_keep_remainder_blocks_zero(laplace_case):
+def test_a_unit_coefficient_without_support_keeps_remainder_blocks_zero(
+        laplace_case):
+    # a = 1 with no declared support goes through the variable-coefficient
+    # rows: every mesh node is a domain unknown
     case = laplace_case
+    unit = CoefficientField(lambda x: (np.ones(len(x)), np.zeros_like(x),
+                                       np.zeros(len(x))), 1.0, 1.0)
     grid = boundary_grid(case.curve, 32)
     mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 16, m_theta=16)
-    sysm = assemble_system(case.problem(), grid, mesh,
-                           force_domain_rows=True)
+    sysm = assemble_system(dataclasses.replace(case.problem(), field=unit),
+                           grid, mesh)
     nd = sysm.n_dom
     assert nd == mesh.n_nodes
     assert np.abs(sysm.matrix[:nd, :nd] - np.eye(nd)).max() == 0.0
