@@ -281,8 +281,7 @@ def cmd_verify(cfg, out_dir):
     timings["green_identities_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    jumps = {name: verification.jump_relation_check(grid, case.field, fn)
-             for name, fn in verification.JUMP_DENSITIES.items()}
+    jumps = verification.jump_relation_check(grid, case.field)
     report["jump_relations"] = jumps
     timings["jump_relations_s"] = time.perf_counter() - t0
 
@@ -331,31 +330,22 @@ def cmd_conditioning(cfg, out_dir):
 
     from . import verification
     from .coefficient import make_coefficient
-    from .geometry import boundary_grid, domain_mesh, make_curve
-    from .system import DirichletProblem
+    from .geometry import domain_mesh, make_curve
 
     kind = cfg["conditioning"]["coefficient"]["kind"]
     # a constant coefficient takes none of the bumps' parameters
     field = make_coefficient(kind, **({} if kind == "constant" else {
         k: _value(cfg, "conditioning.coefficient." + k, convert) for k, convert
         in (("beta", float), ("sigma", float), ("center", _each(float)))}))
-    curve = make_curve("circle")
     mesh_n = _value(cfg, "conditioning.mesh_n", _integer)
     # the spacing stays finite for a mesh_n below 1, which domain_mesh rejects
-    mesh = domain_mesh(curve, _value(cfg, "conditioning.r_trunc", float),
+    mesh = domain_mesh(make_curve("circle"),
+                       _value(cfg, "conditioning.r_trunc", float),
                        4.0 * np.pi / max(mesh_n, 1), m_theta=mesh_n)
-
-    def factory(n):
-        grid = boundary_grid(curve, n)
-        problem = DirichletProblem(curve, field,
-                                   lambda p: np.zeros(p.shape[0]),
-                                   np.cos)
-        return problem, grid, mesh
-
     t0 = time.perf_counter()
     rows = verification.conditioning_study(
-        factory, _value(cfg, "conditioning.n_values",
-                        _checked(_each(_integer), len, "empty")))
+        field, mesh, _value(cfg, "conditioning.n_values",
+                            _checked(_each(_integer), len, "empty")))
     elapsed = time.perf_counter() - t0
     write_csv(out_dir, "conditioning.csv",
               ["N", "cond_M", "sigma_min_V"], rows)
@@ -417,10 +407,8 @@ def _selftest_checks(flip_normals):
     # Jump relations for the variable-coefficient layer potentials.
     g = boundary_grid(make_curve("circle"), 64)
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
-    for name, fn in verification.JUMP_DENSITIES.items():
-        res = verification.jump_relation_check(g, field, fn)
-        checks.append((f"jump-relations-{name}",
-                       max(res.values()), 1e-6))
+    for name, res in verification.jump_relation_check(g, field).items():
+        checks.append((f"jump-relations-{name}", max(res.values()), 1e-6))
 
     # Negative control: flipping the normal must break the constant-
     # density identity, demonstrating orientation sensitivity.

@@ -243,7 +243,6 @@ class DomainMesh:
     rho: np.ndarray             # (n_r,) scaled radial nodes
     rho_weights: np.ndarray     # (n_r,)
     theta: np.ndarray           # (m_theta,)
-    r_curve: np.ndarray         # (m_theta,) curve radius at each angle
     points: np.ndarray = field(default=None)    # (n_nodes, 2)
     weights: np.ndarray = field(default=None)   # (n_nodes,)
 
@@ -334,7 +333,7 @@ def domain_mesh(curve: CurveParametrization, r_trunc: float, h: float, *,
     rho_w = (np.diff(breakpoints)[:, None] * gw).ravel()
     mesh = DomainMesh(curve=curve, r_trunc=r_trunc, h=h, m_theta=m_theta,
                       breakpoints=breakpoints, rho=rho, rho_weights=rho_w,
-                      theta=theta, r_curve=r_curve)
+                      theta=theta)
     d_first = rho[0] * span_min
     if d_first <= h / 10.0:
         raise DiscretizationError(

@@ -36,8 +36,8 @@ class DirichletProblem:
 
     ``source(points)`` is the volume right-hand side f, or None to declare
     f = 0, which skips the volume potential of f altogether;
-    ``dirichlet(t)`` is the boundary data as a function of the curve
-    parameter.
+    ``dirichlet(t)`` is the boundary data as a function of the parameter
+    of ``curve``, the one curve of the grid and mesh it is assembled on.
     """
 
     curve: object
@@ -138,9 +138,11 @@ def _domain_indices(mesh: DomainMesh, field: CoefficientField):
 
 def assemble_system(problem: DirichletProblem, grid: BoundaryGrid,
                     mesh: DomainMesh, *, compatibility_tol=1e-6) -> BdieSystem:
-    """Build the dense block system for the given discretization."""
-    if grid.curve is not mesh.curve:
-        raise AssemblyError("boundary grid and domain mesh use different curves")
+    """Build the dense block system for the given discretization, of the
+    problem's own curve."""
+    if not (problem.curve is grid.curve is mesh.curve):
+        raise AssemblyError(
+            "problem, boundary grid and domain mesh use different curves")
     problem.check_compatibility(mesh, tol=compatibility_tol)
     field = problem.field
     dom_idx = _domain_indices(mesh, field)

@@ -232,19 +232,14 @@ def second_green_identity(case: ManufacturedCase, grid, mesh):
         g[:, 1] = -2.0 * p[:, 1] / r2 ** 2 - 4.0 * q * p[:, 1] / r2 ** 3
         return g
 
-    def av_fn(p):
-        # v is harmonic, so its source reduces to grad a . grad v
-        _, ga, _ = field.eval(p)
-        return np.sum(ga * grad_v(p), axis=1)
-
-    def f_u(p):
-        _, ga, _ = field.eval(p)
-        return np.sum(ga * case.exact_grad(p), axis=1)
-
     r_t = mesh.r_trunc
     u = case.exact_u
-    lhs = float(np.sum(mesh.weights * (v_fn(mesh.points) * f_u(mesh.points)
-                                       - u(mesh.points) * av_fn(mesh.points))))
+    p = mesh.points
+    # both members are harmonic, so their sources are grad a . grad (u, v)
+    _, ga, _ = field.eval(p)
+    lhs = float(np.sum(mesh.weights
+                       * (v_fn(p) * np.sum(ga * case.exact_grad(p), axis=1)
+                          - u(p) * np.sum(ga * grad_v(p), axis=1))))
     t_u = parametrix.conormal_derivative(field, grid.points, grid.normals,
                                          case.exact_grad(grid.points))
     t_v = parametrix.conormal_derivative(field, grid.points, grid.normals,
@@ -269,41 +264,37 @@ def second_green_identity(case: ManufacturedCase, grid, mesh):
 # ---------------------------------------------------------------------------
 # jump relations
 
-# the test densities of the jump-relation checks (cli verify and selftest)
+# the test densities of jump_relation_check
 JUMP_DENSITIES = {"one": np.ones_like, "cos": np.cos,
                   "sin2": lambda t: np.sin(2.0 * t)}
 
 
-def _extrapolate_to_boundary(grid, field, rho, side):
-    """Richardson-extrapolated one-sided limits (single, double) of the
-    layer potentials of nodal density rho, one off-boundary pass per offset.
-
-    side=+1 approaches from the unbounded side (against the normal, which
-    points into the bounded complement), side=-1 from the bounded side.
-    """
+def jump_relation_check(grid, field):
+    """Max deviation of the Richardson-extrapolated one-sided traces from
+    the direct boundary operators, for the single and double layer on both
+    sides, per density of JUMP_DENSITIES: {name: {single_exterior, ...}}.
+    Side +1 approaches against the normal (which points into the bounded
+    complement), from the unbounded side; each offset of a side takes one
+    off-boundary pass, applied to every density."""
+    rhos = {name: fn(grid.t) for name, fn in JUMP_DENSITIES.items()}
+    v_mat = parametrix.single_layer_boundary(grid, field)
+    w_mat = parametrix.double_layer_boundary(grid, field)
     eps = _JUMP_EPS0 * 0.5 ** np.arange(_JUMP_LEVELS)
-    vals = np.empty((_JUMP_LEVELS, 2, grid.n))
-    for k, e in enumerate(eps):
-        rows = parametrix.layer_rows_offboundary(
-            grid, field, grid.points - side * e * grid.normals)
-        vals[k] = [r @ rho for r in rows]
     vander = np.vander(eps, _JUMP_LEVELS)
-    coeffs = np.linalg.solve(vander, vals.reshape(_JUMP_LEVELS, -1))
-    return coeffs[-1].reshape(2, grid.n)
-
-
-def jump_relation_check(grid, field, density_fn):
-    """Max deviation of the extrapolated one-sided traces from the direct
-    boundary operators, for the single and double layer on both sides."""
-    rho = density_fn(grid.t)
-    v_direct = parametrix.single_layer_boundary(grid, field) @ rho
-    w_direct = parametrix.double_layer_boundary(grid, field) @ rho
-    out = {}
+    out = {name: {} for name in rhos}
     for side, tag in ((+1, "exterior"), (-1, "interior")):
-        v_lim, w_lim = _extrapolate_to_boundary(grid, field, rho, side)
-        out[f"single_{tag}"] = float(np.abs(v_lim - v_direct).max())
-        expected = -side * 0.5 * rho + w_direct
-        out[f"double_{tag}"] = float(np.abs(w_lim - expected).max())
+        vals = np.empty((len(rhos), _JUMP_LEVELS, 2 * grid.n))
+        for k, e in enumerate(eps):
+            rows = parametrix.layer_rows_offboundary(
+                grid, field, grid.points - side * e * grid.normals)
+            vals[:, k] = [np.concatenate([r @ rho for r in rows])
+                          for rho in rhos.values()]
+        for (name, rho), val in zip(rhos.items(), vals):
+            v_lim, w_lim = np.linalg.solve(vander, val)[-1].reshape(2, grid.n)
+            expected = -side * 0.5 * rho + w_mat @ rho
+            out[name].update(
+                {f"single_{tag}": float(np.abs(v_lim - v_mat @ rho).max()),
+                 f"double_{tag}": float(np.abs(w_lim - expected).max())})
     return out
 
 
@@ -351,14 +342,14 @@ def equivalence_check(case: ManufacturedCase, solution):
 
 
 def convergence_study(case: ManufacturedCase, n_values):
-    """Solve the case over tied refinements; returns per-level dict rows
-    with errors and observed orders (CSV columns N, h, err_u, err_psi,
-    order)."""
+    """Solve the case over tied refinements, every level discretized
+    before the first solve; returns per-level dict rows with errors and
+    observed orders (CSV columns N, h, err_u, err_psi, order)."""
+    levels = [(n, boundary_grid(case.curve, n),
+               domain_mesh(case.curve, case.r_trunc, 4 * np.pi / n,
+                           m_theta=n)) for n in n_values]
     rows = []
-    for n in n_values:
-        grid = boundary_grid(case.curve, n)
-        h = 4 * np.pi / n
-        mesh = domain_mesh(case.curve, case.r_trunc, h, m_theta=n)
+    for n, grid, mesh in levels:
         sysm = assemble_system(case.problem(), grid, mesh)
         sol = solve(sysm)
         chk = equivalence_check(case, sol)
@@ -368,7 +359,7 @@ def convergence_study(case: ManufacturedCase, n_values):
             if chk["err_u"] > 0 and prev["err_u"] > 0:
                 order = float(np.log2(prev["err_u"] / chk["err_u"])
                               / np.log2(n / prev["N"]))
-        rows.append({"N": n, "h": h, "err_u": chk["err_u"],
+        rows.append({"N": n, "h": mesh.h, "err_u": chk["err_u"],
                      "err_psi": chk["err_psi"], "order": order,
                      "psi_mean": chk["psi_mean"],
                      "multiplier": chk["multiplier"]})
@@ -378,13 +369,11 @@ def convergence_study(case: ManufacturedCase, n_values):
 # ---------------------------------------------------------------------------
 # remainder split decay
 
-def _weighted_operator_norm(rows, mesh, idx, seed):
-    """Operator norm in the weighted discrete L2 norm via power iteration
-    on the normal operator."""
-    w = mesh.weights[idx]
-    om = weight(mesh.points[idx])
-    d = np.sqrt(w) / om
-    b = (d[:, None] * rows[np.ix_(idx, idx)]) / d[None, :]
+def _weighted_operator_norm(rows, mesh, seed):
+    """Operator norm, in the weighted discrete L2 norm on the mesh nodes, of
+    the rows at every node, via power iteration on the normal operator."""
+    d = np.sqrt(mesh.weights) / weight(mesh.points)
+    b = (d[:, None] * rows) / d[None, :]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(b.shape[1])
     v /= np.linalg.norm(v)
@@ -413,8 +402,7 @@ def gaussian_tail_factor(field: CoefficientField, r):
 def remainder_norm(mesh, *, rows, seed):
     """Weighted-norm estimate of the discrete remainder operator on the
     full mesh, from its ``rows`` at every mesh node (remainder_rows)."""
-    return _weighted_operator_norm(rows, mesh, np.arange(mesh.n_nodes),
-                                   seed=seed)
+    return _weighted_operator_norm(rows, mesh, seed=seed)
 
 
 def split_decay_study(field: CoefficientField, mesh, radii, *, seed, rows):
@@ -424,11 +412,10 @@ def split_decay_study(field: CoefficientField, mesh, radii, *, seed, rows):
     radii = list(radii)
     if any(b >= c for b, c in zip(radii, radii[1:])):
         raise VerificationError("split radii must be strictly increasing")
-    idx = np.arange(mesh.n_nodes)
     out = []
     for r in radii:
         core, tail, _ = parametrix.remainder_split(mesh, rows, r)
-        norm_s = _weighted_operator_norm(tail, mesh, idx, seed=seed)
+        norm_s = _weighted_operator_norm(tail, mesh, seed=seed)
         factor = gaussian_tail_factor(field, r)
         add_err = float(np.abs(core + tail - rows).max())
         out.append({"r": r, "norm_tail": norm_s, "factor": factor,
@@ -475,17 +462,20 @@ def single_layer_sigma_min(v_matrix, weights):
     return float(sv.min())
 
 
-def conditioning_study(problem_factory, n_values):
-    """Assemble the system across boundary resolutions and record the
-    rescaled condition number and single-layer sigma_min (CSV columns
+def conditioning_study(field, mesh, n_values):
+    """Assemble the problem of coefficient ``field``, a declared zero
+    source and Dirichlet data cos t on the mesh's curve, across boundary
+    resolutions, every grid built before the first assembly, and record
+    the rescaled condition number and single-layer sigma_min (CSV columns
     N, cond_M, sigma_min_V)."""
+    grids = [boundary_grid(mesh.curve, n) for n in n_values]
+    problem = DirichletProblem(mesh.curve, field, None, np.cos)
     rows = []
-    for n in n_values:
-        problem, grid, mesh = problem_factory(n)
+    for grid in grids:
         sysm = assemble_system(problem, grid, mesh)
         nd, nb = sysm.n_dom, sysm.n_bnd
         rows.append({
-            "N": n,
+            "N": grid.n,
             "cond_M": weighted_system_condition(sysm),
             "sigma_min_V": single_layer_sigma_min(
                 -sysm.matrix[nd:nd + nb, nd:nd + nb], sysm.grid.weights),

@@ -229,6 +229,23 @@ def test_a_bad_study_input_exits_with_status_2_before_any_study(
     assert err["error"]["message"].startswith(f"config key {key}:")
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("convergence", {"study": {"n_values": [16, 7]}}),
+    ("conditioning", {"conditioning": {"n_values": [16, 7]}})],
+    ids=["convergence-odd-n", "conditioning-odd-n"])
+def test_a_bad_study_level_exits_with_status_2_before_any_assembly(
+        tmp_path, monkeypatch, command, payload):
+    # every level is discretized before the first one is assembled
+    monkeypatch.setattr(verification, "assemble_system",
+                        lambda *a, **k: pytest.fail("assembled a level"))
+    path = _write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    status = cli.main([command, "--config", path, "--out", str(out)])
+    assert status == cli.EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["category"] == "DiscretizationError"
+
+
 @pytest.mark.parametrize("blob", [
     {"center": [1.0, 2.0, 3.0]}, {"center": [1.5, float("inf")]},
     {"amplitude": float("nan")}, {"sigma": 0.0}, {"sigma": float("nan")}],

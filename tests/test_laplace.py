@@ -393,7 +393,7 @@ def test_domain_rows_match_the_per_point_scatter(curve, r_trunc, m_theta,
                        4 * np.pi / m_theta, m_theta=m_theta)
     j = m_theta // 3
     th = mesh.theta[j]
-    on_curve = mesh.r_curve[j] * np.array([np.cos(th), np.sin(th)])
+    on_curve = mesh.physical(0.0, th)[0]
     targets = np.array([
         mesh.points[2 * mesh.m_theta + j],          # interior node
         on_curve,                                   # boundary node, rho = 0

@@ -228,6 +228,18 @@ def test_curve_mismatch_rejected(laplace_case):
         assemble_system(laplace_case.problem(), grid, mesh)
 
 
+@pytest.mark.parametrize("name", ["bump-dipole", "laplace-dipole"])
+def test_a_problem_of_another_curve_is_rejected(name):
+    # the cases' data are u on the circle: on the star they pose another
+    # boundary value problem (laplace-dipole's, with no source, would
+    # otherwise pass every other check of the assembly)
+    star = make_curve("star", alpha=0.2, k=5)
+    grid = boundary_grid(star, 16)
+    mesh = domain_mesh(star, 6.0, 4 * np.pi / 16, m_theta=16)
+    with pytest.raises(AssemblyError, match="different curves"):
+        assemble_system(manufactured_case(name).problem(), grid, mesh)
+
+
 @pytest.mark.parametrize("targets", [[[2.0, 0.5, 7.0]], [2.0, 0.5, 7.0, 1.0],
                                      [[[2.0, 0.5]]]],
                          ids=["three-columns", "flat-four", "three-axes"])

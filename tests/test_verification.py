@@ -94,10 +94,28 @@ def test_second_green_identity_nontrivial_for_offcenter_coefficient():
 def test_jump_relations_variable_coefficient():
     grid = boundary_grid(make_curve("circle"), 64)
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
-    for fn in (lambda t: np.ones_like(t), np.cos,
-               lambda t: np.sin(2 * t)):
-        res = vf.jump_relation_check(grid, field, fn)
-        assert max(res.values()) <= 1e-8
+    res = vf.jump_relation_check(grid, field)
+    assert list(res) == ["one", "cos", "sin2"]
+    for deviations in res.values():
+        assert max(deviations.values()) <= 1e-8
+
+
+def test_jump_relation_check_builds_shared_rows_once(monkeypatch):
+    # one off-boundary pass per side and offset, and one single layer
+    # for each boundary operator, serve all three densities
+    calls = {"layer_rows_offboundary": 0, "single_layer_matrix": 0}
+    for module, name in ((parametrix, "layer_rows_offboundary"),
+                         (parametrix.laplace, "single_layer_matrix")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    grid = boundary_grid(make_curve("circle"), 16)
+    field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
+    res = vf.jump_relation_check(grid, field)
+    assert set(res) == set(vf.JUMP_DENSITIES)
+    assert calls == {"layer_rows_offboundary": 2 * vf._JUMP_LEVELS,
+                     "single_layer_matrix": 2}
 
 
 def test_equivalence_check_on_solved_system():
@@ -207,15 +225,7 @@ def test_conditioning_study_small():
     field = make_coefficient("compact_bump", beta=0.6, sigma=0.5,
                              center=(1.5, 0.0))
     mesh = domain_mesh(curve, 3.0, 4 * np.pi / 32, m_theta=32)
-    from bdie2d.system import DirichletProblem
-
-    def factory(n):
-        grid = boundary_grid(curve, n)
-        problem = DirichletProblem(curve, field,
-                                   lambda p: np.zeros(p.shape[0]), np.cos)
-        return problem, grid, mesh
-
-    rows = vf.conditioning_study(factory, [16, 32])
+    rows = vf.conditioning_study(field, mesh, [16, 32])
     assert rows[1]["cond_ratio"] <= 2.0
     assert abs(rows[1]["sigma_min_V"] - rows[0]["sigma_min_V"]) \
         <= 0.1 * rows[0]["sigma_min_V"]

@@ -9,9 +9,13 @@ From the root of a source checkout:
 and 64 and star-bump-dipole at N = 32 (h = 4 pi / N, m_theta = N), and
 writes for each case the system matrix, the rhs, and ``evaluate`` at 60
 targets at r_curve(theta) times 1.02 to 10 on golden-angle turns; for
-N <= 32 also ``parametrix.remainder_rows`` at every mesh node.  Save the
-arrays of two source trees, one per checkout, to check that a change keeps
-the outputs.
+N <= 32 also ``parametrix.remainder_rows`` at every mesh node.  It also
+solves the default ``bdie2d conditioning`` problem at N = 32 and 64: the
+off-centre compact bump (beta 0.6, sigma 0.5, centre (1.5, 0)) outside the
+unit circle, a zero source and Dirichlet data cos t, on one 32-column mesh
+with r_trunc 3, whose support edge cuts through the mesh; for it the
+matrix, the rhs and ``evaluate``.  Save the arrays of two source trees,
+one per checkout, to check that a change keeps the outputs.
 
 ``compare`` prints each array's largest difference relative to its largest
 entry in A, and exits 1 if one exceeds 1e-12 or an array is missing from
@@ -27,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 CASES = (("laplace-dipole", 32), ("laplace-dipole", 512), ("bump-dipole", 16),
-         ("bump-dipole", 32), ("bump-dipole", 64), ("star-bump-dipole", 32))
+         ("bump-dipole", 32), ("bump-dipole", 64), ("star-bump-dipole", 32),
+         ("conditioning", 32), ("conditioning", 64))
 TOLERANCE = 1e-12  # largest relative difference that compare accepts
 TARGETS = 60  # evaluate targets per case
 
@@ -40,24 +45,40 @@ def _targets(curve):
     return r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
+def _conditioning_problem():
+    """The default conditioning problem and its mesh, built only from
+    APIs that every compared tree has."""
+    from bdie2d import coefficient, geometry, system
+
+    curve = geometry.make_curve("circle")
+    field = coefficient.make_coefficient("compact_bump", beta=0.6, sigma=0.5,
+                                         center=(1.5, 0.0))
+    return (system.DirichletProblem(curve, field, None, np.cos),
+            geometry.domain_mesh(curve, 3.0, 4.0 * np.pi / 32, m_theta=32))
+
+
 def save(out):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from bdie2d import geometry, parametrix, system, verification
 
     arrays = {}
     for name, n in CASES:
-        case = verification.manufactured_case(name)
-        grid = geometry.boundary_grid(case.curve, n)
-        mesh = geometry.domain_mesh(case.curve, case.r_trunc, 4.0 * np.pi / n,
-                                    m_theta=n)
-        sysm = system.assemble_system(case.problem(), grid, mesh)
+        if name == "conditioning":
+            problem, mesh = _conditioning_problem()
+        else:
+            case = verification.manufactured_case(name)
+            problem = case.problem()
+            mesh = geometry.domain_mesh(case.curve, case.r_trunc,
+                                        4.0 * np.pi / n, m_theta=n)
+        grid = geometry.boundary_grid(problem.curve, n)
+        sysm = system.assemble_system(problem, grid, mesh)
         key = f"{name}-{n}"
         arrays[f"{key}.matrix"], arrays[f"{key}.rhs"] = sysm.matrix, sysm.rhs
         arrays[f"{key}.evaluate"] = system.solve(sysm).evaluate(
-            _targets(case.curve))
-        if n <= 32:
+            _targets(problem.curve))
+        if name != "conditioning" and n <= 32:
             arrays[f"{key}.remainder_rows"] = parametrix.remainder_rows(
-                mesh, case.field, mesh.points)
+                mesh, problem.field, mesh.points)
         print(f"{key}: {len(arrays)} arrays", flush=True)
     np.savez(out, **arrays)
 
