@@ -183,8 +183,8 @@ class BoundaryGrid:
     normals: np.ndarray    # (n, 2), pointing into Omega^-
     speeds: np.ndarray     # (n,)
     weights: np.ndarray    # (n,) trapezoidal arc-length weights
-    # operator data built from the grid on first use (laplace's Cauchy
-    # diagonal)
+    # operator data built from the grid on first use (laplace's row data
+    # and Cauchy diagonal, parametrix's coefficient values per field)
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 

@@ -98,10 +98,23 @@ C[g](z) = (1 / 2 pi i) oint g dzeta / (zeta - z):
 
 The rows compose b with these linear maps.  By partial fractions,
 (b K)_j = b_j ((S - b_j) / (2 pi i) + 2 K_jj) with S = sum_i b_i, so only
-the diagonal of K is kept, built once per grid (``BoundaryGrid.memo``),
-and a target costs O(n); g_t and the antiderivative act on the rows by
-FFT.  A target on a node or within 8 eps r of the curve's radial profile
-is rejected.
+the diagonal of K is kept and a target costs O(n); g_t and the
+antiderivative act on the rows by FFT.  A target on a node or within
+8 eps r of the curve's radial profile is rejected.
+
+What the rows need of the grid alone is built once per grid and kept in
+``BoundaryGrid.memo`` (``_grid_rows``): the nodes and elements as complex
+numbers, mu, omega, the Q weights w / (w . mu), the length and the reach,
+the largest |zeta_j| plus 8 L / n.  The O(n^2) diagonal of K is kept
+there too, built only when a target is close (``_cauchy_diagonal``), and
+the FFT symbols of g_t and of the antiderivative once per (n, power),
+read-only (``_symbol``).  What the rows need of the coefficient, a and
+d(ln a)/dn at the nodes, parametrix keeps in the same memo once per
+(grid, field).  A block of targets then pays only for itself: one pass
+of the distances |zeta_j - y| of the targets within the reach of the
+origin (the others are far), which gives the near test and each near
+target's nearest node, one polar evaluation of the near targets for the
+side test and the on-curve test, and the rows.
 """
 
 from __future__ import annotations
@@ -240,26 +253,62 @@ def _complex(xy):
     return xy[..., 0] + 1j * xy[..., 1]
 
 
+@functools.cache
+def _symbol(n, power):
+    """The FFT symbol of D^power on n nodes (see _times_derivative), built
+    once per (n, power) and read-only."""
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k[n // 2] = 0.0
+    symbol = np.zeros(n, dtype=complex)
+    symbol[k != 0] = (1j * k[k != 0]) ** power
+    symbol.flags.writeable = False
+    return symbol
+
+
 def _times_derivative(rows, power):
     """rows @ D^power, D the spectral t-derivative (power 1) or the
     antiderivative of mean-free data (power -1), both with the Nyquist mode
     dropped.  D^power is antisymmetric, so this is minus D^power applied
     to each row, by FFT."""
-    k = np.fft.fftfreq(rows.shape[1], 1.0 / rows.shape[1])
-    k[rows.shape[1] // 2] = 0.0
-    symbol = np.zeros(k.size, dtype=complex)
-    symbol[k != 0] = (1j * k[k != 0]) ** power
+    symbol = _symbol(rows.shape[1], power)
     return -np.fft.ifft(np.fft.fft(rows, axis=1) * symbol, axis=1)
 
 
+class _GridRows(NamedTuple):
+    """The data of the off-boundary rows that depend on the grid alone
+    (module docstring), built once per grid."""
+
+    z: np.ndarray          # the nodes zeta_j as complex numbers
+    dzeta: np.ndarray      # the elements -i n_j w_j
+    mu: np.ndarray         # nu . zeta / (2 pi |zeta|^2)
+    omega: np.ndarray      # log|zeta| / (2 pi)
+    q_weights: np.ndarray  # w / (w . mu), so that Q sigma = q_weights . sigma
+    length: float
+    reach: float           # (max |zeta_j| + 8 L / n) (1 + 1e-9): a target
+                           # farther from the origin is far from every node
+
+
+def _grid_rows(grid: BoundaryGrid) -> _GridRows:
+    if "rows" not in grid.memo:
+        x, length = grid.points, grid.length
+        mu = -(grid.normals * x).sum(axis=1) / (_TWO_PI * (x ** 2).sum(axis=1))
+        radius = np.hypot(x[:, 0], x[:, 1])
+        grid.memo["rows"] = _GridRows(
+            _complex(x), -1j * _complex(grid.normals) * grid.weights, mu,
+            np.log(radius) / _TWO_PI, grid.weights / (grid.weights @ mu),
+            length, (radius.max() + 8.0 * length / grid.n) * (1.0 + 1e-9))
+    return grid.memo["rows"]
+
+
 def _cauchy_diagonal(grid: BoundaryGrid):
-    """The diagonal of K (module docstring), built once per grid.  A grid
-    whose normals are not the curve's raises GeometryError."""
+    """The diagonal of K (module docstring), built once per grid and only
+    for a grid with a close target.  A grid whose normals are not the
+    curve's raises GeometryError."""
     if "cauchy" not in grid.memo:
         if not np.array_equal(grid.curve.evaluate(grid.t)[2], grid.normals):
             raise GeometryError("grid normals differ from the curve's")
-        z = _complex(grid.points)
-        dzeta = -1j * _complex(grid.normals) * grid.weights
+        rows = _grid_rows(grid)
+        z, dzeta = rows.z, rows.dzeta
         row_sums = np.empty(grid.n, dtype=complex)
         for s in range(0, grid.n, 32):  # K 32 rows at a time, not (n, n)
             d = z - z[s:s + 32, None]
@@ -269,21 +318,24 @@ def _cauchy_diagonal(grid: BoundaryGrid):
     return grid.memo["cauchy"]
 
 
-def _close_rows(grid: BoundaryGrid, y, diff):
+def _close_rows(grid: BoundaryGrid, y, diff, node):
     """Rows of the single and double layer at targets y near the curve, by
     the compensated Cauchy formula of the module docstring; ``diff`` holds
-    zeta_j - z for each target and node."""
-    curve = grid.curve
-    inside = curve.is_inside_bounded(y)
+    zeta_j - z for each target and node, and ``node`` each target's
+    nearest node."""
+    data = _grid_rows(grid)
+    # one polar evaluation serves the side test and the on-curve band test
     r = np.hypot(y[:, 0], y[:, 1])
-    band = np.abs(r - curve.radial_profile(np.arctan2(y[:, 1], y[:, 0])))
-    if np.any(band <= 8.0 * np.finfo(float).eps * r) or not diff.all():
+    profile = grid.curve.radial_profile(np.arctan2(y[:, 1], y[:, 0]))
+    inside = r < profile
+    if (np.any(np.abs(r - profile) <= 8.0 * np.finfo(float).eps * r)
+            or not diff.all()):
         raise SingularEvaluationError("off-boundary evaluation target lies on S")
     k_diag = _cauchy_diagonal(grid)
-    b = (-1j * _complex(grid.normals) * grid.weights) / diff
+    b = data.dzeta / diff
     # S - b_j for each node j; the nearest node's term may dominate S, so
     # its own sum leaves that term out rather than subtracting it
-    i, j = np.arange(b.shape[0]), np.abs(diff).argmin(axis=1)
+    i, j = np.arange(b.shape[0]), node
     nearest, b[i, j] = b[i, j], 0.0
     others = b.sum(axis=1)
     b[i, j] = nearest
@@ -295,15 +347,11 @@ def _close_rows(grid: BoundaryGrid, y, diff):
          + (_TWO_PI / grid.n / (2j * np.pi))
          * _times_derivative(b, 1))
     c /= (others + nearest - 2j * np.pi * ~inside)[:, None]
-    x = grid.points
-    mu = -(grid.normals * x).sum(axis=1) / (_TWO_PI * (x ** 2).sum(axis=1))
-    omega = np.log(np.hypot(x[:, 0], x[:, 1])) / _TWO_PI
     # -Im C[phi] for phi = antiderivative(speed (sigma - Q mu))
     rows = -_times_derivative(c.imag, -1).real * grid.speeds
-    q_part = rows @ mu + c.real @ omega
+    q_part = rows @ data.mu + c.real @ data.omega
     q_part[~inside] += np.log(r[~inside]) / _TWO_PI
-    return (rows - q_part[:, None] * (grid.weights / (grid.weights @ mu)),
-            c.real)
+    return rows - q_part[:, None] * data.q_weights, c.real
 
 
 def layer_rows_offboundary(grid: BoundaryGrid, targets):
@@ -315,12 +363,22 @@ def layer_rows_offboundary(grid: BoundaryGrid, targets):
     y = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.isfinite(y).all():
         raise GeometryError("off-boundary evaluation target is not finite")
-    diff = _complex(grid.points) - _complex(y)[:, None]
-    near = np.abs(diff).min(axis=1) * grid.n < 8.0 * grid.length
+    data = _grid_rows(grid)
+    # only a target within data.reach of the origin can be near a node; the
+    # distances of those alone, in one pass, give the near test and each
+    # near target's nearest node
+    maybe = np.nonzero(np.hypot(y[:, 0], y[:, 1]) <= data.reach)[0]
+    diff = data.z - _complex(y[maybe])[:, None]
+    dist = np.abs(diff)
+    node = dist.argmin(axis=1)
+    close = dist[np.arange(maybe.size), node] * grid.n < 8.0 * data.length
+    near = np.zeros(y.shape[0], dtype=bool)
+    near[maybe[close]] = True
     single, double = np.empty((2, y.shape[0], grid.n))
     single[~near], double[~near] = _layer_weights(grid, y[~near])
-    if near.any():
-        single[near], double[near] = _close_rows(grid, y[near], diff[near])
+    if close.any():
+        single[near], double[near] = _close_rows(grid, y[near], diff[close],
+                                                 node[close])
     return single, double
 
 

@@ -34,9 +34,18 @@ from .geometry import BoundaryGrid, DomainMesh
 
 def _boundary_data(field: CoefficientField, grid: BoundaryGrid):
     """a and d(ln a)/dn = n . grad a / a at the boundary nodes, from one
-    evaluation of the coefficient."""
-    a, g, _ = field.eval(grid.points)
-    return a, np.sum(grid.normals * g, axis=1) / a
+    evaluation of the coefficient per grid and field, kept in the grid's
+    memo and read-only, as every caller shares them.  A CoefficientField
+    hashes by identity and the key holds it, so no other field can match
+    the key."""
+    key = ("coefficient", field)
+    if key not in grid.memo:
+        a, g, _ = field.eval(grid.points)
+        a = a.copy()  # the field's own array stays writeable
+        grid.memo[key] = a, np.sum(grid.normals * g, axis=1) / a
+        for data in grid.memo[key]:
+            data.flags.writeable = False
+    return grid.memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +177,15 @@ def layer_rows_offboundary(grid: BoundaryGrid, field: CoefficientField,
     source nodes."""
     single, double = laplace.layer_rows_offboundary(grid, targets)
     a, dln = _boundary_data(field, grid)
+    if field.is_constant:
+        return single / a[None, :], double  # d(ln a)/dn = 0
     return single / a[None, :], double - single * dln[None, :]
 
 
-def conormal_derivative(field: CoefficientField, points, normals, gradients):
-    """T u = a n . grad u from pointwise gradient samples."""
-    a, _, _ = field.eval(points)
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
+def conormal_derivative(field: CoefficientField, grid: BoundaryGrid,
+                        gradients):
+    """T u = a n . grad u at the boundary nodes from gradient samples
+    there."""
+    a, _ = _boundary_data(field, grid)
     gradients = np.atleast_2d(np.asarray(gradients, dtype=float))
-    return a * np.sum(normals * gradients, axis=1)
+    return a * np.sum(grid.normals * gradients, axis=1)

@@ -240,10 +240,9 @@ def second_green_identity(case: ManufacturedCase, grid, mesh):
     lhs = float(np.sum(mesh.weights
                        * (v_fn(p) * np.sum(ga * case.exact_grad(p), axis=1)
                           - u(p) * np.sum(ga * grad_v(p), axis=1))))
-    t_u = parametrix.conormal_derivative(field, grid.points, grid.normals,
+    t_u = parametrix.conormal_derivative(field, grid,
                                          case.exact_grad(grid.points))
-    t_v = parametrix.conormal_derivative(field, grid.points, grid.normals,
-                                         grad_v(grid.points))
+    t_v = parametrix.conormal_derivative(field, grid, grad_v(grid.points))
     s_term = float(np.sum(grid.weights * (v_fn(grid.points) * t_u
                                           - u(grid.points) * t_v)))
     th = _TWO_PI * np.arange(_N_RING) / _N_RING

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +6,7 @@ from bdie2d import parametrix
 from bdie2d.coefficient import (CoefficientField, check_conditions,
                                 make_coefficient, weight)
 from bdie2d.errors import CoefficientError, UnknownCatalogError
-from bdie2d.geometry import domain_mesh, make_curve
+from bdie2d.geometry import boundary_grid, domain_mesh, make_curve
 
 
 def test_weight_closed_form():
@@ -180,11 +178,10 @@ def test_grad_log_and_laplacian_log_identities():
 
 def test_normal_log_derivative():
     field = make_coefficient("gaussian_bump", beta=1.0, sigma=1.0)
-    pts = np.array([[1.0, 0.0]])
-    normals = np.array([[-1.0, 0.0]])
-    a, g, _ = field.eval(pts)
-    nodes = SimpleNamespace(points=pts, normals=normals)
-    assert_allclose(parametrix._boundary_data(field, nodes)[1],
+    # node 0 of the unit circle's grid is (1, 0), its normal (-1, 0)
+    grid = boundary_grid(make_curve("circle"), 8)
+    a, g, _ = field.eval(np.array([[1.0, 0.0]]))
+    assert_allclose(parametrix._boundary_data(field, grid)[1][0],
                     -g[0, 0] / a[0])
 
 

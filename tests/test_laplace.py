@@ -112,6 +112,13 @@ def test_fourier_diff_exactness():
     assert_allclose(df, 4 * np.cos(4 * t) - 3.5 * np.sin(7 * t), atol=1e-12)
 
 
+def test_fft_symbols_are_cached_read_only():
+    symbol = laplace._symbol(32, 1)
+    assert laplace._symbol(32, 1) is symbol
+    with pytest.raises(ValueError):
+        symbol[1] = 0.0
+
+
 def _kress_weights_by_cosine_sum(grid):
     """The Kress weights as the plain O(N^3) sum of cosine matrices."""
     n_half = grid.n // 2
@@ -185,6 +192,25 @@ def test_base_size_rows_are_the_layer_weights(circle64, kind):
                           weights)
     assert np.array_equal(laplace._layer_weights(circle64, targets[1])[col],
                           weights[1])
+
+
+def test_only_targets_within_the_reach_get_distances():
+    # rings about the reach of a star's grid: a target whose nearest node
+    # is 8 L / n away or more keeps the trapezoid rows, and a nearer one,
+    # found only at the tips, gets the Cauchy rows
+    grid = boundary_grid(make_curve("star", alpha=0.2, k=5), 64)
+    theta = np.linspace(0.0, 2 * np.pi, 50, endpoint=False)
+    r = laplace._grid_rows(grid).reach * np.array([0.9, 0.99, 1.0, 1.01])
+    y = (r[:, None, None] * np.stack([np.cos(theta), np.sin(theta)], 1)
+         ).reshape(-1, 2)
+    d = np.hypot(*(grid.points[None] - y[:, None]).transpose(2, 0, 1))
+    far = d.min(axis=1) * grid.n >= 8.0 * grid.length
+    assert 0 < np.count_nonzero(~far) < far.size
+    rows = laplace.layer_rows_offboundary(grid, y)
+    weights = laplace._layer_weights(grid, y)
+    for got, want in zip(rows, weights):
+        assert np.array_equal(got[far], want[far])
+        assert not (got[~far] == want[~far]).all(axis=1).any()
 
 
 def test_layer_rows_match_applied_potential(circle64):

@@ -50,6 +50,25 @@ def test_offboundary_layers_reduce_to_laplace(circle64, const):
     assert_allclose(w_rows @ dens, double @ dens, atol=1e-14)
 
 
+def test_boundary_data_memo_is_kept_per_field():
+    # a near and a far target; the second field's rows on the grid the
+    # first one used are those of a fresh grid
+    circle = make_curve("circle")
+    targets = np.array([[1.001, 0.02], [3.0, 1.0]])
+    shared = boundary_grid(circle, 64)
+    for field in (make_coefficient("gaussian_bump", beta=1.0, sigma=1.0),
+                  make_coefficient("constant", value=2.0)):
+        fresh = boundary_grid(circle, 64)
+        for got, want in zip(
+                parametrix.layer_rows_offboundary(shared, field, targets),
+                parametrix.layer_rows_offboundary(fresh, field, targets)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(parametrix.single_layer_boundary(shared, field),
+                              parametrix.single_layer_boundary(fresh, field))
+        assert not any(data.flags.writeable
+                       for data in parametrix._boundary_data(field, shared))
+
+
 def test_offboundary_rows_match_application(circle64, bump):
     # the rows applied to a density give V rho = V_L(rho / a) and
     # W rho = W_L rho - V_L(rho d(ln a)/dn)
@@ -319,10 +338,13 @@ def test_remainder_apply_matches_rows(bump_mesh, bump):
 
 
 def test_conormal_derivative(bump):
-    pts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    normals = np.array([[-1.0, 0.0], [0.0, -1.0]])
-    grads = np.array([[2.0, 1.0], [0.5, -0.3]])
-    a, _, _ = bump.eval(pts)
-    expected = a * np.sum(normals * grads, axis=1)
-    assert_allclose(parametrix.conormal_derivative(bump, pts, normals, grads),
+    # nodes 0 and 2 of the unit circle's grid of 8 are (1, 0) and (0, 1),
+    # their normals (-1, 0) and (0, -1), to rounding
+    grid = boundary_grid(make_curve("circle"), 8)
+    grads = np.zeros((8, 2))
+    grads[[0, 2]] = [[2.0, 1.0], [0.5, -0.3]]
+    a, _, _ = bump.eval(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    expected = a * np.sum(np.array([[-1.0, 0.0], [0.0, -1.0]]) * grads[[0, 2]],
+                          axis=1)
+    assert_allclose(parametrix.conormal_derivative(bump, grid, grads)[[0, 2]],
                     expected)

@@ -387,6 +387,30 @@ def test_a_higher_gauss_order_barely_moves_the_bump_dipole_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["laplace-dipole", "bump-dipole"])
+def test_boundary_coefficient_is_evaluated_once_per_grid(name):
+    case = manufactured_case(name)
+    grid = boundary_grid(case.curve, 16)
+    mesh = domain_mesh(case.curve, case.r_trunc, 4 * np.pi / 16, m_theta=16)
+    at_nodes = []
+
+    def counted(x):
+        at_nodes.append(np.array_equal(x, grid.points))
+        return case.field.derivatives(x)
+
+    field = CoefficientField(counted, case.field.c1, case.field.c2,
+                             case.field.support_radius)
+    problem = DirichletProblem(case.curve, field, case.source, case.dirichlet)
+    sol = solve(assemble_system(problem, grid, mesh))
+    # a close-evaluated target and a trapezoid-rule one
+    targets = np.array([[1.01 * np.cos(0.7), 1.01 * np.sin(0.7)], [8.0, 1.0]])
+    first = sol.evaluate(targets)
+    for _ in range(2):
+        assert np.array_equal(sol.evaluate(targets), first)
+    # assembly and the three evaluations share one evaluation at the nodes
+    assert sum(at_nodes) == 1
+
+
+@pytest.mark.parametrize("name", ["laplace-dipole", "bump-dipole"])
 def test_representation_makes_one_offboundary_pass(name, monkeypatch):
     case = manufactured_case(name)
     grid = boundary_grid(case.curve, 16)

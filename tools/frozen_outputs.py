@@ -17,6 +17,15 @@ with r_trunc 3, whose support edge cuts through the mesh; for it the
 matrix, the rhs and ``evaluate``.  Save the arrays of two source trees,
 one per checkout, to check that a change keeps the outputs.
 
+Most of the 60 targets are far enough from the curve for the trapezoid
+rule (8 L / d <= N, L the curve length, d the distance to the nearest
+node), so for laplace-dipole at N = 32 and 512 and star-bump-dipole at
+N = 32 ``save`` also writes ``evaluate`` at targets close to the curve,
+which take the compensated Cauchy rows: above 4 nodes and midway between
+4 pairs of nodes, at distances along the outward normal of 1e-1, 1e-3,
+1e-6 and 1e-8 times the curve's radius there.  Every array comes from
+public calls alone, so ``compare`` runs across any two trees.
+
 ``compare`` prints each array's largest difference relative to its largest
 entry in A, and exits 1 if one exceeds 1e-12 or an array is missing from
 either file or has another shape.
@@ -35,6 +44,9 @@ CASES = (("laplace-dipole", 32), ("laplace-dipole", 512), ("bump-dipole", 16),
          ("conditioning", 32), ("conditioning", 64))
 TOLERANCE = 1e-12  # largest relative difference that compare accepts
 TARGETS = 60  # evaluate targets per case
+CLOSE_CASES = (("laplace-dipole", 32), ("laplace-dipole", 512),
+               ("star-bump-dipole", 32))
+CLOSE_DISTANCES = (1e-1, 1e-3, 1e-6, 1e-8)  # times the curve's radius
 
 
 def _targets(curve):
@@ -43,6 +55,19 @@ def _targets(curve):
     theta = np.arange(TARGETS) * np.pi * (3.0 - np.sqrt(5.0))
     r = curve.radial_profile(theta) * np.geomspace(1.02, 10.0, TARGETS)
     return r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+def _close_targets(curve, n):
+    """Targets above 4 of the n nodes and midway between 4 pairs of them,
+    at CLOSE_DISTANCES times the curve's radius along the outward
+    normal."""
+    nodes = np.rint(n * np.array([0.1, 0.35, 0.6, 0.85]))
+    t = 2.0 * np.pi / n * np.concatenate([nodes, nodes + 0.5])
+    x, _, normal, _ = curve.evaluate(t)
+    r = curve.radial_profile(np.arctan2(x[:, 1], x[:, 0]))
+    # the normals point into the curve: outward is minus the normal
+    d = r[:, None] * np.array(CLOSE_DISTANCES)
+    return (x[:, None, :] - d[..., None] * normal[:, None, :]).reshape(-1, 2)
 
 
 def _conditioning_problem():
@@ -74,8 +99,11 @@ def save(out):
         sysm = system.assemble_system(problem, grid, mesh)
         key = f"{name}-{n}"
         arrays[f"{key}.matrix"], arrays[f"{key}.rhs"] = sysm.matrix, sysm.rhs
-        arrays[f"{key}.evaluate"] = system.solve(sysm).evaluate(
-            _targets(problem.curve))
+        sol = system.solve(sysm)
+        arrays[f"{key}.evaluate"] = sol.evaluate(_targets(problem.curve))
+        if (name, n) in CLOSE_CASES:
+            arrays[f"{key}.evaluate_close"] = sol.evaluate(
+                _close_targets(problem.curve, n))
         if name != "conditioning" and n <= 32:
             arrays[f"{key}.remainder_rows"] = parametrix.remainder_rows(
                 mesh, problem.field, mesh.points)
